@@ -8,7 +8,7 @@ firing sequence.
 Run:  python demos/01_reachability.py
 """
 
-from bppcheck import Bpp, Rule, TAU
+from bppcheck.core import Bpp, Rule, TAU
 from bppcheck.ctl import Atom, Cmp, EF, LinearAtom
 from bppcheck.ef import (
     check_ef_detailed,

@@ -8,7 +8,7 @@ and so does solver time; this script makes that visible.
 Run:  python demos/02_bounded_liveness.py
 """
 
-from bppcheck import Bpp, Rule
+from bppcheck.core import Bpp, Rule
 from bppcheck.ctl import Atom, Cmp, EG, ENext, LinearAtom
 from bppcheck.eg import check_eg, encode_eg
 from bppcheck.smt import resolve_solver

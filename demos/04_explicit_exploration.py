@@ -9,7 +9,7 @@ semantics by direct recursion.
 Run:  python demos/04_explicit_exploration.py
 """
 
-from bppcheck import Bpp, Rule
+from bppcheck.core import Bpp, Rule
 from bppcheck.ctl import Atom, Cmp, EG, ENext, LinearAtom
 from bppcheck.oracle import (
     ExplorationBudget,

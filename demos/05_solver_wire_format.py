@@ -9,7 +9,7 @@ that reads SMT-LIB2 from stdin to swap back ends.
 Run:  python demos/05_solver_wire_format.py
 """
 
-from bppcheck import Bpp, Rule, TAU
+from bppcheck.core import Bpp, Rule, TAU
 from bppcheck.ctl import Atom, Cmp, LinearAtom
 from bppcheck.ef import atoms_to_node, encode_reachability
 from bppcheck.smt import conj, resolve_solver, run_solver, to_smtlib

@@ -8,78 +8,4 @@ communicating systems are verified by an over-approximating conversion to
 the same process model.
 """
 
-from .core import TAU, Bpp, Marking, Rule, enabled_rules, fire, parikh, successors
-from .ctl import (
-    AF,
-    EF,
-    EG,
-    And,
-    ANext,
-    Atom,
-    Cmp,
-    ENext,
-    Formula,
-    FormulaClass,
-    Imp,
-    LinearAtom,
-    Not,
-    Or,
-    classify,
-    desugar,
-    eval_atomic,
-)
-from .oracle import ExplorationBudget, OracleAnswer, check_ef_oracle, eval_bounded, reachable_set
-from .acs import convert, convert_place
-from .ef import check_ef, encode_reachability, realize_firing_counts
-from .eg import check_eg, encode_eg
-from .parsing import parse_acs, parse_problem, parse_property, problem_to_text
-from .smt import Verdict, resolve_solver
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AF",
-    "And",
-    "ANext",
-    "Atom",
-    "Bpp",
-    "Cmp",
-    "EF",
-    "EG",
-    "ENext",
-    "ExplorationBudget",
-    "Formula",
-    "FormulaClass",
-    "Imp",
-    "LinearAtom",
-    "Marking",
-    "Not",
-    "Or",
-    "OracleAnswer",
-    "Rule",
-    "TAU",
-    "Verdict",
-    "check_ef",
-    "check_ef_oracle",
-    "check_eg",
-    "classify",
-    "convert",
-    "convert_place",
-    "desugar",
-    "enabled_rules",
-    "encode_eg",
-    "encode_reachability",
-    "eval_atomic",
-    "eval_bounded",
-    "fire",
-    "parikh",
-    "parse_acs",
-    "parse_problem",
-    "parse_property",
-    "problem_to_text",
-    "reachable_set",
-    "realize_firing_counts",
-    "resolve_solver",
-    "successors",
-    "__version__",
-]

@@ -228,19 +228,3 @@ def eval_propositional(f: Formula, m: Marking, bpp: Bpp) -> bool:
     if isinstance(f, Imp):
         return (not eval_propositional(f.left, m, bpp)) or eval_propositional(f.right, m, bpp)
     raise TypeError(f"not propositional: {f!r}")
-
-
-def formula_symbols(f: Formula) -> set[str]:
-    out: set[str] = set()
-    for g in walk(f):
-        if isinstance(g, Atom):
-            out.update(sym for sym, _ in g.atom.terms)
-    return out
-
-
-def formula_actions(f: Formula) -> set[str]:
-    out: set[str] = set()
-    for g in walk(f):
-        if isinstance(g, (ENext, ANext)):
-            out.add(g.action)
-    return out

@@ -13,9 +13,9 @@ quantified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .core import Bpp, Marking, Rule, parikh
+from .core import Bpp, Marking, Rule, rule_delta
 from .ctl import And, Atom, EG, ENext, Formula, Not, contains_ef, desugar
 from .errors import MixedFormula, UnknownSymbol
 from .smt import (
@@ -38,15 +38,6 @@ from .smt import (
 
 #: One symbolic marking: a solver variable or a concrete count per symbol.
 State = tuple["str | int", ...]
-
-
-def parikh_minus(lhs: str, rhs: Iterable[str], bpp: Bpp) -> tuple[int, ...]:
-    """Count vector of rhs minus the unit vector of the consumed symbol."""
-    if lhs not in bpp.index:
-        raise UnknownSymbol(lhs)
-    delta = list(parikh(rhs, bpp))
-    delta[bpp.index[lhs]] -= 1
-    return tuple(delta)
 
 
 class VarAllocator:
@@ -106,7 +97,7 @@ def _component_eq(s_i: "str | int", t_i: "str | int", delta: int) -> Node:
 
 def t_minus(s: State, t: State, rule: Rule, bpp: Bpp) -> Node:
     """Per-component marking change of one rule application."""
-    delta = parikh_minus(rule.lhs, rule.rhs, bpp)
+    delta = rule_delta(rule, bpp)
     return conj(_component_eq(s[i], t[i], delta[i]) for i in range(bpp.n))
 
 

@@ -13,12 +13,6 @@ class UnknownSymbol(BppCheckError):
         self.name = name
 
 
-class UnknownAction(BppCheckError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown action label {name!r}")
-        self.name = name
-
-
 class UnknownReference(BppCheckError):
     """A property over an actor system names an undeclared state, process or message."""
 

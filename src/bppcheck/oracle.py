@@ -59,13 +59,20 @@ def explore(
     init: S,
     succ: Callable[[S], Iterable[S]],
     budget: ExplorationBudget,
+    target: Callable[[S], bool] | None = None,
 ) -> tuple[dict[S, int], bool]:
     """BFS from init. Returns {state: depth} and a trustworthy complete flag.
 
     complete is True only if every successor of every visited state is
     itself visited, i.e. nothing was lost to the state or depth cap.
+
+    With a target, the search stops at the first state satisfying it, even
+    one found when the state cap is reached; that state is then the last
+    key of the returned dict and complete is False.
     """
     depth_of: dict[S, int] = {init: 0}
+    if target is not None and target(init):
+        return depth_of, False
     frontier: deque[S] = deque([init])
     cut: list[S] = []
     truncated = False
@@ -79,6 +86,9 @@ def explore(
         for nxt in succ(state):
             if nxt in depth_of:
                 continue
+            if target is not None and target(nxt):
+                depth_of[nxt] = d + 1
+                return depth_of, False
             if len(depth_of) >= budget.max_states:
                 truncated = True
                 frontier.clear()
@@ -122,40 +132,13 @@ def check_ef_oracle(
 ) -> OracleAnswer:
     """Is some reachable marking a model of the propositional formula psi?"""
     bpp.check_marking(init)
-    budget = budget or ExplorationBudget()
-    succ = _bpp_succ(bpp)
 
-    if eval_propositional(psi, init, bpp):
+    def target(m: Marking) -> bool:
+        return eval_propositional(psi, m, bpp)
+
+    depth_of, complete = explore(init, _bpp_succ(bpp), budget or ExplorationBudget(), target)
+    if target(next(reversed(depth_of))):
         return OracleAnswer.definitely(True)
-    depth_of: dict[Marking, int] = {init: 0}
-    frontier: deque[Marking] = deque([init])
-    truncated = False
-    cut: list[Marking] = []
-    while frontier:
-        state = frontier.popleft()
-        d = depth_of[state]
-        if budget.max_depth is not None and d >= budget.max_depth:
-            cut.append(state)
-            continue
-        for nxt in succ(state):
-            if nxt in depth_of:
-                continue
-            if eval_propositional(psi, nxt, bpp):
-                return OracleAnswer.definitely(True)
-            if len(depth_of) >= budget.max_states:
-                truncated = True
-                frontier.clear()
-                break
-            depth_of[nxt] = d + 1
-            frontier.append(nxt)
-        if truncated:
-            break
-    complete = not truncated
-    if complete:
-        for state in cut:
-            if any(nxt not in depth_of for nxt in succ(state)):
-                complete = False
-                break
     if complete:
         return OracleAnswer.definitely(False)
     return OracleAnswer.exhausted()

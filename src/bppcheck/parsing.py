@@ -11,6 +11,7 @@ carries a 1-based line/column pointing at the first offending token.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .acs import Acs, AcsPlace, AcsRule, ConvertedBpp, Nop, PropertyAtom, Recv, Send, Spawn
 from .acs import lift_formula, mail_ref, name_ref
@@ -37,6 +38,11 @@ UNARY_OPS = {"Neg": Not, "EG": EG, "AF": AF, "EF": EF}
 BINARY_OPS = {"Conj": And, "Disj": Or, "Imp": Imp}
 NEXT_OPS = {"EX": ENext, "AX": ANext}
 CMP_TOKENS = {"==": Cmp.EQ, "!=": Cmp.NE, ">=": Cmp.GE, "<=": Cmp.LE, ">": Cmp.GT, "<": Cmp.LT}
+#: Deepest operator nesting a formula may have. The parser and the passes
+#: after it (desugaring, classification, the encoders, the serializer)
+#: recurse once per level, so deeper input is rejected here with a parse
+#: error instead of overflowing the interpreter stack later.
+MAX_FORMULA_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,7 @@ def parse_problem(text: str, source: str = "") -> ProblemFile:
 
     cur.expect_keyword("formula")
     bpp = Bpp(tuple(declared), tuple(rules))
-    formula = _parse_formula(cur, bpp)
+    formula = _parse_formula(cur, bpp.actions, lambda: _parse_query(cur, bpp))
     tok = cur.peek()
     if tok.kind != "eof":
         raise cur.fail("end of input")
@@ -249,37 +255,39 @@ def _parse_rule(cur: _Cursor, rid: int, declared: dict[str, None]) -> Rule:
     return Rule(rid, lhs, action, tuple(rhs))
 
 
-def _parse_formula(cur: _Cursor, bpp: Bpp) -> Formula:
+def _parse_formula(
+    cur: _Cursor, actions: frozenset[str], parse_atom: Callable[[], Formula], depth: int = 0
+) -> Formula:
+    """One formula over the given step labels; atoms come from parse_atom."""
     tok = cur.peek()
-    if tok.kind == "ident" and cur.peek(1).text == "(":
-        if tok.text in UNARY_OPS:
-            cur.next()
-            cur.expect_punct("(")
-            sub = _parse_formula(cur, bpp)
-            cur.expect_punct(")")
-            return UNARY_OPS[tok.text](sub)
-        if tok.text in BINARY_OPS:
-            cur.next()
-            cur.expect_punct("(")
-            left = _parse_formula(cur, bpp)
-            cur.expect_punct(",")
-            right = _parse_formula(cur, bpp)
-            cur.expect_punct(")")
-            return BINARY_OPS[tok.text](left, right)
-        if tok.text in NEXT_OPS:
-            cur.next()
-            cur.expect_punct("(")
-            label_tok = cur.peek()
-            if label_tok.kind != "ident" or label_tok.text in KEYWORDS:
-                raise cur.fail("an action label")
-            if label_tok.text not in bpp.actions:
-                raise cur.fail("a declared action label")
-            cur.next()
-            cur.expect_punct(",")
-            sub = _parse_formula(cur, bpp)
-            cur.expect_punct(")")
-            return NEXT_OPS[tok.text](label_tok.text, sub)
-    return _parse_query(cur, bpp)
+    if tok.kind != "ident" or cur.peek(1).text != "(":
+        return parse_atom()
+    if tok.text not in UNARY_OPS and tok.text not in BINARY_OPS and tok.text not in NEXT_OPS:
+        return parse_atom()
+    if depth == MAX_FORMULA_DEPTH:
+        raise cur.fail(f"a formula nested at most {MAX_FORMULA_DEPTH} operators deep")
+    cur.next()
+    cur.expect_punct("(")
+    if tok.text in UNARY_OPS:
+        sub = _parse_formula(cur, actions, parse_atom, depth + 1)
+        cur.expect_punct(")")
+        return UNARY_OPS[tok.text](sub)
+    if tok.text in BINARY_OPS:
+        left = _parse_formula(cur, actions, parse_atom, depth + 1)
+        cur.expect_punct(",")
+        right = _parse_formula(cur, actions, parse_atom, depth + 1)
+        cur.expect_punct(")")
+        return BINARY_OPS[tok.text](left, right)
+    label_tok = cur.peek()
+    if label_tok.kind != "ident" or label_tok.text in KEYWORDS:
+        raise cur.fail("an action label")
+    if label_tok.text not in actions:
+        raise cur.fail("a declared action label")
+    cur.next()
+    cur.expect_punct(",")
+    sub = _parse_formula(cur, actions, parse_atom, depth + 1)
+    cur.expect_punct(")")
+    return NEXT_OPS[tok.text](label_tok.text, sub)
 
 
 def _parse_query(cur: _Cursor, bpp: Bpp) -> Atom:
@@ -463,43 +471,10 @@ def parse_property(text: str, cb: ConvertedBpp, source: str = "") -> Formula:
     names, converted in/out symbol names, and mailbox terms mail(p, m).
     """
     cur = _Cursor(tokenize(text))
-    tree = _parse_property_formula(cur, cb)
+    tree = _parse_formula(cur, cb.bpp.actions, lambda: _parse_property_atom(cur, cb))
     if cur.peek().kind != "eof":
         raise cur.fail("end of input")
     return lift_formula(cb, tree)
-
-
-def _parse_property_formula(cur: _Cursor, cb: ConvertedBpp):
-    tok = cur.peek()
-    if tok.kind == "ident" and cur.peek(1).text == "(" and tok.text != "mail":
-        if tok.text in UNARY_OPS:
-            cur.next()
-            cur.expect_punct("(")
-            sub = _parse_property_formula(cur, cb)
-            cur.expect_punct(")")
-            return UNARY_OPS[tok.text](sub)
-        if tok.text in BINARY_OPS:
-            cur.next()
-            cur.expect_punct("(")
-            left = _parse_property_formula(cur, cb)
-            cur.expect_punct(",")
-            right = _parse_property_formula(cur, cb)
-            cur.expect_punct(")")
-            return BINARY_OPS[tok.text](left, right)
-        if tok.text in NEXT_OPS:
-            cur.next()
-            cur.expect_punct("(")
-            label_tok = cur.peek()
-            if label_tok.kind != "ident":
-                raise cur.fail("an action label")
-            if label_tok.text not in cb.bpp.actions:
-                raise cur.fail("a declared action label")
-            cur.next()
-            cur.expect_punct(",")
-            sub = _parse_property_formula(cur, cb)
-            cur.expect_punct(")")
-            return NEXT_OPS[tok.text](label_tok.text, sub)
-    return _parse_property_atom(cur, cb)
 
 
 def _parse_property_atom(cur: _Cursor, cb: ConvertedBpp) -> PropertyAtom:

@@ -16,7 +16,7 @@ knows nothing about where its input formulas came from.
 from __future__ import annotations
 
 from .omega import OmegaBudgetExceeded, omega_solve
-from ..smt.sexpr import parse_all
+from ..sexpr import parse_all
 
 DEFAULT_STEP_BUDGET = 20_000_000
 
@@ -203,33 +203,9 @@ class _Engine:
         lits: list = []
         pending: list = []  # 'or' / 'notex' / non-ground 'ex'... nodes
 
-        def push(node) -> None:
-            kind = node[0]
-            if kind == "true":
-                return
-            if kind == "false":
-                raise _Fail()
-            if kind == "and":
-                for ch in node[1]:
-                    push(ch)
-                return
-            if kind == "ex":
-                evars.extend(node[1])
-                push(node[2])
-                return
-            if kind in ("ge", "eq"):
-                red = self._reduce_lit(node, subst)
-                if red == ("true",):
-                    return
-                if red == ("false",):
-                    raise _Fail()
-                lits.append(red)
-                return
-            pending.append(node)
-
         try:
             for node in goal_nodes:
-                push(node)
+                self._push_into(node, evars, lits, pending, subst)
             return self._search(evars, lits, pending, subst)
         except _Fail:
             return None
@@ -274,7 +250,7 @@ class _Engine:
                     if len(live) == 1:
                         # Forced disjunct: splice it as a direct goal.
                         changed = True
-                        self._push_into(live[0], evars, lits, pending, new_pending, subst)
+                        self._push_into(live[0], evars, lits, new_pending, subst)
                         continue
                 new_pending.append(node)
             pending[:] = new_pending
@@ -324,7 +300,8 @@ class _Engine:
             return True
         return False
 
-    def _push_into(self, node, evars, lits, pending, new_pending, subst) -> None:
+    def _push_into(self, node, evars, lits, pending, subst) -> None:
+        """Add a goal: literals to lits, other non-trivial nodes to pending."""
         kind = node[0]
         if kind == "true":
             return
@@ -332,11 +309,11 @@ class _Engine:
             raise _Fail()
         if kind == "and":
             for ch in node[1]:
-                self._push_into(ch, evars, lits, pending, new_pending, subst)
+                self._push_into(ch, evars, lits, pending, subst)
             return
         if kind == "ex":
             evars.extend(node[1])
-            self._push_into(node[2], evars, lits, pending, new_pending, subst)
+            self._push_into(node[2], evars, lits, pending, subst)
             return
         if kind in ("ge", "eq"):
             red = self._reduce_lit(node, subst)
@@ -346,7 +323,7 @@ class _Engine:
                 raise _Fail()
             lits.append(red)
             return
-        new_pending.append(node)
+        pending.append(node)
 
     def _residual_key(self, lits, pending, subst):
         entries = [("lit",) + lit for lit in lits]
@@ -406,9 +383,7 @@ class _Engine:
             c_pending = list(rest)
             c_subst = dict(subst)
             try:
-                new_pending: list = []
-                self._push_into(choice, c_evars, c_lits, c_pending, new_pending, c_subst)
-                c_pending.extend(new_pending)
+                self._push_into(choice, c_evars, c_lits, c_pending, c_subst)
                 result = self._search(c_evars, c_lits, c_pending, c_subst)
                 return result
             except _Fail:
@@ -676,7 +651,10 @@ def solve_text(text: str) -> str:
             continue
         if cmd == "exit":
             break
-        # Unknown commands are ignored, like a tolerant solver.
+        # Ignoring a command such as push or pop would answer later checks
+        # about the wrong assertion set, so the script ends here instead.
+        script.outputs.append(f'(error "unsupported command {cmd}")')
+        break
     return "\n".join(script.outputs) + ("\n" if script.outputs else "")
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import SolverProtocolError
+from .errors import SolverProtocolError
 
 Sexpr = "str | list"
 

@@ -24,7 +24,7 @@ from ..errors import (
     SolverProtocolError,
 )
 from .script import SmtScript
-from .sexpr import parse_all
+from ..sexpr import parse_all
 
 #: Extra time a child gets to die after its budget, before we report anyway.
 KILL_GRACE_S = 2.0

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 from bppcheck.cli import main
+from bppcheck.parsing import MAX_FORMULA_DEPTH
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,6 +57,42 @@ class TestExitCodes:
     def test_missing_file_is_environment_error(self, capsys):
         code, _, err = run(capsys, "definitely-missing.bpp")
         assert code == 4
+
+    def test_deep_formula_is_parse_error(self, tmp_path, capsys):
+        deep = "Neg(" * 1500 + "EF(X >= 1)" + ")" * 1500
+        problem = tmp_path / "deep.bpp"
+        problem.write_text(f"initial X rules X -> X formula {deep}\n")
+        prop = tmp_path / "deep.prop"
+        prop.write_text(deep.replace("X >= 1", "q0 >= 1") + "\n")
+        for args in ((problem,), (DATA / "pingpong.acs", prop, "--acs")):
+            code, _, err = run(capsys, *args)
+            assert code == 3
+            assert "parse error" in err
+            assert "nested at most 100 operators deep" in err
+
+
+class TestNestingLimit:
+    """Formulas exactly at the parser's nesting limit check end to end."""
+
+    def at_limit(self, tmp_path, source: Path, body: str, operators: int) -> Path:
+        negations = MAX_FORMULA_DEPTH - operators
+        assert negations % 2 == 0
+        system = source.read_text().split("formula")[0]
+        path = tmp_path / source.name
+        path.write_text(f"{system}formula\n{'Neg(' * negations}{body}{')' * negations}\n")
+        return path
+
+    def test_ef_engine(self, tmp_path, capsys):
+        path = self.at_limit(tmp_path, DATA / "reach.bpp", "Conj(EF(Y == 1), EF(Y == 1))", 2)
+        code, out, _ = run(capsys, path)
+        assert code == 0
+        assert "engine: ef" in out
+
+    def test_eg_engine(self, tmp_path, capsys):
+        path = self.at_limit(tmp_path, DATA / "liveness.bpp", "EG(EX(a, Y + Z >= 2))", 2)
+        code, out, _ = run(capsys, path, "-k", "3")
+        assert code == 0
+        assert "engine: eg-bounded" in out
 
 
 class TestTextReport:

@@ -4,13 +4,12 @@ import sys
 
 import pytest
 
-from bppcheck.core import Bpp, Rule
+from bppcheck.core import Bpp, Rule, rule_delta
 from bppcheck.ctl import AF, EF, EG, And, ANext, Cmp, ENext, Imp, Not, Or, desugar
 from bppcheck.eg import (
     VarAllocator,
     check_eg,
     encode_eg,
-    parikh_minus,
     path_constraint,
     t_minus,
     trans,
@@ -26,21 +25,25 @@ REF = SolverConfig((sys.executable, "-m", "bppcheck.refsolver"), 30.0)
 
 
 class TestParikhMinus:
+    """The step encoding's marking change: Parikh vector of the right side
+    minus the unit vector of the consumed symbol (core.rule_delta)."""
+
     def test_decrement_of_consumed_symbol(self, triangle):
-        assert parikh_minus("X2", ("X1", "X2", "X2", "X3", "X3"), triangle) == (1, 1, 2)
+        rule = Rule(0, "X2", "a", ("X1", "X2", "X2", "X3", "X3"))
+        assert rule_delta(rule, triangle) == (1, 1, 2)
 
     def test_self_loop_nets_zero(self):
         bpp = Bpp(("X",), (Rule(0, "X", "a", ("X",)),))
-        assert parikh_minus("X", ("X",), bpp) == (0,)
+        assert rule_delta(bpp.rules[0], bpp) == (0,)
 
     def test_unit_vectors(self, triangle):
-        assert parikh_minus("X3", ("X1",), triangle) == (1, 0, -1)
+        assert rule_delta(Rule(0, "X3", "a", ("X1",)), triangle) == (1, 0, -1)
 
     def test_rule_deltas_of_the_standard_system(self, triangle):
         r1, r2, r3 = triangle.rules
-        assert parikh_minus(r1.lhs, r1.rhs, triangle) == (-1, 1, 1)
-        assert parikh_minus(r2.lhs, r2.rhs, triangle) == (1, 0, 0)
-        assert parikh_minus(r3.lhs, r3.rhs, triangle) == (1, 0, -1)
+        assert rule_delta(r1, triangle) == (-1, 1, 1)
+        assert rule_delta(r2, triangle) == (1, 0, 0)
+        assert rule_delta(r3, triangle) == (1, 0, -1)
 
 
 class TestStepConstraints:

@@ -7,6 +7,7 @@ from bppcheck.core import TAU
 from bppcheck.ctl import EF, EG, Atom, Cmp, ENext, LinearAtom
 from bppcheck.errors import ParseError
 from bppcheck.parsing import (
+    MAX_FORMULA_DEPTH,
     ProblemFile,
     atom_to_text,
     formula_to_text,
@@ -133,6 +134,9 @@ REJECT_CORPUS = [
     ("tau_as_symbol", "initial _tau rules X -> X formula X >= 1", 1, 9),
     # Coefficients only come after the symbol: NUMBER * VAR is not a term.
     ("number_times_var", "initial X rules X -> X formula 2 * X >= 2", 1, 32),
+    # 101 nested operators: the error points at the one past the limit.
+    ("nested_too_deep",
+     "initial X rules X -> X formula " + "Neg(" * 100 + "EF(X >= 1" + ")" * 101, 1, 432),
 ]
 
 
@@ -285,6 +289,16 @@ class TestPropertyParsing:
         cb = self.fixture_cb()
         with pytest.raises(ParseError):
             parse_property("EF(mail(p, nope) >= 1)", cb)
+
+    def test_nesting_limit(self):
+        cb = self.fixture_cb()
+        at_limit = "Neg(" * (MAX_FORMULA_DEPTH - 1) + "EF(q0 >= 1" + ")" * MAX_FORMULA_DEPTH
+        parse_property(at_limit, cb)
+        with pytest.raises(ParseError) as err:
+            parse_property("Neg(" + at_limit + ")", cb)
+        assert (err.value.line, err.value.column) == (1, 4 * MAX_FORMULA_DEPTH + 1)
+        assert err.value.expected == "a formula nested at most 100 operators deep"
+        assert err.value.found == "EF"
 
 
 class TestRandomRoundTrip:

@@ -207,6 +207,22 @@ class TestScripts:
     def test_unsupported_is_unknown(self):
         assert status("(declare-const x Int)(assert (= (* x x) 4))(check-sat)") == "unknown"
 
+    def test_unsupported_command_ends_the_script(self):
+        # Skipping push/pop would answer the second check-sat about the
+        # wrong assertion set (x > 0 and x < 0 instead of x > 0 alone).
+        out = run(
+            """
+            (declare-const x Int)
+            (assert (> x 0))
+            (push 1)
+            (assert (< x 0))
+            (check-sat)
+            (pop 1)
+            (check-sat)
+            """
+        )
+        assert out == ['(error "unsupported command push")']
+
 
 class TestRandomQuantifierFree:
     def test_vs_enumeration(self):
