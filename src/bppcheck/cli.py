@@ -220,6 +220,8 @@ def render_report(report: Report, fmt: str, stats: bool = False) -> str:
     if verdict.engine == "eg-bounded":
         lines.append(f"k: {verdict.k}")
     lines.append(f"time_ms: {report.total_ms:.1f}")
+    if "reason_unknown" in verdict.stats:
+        lines.append(f"reason_unknown: {verdict.stats['reason_unknown']}")
     if verdict.witness:
         for name, value in verdict.witness.items():
             lines.append(f"({name}, {value})")

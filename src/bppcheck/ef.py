@@ -31,6 +31,7 @@ from .smt import (
     Node,
     SolverConfig,
     SmtScript,
+    SolverOutcome,
     Verdict,
     conj,
     disj,
@@ -38,6 +39,7 @@ from .smt import (
     lin,
     neg,
     run_solver,
+    solver_stats,
     to_smtlib,
 )
 
@@ -170,7 +172,7 @@ class EfNodeResult:
     status: str  # sat | unsat | unknown
     model: dict[str, int] | None
     script: SmtScript
-    solver_ms: float
+    outcome: SolverOutcome
 
 
 def check_ef_detailed(
@@ -210,7 +212,7 @@ def check_ef_detailed(
             # emitted constraint under the independent evaluator.
             if not eval_node(node, model):
                 raise SolverProtocolError("solver model does not satisfy the encoding")
-        results.append(EfNodeResult(outcome.status, model, script, outcome.wall_ms))
+        results.append(EfNodeResult(outcome.status, model, script, outcome))
         if outcome.status == "sat":
             return True
         if outcome.status == "unsat":
@@ -239,8 +241,7 @@ def check_ef_detailed(
     stats = {
         "n_vars": len(enc.declarations),
         "n_asserts": (len(enc.constraints) + 1) * max(1, len(results)),
-        "solver_ms": sum(r.solver_ms for r in results),
-        "solver_calls": len(results),
+        **solver_stats([r.outcome for r in results], unknown=value is None),
     }
     result = "unknown" if value is None else ("holds" if value else "not-holds")
     verdict = Verdict(result=result, engine="ef", k=None, witness=witness, stats=stats)

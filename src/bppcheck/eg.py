@@ -12,12 +12,13 @@ quantified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .core import Bpp, Marking, Rule, rule_delta
 from .ctl import And, Atom, EG, ENext, Formula, Not, contains_ef, desugar
-from .errors import MixedFormula, UnknownSymbol
+from .errors import EncodingTimeout, MixedFormula, UnknownSymbol
 from .smt import (
     FALSE,
     TRUE,
@@ -33,6 +34,7 @@ from .smt import (
     lin,
     neg,
     run_solver,
+    solver_stats,
     to_smtlib,
 )
 
@@ -42,14 +44,23 @@ State = tuple["str | int", ...]
 
 class VarAllocator:
     """Fresh state-variable names: u<j>_<sym> for path positions (later
-    blocks get a _b<serial> suffix), s<serial>_<sym> for step targets."""
+    blocks get a _b<serial> suffix), s<serial>_<sym> for step targets.
 
-    def __init__(self):
+    With a deadline (a ``time.perf_counter()`` value), allocating a block
+    past it raises EncodingTimeout: nested blocks multiply, so this is where
+    an encoding that cannot finish in time is stopped."""
+
+    def __init__(self, deadline: float | None = None):
         self.used: set[str] = set()
         self.path_blocks: list[list[str]] = []
         self.target_blocks: list[list[str]] = []
+        self.deadline = deadline
         self._eg_serial = 0
         self._ex_serial = 0
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            raise EncodingTimeout("encoding ran past the deadline")
 
     def _claim(self, base: str) -> str:
         name = base
@@ -61,6 +72,7 @@ class VarAllocator:
         return name
 
     def path_block(self, k: int, symbols: Sequence[str]) -> list[State]:
+        self.check_deadline()
         self._eg_serial += 1
         suffix = "" if self._eg_serial == 1 else f"_b{self._eg_serial}"
         block: list[State] = []
@@ -73,6 +85,7 @@ class VarAllocator:
         return block
 
     def target_state(self, symbols: Sequence[str]) -> State:
+        self.check_deadline()
         serial = self._ex_serial
         self._ex_serial += 1
         names = tuple(self._claim(f"s{serial}_{sym}") for sym in symbols)
@@ -213,18 +226,24 @@ class EgEncoding:
         return sum(len(block) for block in self.alloc.target_blocks)
 
 
-def encode_eg(bpp: Bpp, init: Marking, f: Formula, k: int) -> EgEncoding:
-    """Compile a desugared EF-free formula at the concrete initial marking."""
+def encode_eg(
+    bpp: Bpp, init: Marking, f: Formula, k: int, deadline: float | None = None
+) -> EgEncoding:
+    """Compile a desugared EF-free formula at the concrete initial marking.
+
+    Raises EncodingTimeout when a block is allocated, or the script is
+    done, past the deadline (a ``time.perf_counter()`` value)."""
     bpp.check_marking(init)
     if k < 0:
         raise ValueError("k must be >= 0")
     core = desugar(f)
     if contains_ef(core):
         raise MixedFormula("EF belongs to the reachability engine")
-    alloc = VarAllocator()
+    alloc = VarAllocator(deadline)
     node = trans(core, tuple(init), k, bpp, alloc)
     body, declared = hoist_positive_exists(node)
     script = to_smtlib(body, declared)
+    alloc.check_deadline()
     return EgEncoding(script=script, alloc=alloc, declared=declared)
 
 
@@ -237,17 +256,26 @@ def check_eg(
     on_script: Callable[[int, SmtScript], None] | None = None,
 ) -> Verdict:
     """Bounded verdict: sat means the formula holds under the k-step
-    semantics at the initial marking, unsat means it does not."""
-    enc = encode_eg(bpp, init, f, k)
+    semantics at the initial marking, unsat means it does not.
+
+    Encoding and solving share the config's timeout: an encoding that runs
+    past it gives unknown (reason ``timeout``) without starting the solver,
+    and the solver gets what is left."""
+    deadline = time.perf_counter() + config.timeout_s
+    try:
+        enc = encode_eg(bpp, init, f, k, deadline)
+    except EncodingTimeout:
+        stats = {**solver_stats([], unknown=False), "reason_unknown": "timeout"}
+        return Verdict(result="unknown", engine="eg-bounded", k=k, stats=stats)
     if on_script is not None:
         on_script(0, enc.script)
-    outcome = run_solver(enc.script, config)
+    left = replace(config, timeout_s=deadline - time.perf_counter())
+    outcome = run_solver(enc.script, left)
     result = {"sat": "holds", "unsat": "not-holds"}.get(outcome.status, "unknown")
     stats = {
         "n_vars": len(enc.declared) + enc.path_vars_quantified,
         "n_asserts": enc.script.n_asserts,
-        "solver_ms": outcome.wall_ms,
-        "solver_calls": 1,
+        **solver_stats([outcome], unknown=result == "unknown"),
         "path_vars_declared": enc.path_vars_declared,
         "path_vars_total": enc.path_vars_total,
         "target_vars": enc.target_vars_total,

@@ -42,6 +42,10 @@ class BudgetExceeded(BppCheckError):
     """A backtracking search ran out of its node budget."""
 
 
+class EncodingTimeout(BppCheckError):
+    """Encoding ran past the deadline of the check."""
+
+
 class NameCollision(BppCheckError):
     """Generated symbol names collide with declared ones."""
 

@@ -3,17 +3,29 @@
 This is the fallback back-end used when no external SMT solver is
 installed. It reads SMT-LIB2 on stdin (``python -m bppcheck.refsolver``)
 and answers sat/unsat/unknown plus a model, like any other solver on the
-other end of the pipe.
+other end of the pipe. ``(get-info :reason-unknown)`` and
+``(get-info :all-statistics)`` report on the last check-sat: why it gave
+up, and its steps, propagate rounds, branches, Omega calls, failed-memo
+hits and solving time (``:time``, seconds).
 
 Decision strategy: negation normal form, then a backtracking search that
 eagerly substitutes pinned variables, splits disjunctions with failure
 memoization, splices positive existential blocks, decides universally
 quantified subformulas recursively once they are ground, and hands
-conjunctions of literals to the Omega test. It is a generic engine: it
-knows nothing about where its input formulas came from.
+conjunctions of literals to the Omega test. Propagation is incremental:
+each search level looks again only at the goals its branch added and at
+those that mention a variable pinned since they were last looked at (the
+watched-literal idea of Chaff, Moskewicz et al., DAC 2001). Reductions and
+peeks per level thus follow what changed; the failure-memo key, the branch
+choice and the detached-goal check still scan every goal once per level.
+It is a generic engine: it knows nothing about where its input formulas
+came from.
 """
 
 from __future__ import annotations
+
+import time
+from collections import Counter
 
 from .omega import OmegaBudgetExceeded, omega_solve
 from ..sexpr import parse_all
@@ -124,11 +136,24 @@ class _Engine:
         self.notex_memo: dict[tuple, bool] = {}
         self.detached_memo: dict[tuple, dict[str, int] | None] = {}
         self.failed: set[frozenset] = set()
+        self.rounds = 0
+        self.branches = 0
+        self.omega_calls = 0
+        self.memo_hits = 0
 
     def charge(self, units: int = 1) -> None:
         self.steps += units
         if self.steps > self.budget:
             raise RefsolverUnknown("step budget exhausted")
+
+    def statistics(self) -> dict[str, int]:
+        return {
+            "steps": self.steps,
+            "propagate-rounds": self.rounds,
+            "branches": self.branches,
+            "omega-calls": self.omega_calls,
+            "failed-memo-hits": self.memo_hits,
+        }
 
     # -- literal reduction --------------------------------------------------
 
@@ -167,18 +192,23 @@ class _Engine:
                     saw_none = True
             return None if saw_none else True
         if kind == "or":
-            saw_none = False
-            for ch in node[1]:
-                r = self._peek(ch, subst)
-                if r is True:
-                    return True
-                if r is None:
-                    saw_none = True
-            return None if saw_none else False
+            live = self._live(node, subst)
+            return True if live is None else (None if live else False)
         # Quantified: only decidable when ground.
         if self.frees.of(node) <= subst.keys():
             return self._decide_ground(node, subst)
         return None
+
+    def _live(self, node, subst):
+        """The disjuncts of an 'or' not yet false, or None once one is true."""
+        live = []
+        for ch in node[1]:
+            r = self._peek(ch, subst)
+            if r is True:
+                return None
+            if r is None:
+                live.append(ch)
+        return live
 
     def _decide_ground(self, node, subst) -> bool:
         kind, names, body = node
@@ -210,77 +240,112 @@ class _Engine:
         except _Fail:
             return None
 
-    def _propagate(self, evars, lits, pending, subst) -> None:
-        """Pin forced variables and simplify until nothing changes."""
+    def _propagate(self, evars, lits, pending, subst, lit_from, pend_from, pinned) -> None:
+        """Pin forced variables and simplify until nothing changes.
+
+        Incremental: lits[:lit_from] and pending[:pend_from] were at fixpoint
+        before the variables in ``pinned`` were assigned. A round reduces or
+        peeks only the items appended since the last round (the caller's
+        push, spliced disjuncts) and the items that mention a variable pinned
+        since they were last looked at, which is the watched-literal idea
+        with per-round sets of pinned variables as the watch lists. Items
+        keep their order, so the search branches as a full rescan would.
+        """
+        lit_fresh = set(pinned)  # pins some literal has not been reduced by
+        node_fresh = set(pinned)  # pins no pending pass has seen yet
+        new_nodes = {id(node) for node in pending[pend_from:]}
         while True:
             self.charge()
-            changed = False
+            self.rounds += 1
+            pins: set[str] = set()
 
-            new_lits: list = []
-            for lit in lits:
-                red = self._reduce_lit(lit, subst)
-                if red == ("true",):
-                    changed = True
-                    continue
-                if red == ("false",):
-                    raise _Fail()
-                kind, items, const = red
-                if kind == "eq" and len(items) == 1:
-                    v, c = items[0]
-                    if const % c != 0:
+            if lit_fresh or lit_from < len(lits):
+                kept: list = []
+                for i, lit in enumerate(lits):
+                    if i < lit_from and (not lit_fresh or lit_fresh.isdisjoint(dict(lit[1]))):
+                        kept.append(lit)
+                        continue
+                    red = self._reduce_lit(lit, subst)
+                    if red == ("true",):
+                        continue
+                    if red == ("false",):
                         raise _Fail()
-                    subst[v] = -const // c
-                    changed = True
-                    continue
-                new_lits.append(red)
-            lits[:] = new_lits
+                    kind, items, const = red
+                    if kind == "eq" and len(items) == 1:
+                        v, c = items[0]
+                        if const % c != 0:
+                            raise _Fail()
+                        subst[v] = -const // c
+                        pins.add(v)
+                        lit_fresh.add(v)
+                        continue
+                    kept.append(red)
+                lits[:] = kept
+            lit_from = len(lits)
+            node_fresh |= pins
 
-            new_pending: list = []
-            for node in pending:
-                result = self._peek(node, subst)
-                if result is True:
-                    changed = True
-                    continue
-                if result is False:
-                    raise _Fail()
-                if node[0] == "or":
-                    live = [ch for ch in node[1] if self._peek(ch, subst) is not False]
+            spliced = False
+            next_new: set[int] = set()
+            if node_fresh or new_nodes:
+                kept = []
+                for node in pending:
+                    if id(node) not in new_nodes and (
+                        not node_fresh or node_fresh.isdisjoint(self.frees.of(node))
+                    ):
+                        kept.append(node)
+                        continue
+                    if node[0] != "or":
+                        result = self._peek(node, subst)
+                        if result is False:
+                            raise _Fail()
+                        if result is None:
+                            kept.append(node)
+                        continue
+                    live = self._live(node, subst)
+                    if live is None:
+                        continue
                     if not live:
                         raise _Fail()
                     if len(live) == 1:
                         # Forced disjunct: splice it as a direct goal.
-                        changed = True
-                        self._push_into(live[0], evars, lits, new_pending, subst)
+                        mark = len(kept)
+                        self._push_into(live[0], evars, lits, kept, subst)
+                        next_new.update(id(n) for n in kept[mark:])
+                        spliced = True
                         continue
-                new_pending.append(node)
-            pending[:] = new_pending
+                    kept.append(node)
+                pending[:] = kept
 
-            if not changed and (len(pending) > 1 or (pending and lits)):
-                changed = self._resolve_detached(lits, pending, subst)
-            if not changed:
+            if not pins and not spliced:
+                if len(pending) > 1 or (pending and lits):
+                    self._resolve_detached(lits, pending, subst)
                 return
+            lit_fresh = pins
+            node_fresh = set()
+            new_nodes = next_new
 
-    def _resolve_detached(self, lits, pending, subst) -> bool:
+    def _resolve_detached(self, lits, pending, subst) -> None:
         """Decide pending goals whose unpinned variables occur nowhere else.
 
         Such a goal is an independent existential subproblem: solve it once,
         merge its witness, and drop it. Memoized on (goal, pinned frees), this
         is what keeps per-position witness goals from exploding the search.
+        One pass counts in how many items each unpinned variable occurs; a
+        goal is detached when each of its unpinned variables counts once.
+        Resolving it pins only variables no other item mentions, so every
+        other goal stays as it was and the pass goes on in order. It stops
+        while a single goal and no literal would be left, which the search
+        branches on instead.
         """
-        all_unpinned: list[set[str]] = []
-        for lit in lits:
-            all_unpinned.append({v for v, _ in lit[1]})
-        for node in pending:
-            all_unpinned.append(set(self.frees.of(node)) - subst.keys())
-        for idx, node in enumerate(pending):
-            mine = set(self.frees.of(node)) - subst.keys()
-            if not mine:
-                continue
-            others: set[str] = set()
-            for j, group in enumerate(all_unpinned):
-                if j != idx + len(lits):
-                    others |= group
-            if mine & others:
+        unpinned = [self.frees.of(node).difference(subst) for node in pending]
+        occurs = Counter(v for lit in lits for v, _ in lit[1])
+        for mine in unpinned:
+            occurs.update(mine)
+        kept: list = []
+        left = len(pending)
+        for node, mine in zip(pending, unpinned):
+            if not mine or not (left > 1 or lits) or any(occurs[v] > 1 for v in mine):
+                kept.append(node)
                 continue
             key = (
                 id(node),
@@ -296,9 +361,8 @@ class _Engine:
                 raise _Fail()
             for v in mine:
                 subst[v] = witness.get(v, 0)
-            del pending[idx]
-            return True
-        return False
+            left -= 1
+        pending[:] = kept
 
     def _push_into(self, node, evars, lits, pending, subst) -> None:
         """Add a goal: literals to lits, other non-trivial nodes to pending."""
@@ -334,13 +398,19 @@ class _Engine:
             entries.append(("node", id(node), pinned))
         return frozenset(entries)
 
-    def _search(self, evars, lits, pending, subst):
-        self._propagate(evars, lits, pending, subst)
+    def _search(self, evars, lits, pending, subst, lit_from=0, pend_from=0, pinned=()):
+        """Propagate, then decide: Omega on a pure conjunction, else branch.
+
+        The caller's items before lit_from / pend_from are at fixpoint up to
+        the variables in ``pinned``; see _propagate.
+        """
+        self._propagate(evars, lits, pending, subst, lit_from, pend_from, pinned)
 
         if not lits and not pending:
             return {v: subst.get(v, 0) for v in evars}
 
         if not pending:
+            self.omega_calls += 1
             try:
                 witness = omega_solve(lits)
             except OmegaBudgetExceeded:
@@ -353,6 +423,7 @@ class _Engine:
 
         key = self._residual_key(lits, pending, subst)
         if key in self.failed:
+            self.memo_hits += 1
             raise _Fail()
 
         # Branch on the disjunction with the fewest unpinned variables: the
@@ -370,29 +441,29 @@ class _Engine:
                     break
         if branch is None:
             return self._branch_on_values(evars, lits, pending, subst, key)
-        branch_live = [ch for ch in branch[1] if self._peek(ch, subst) is not False]
+        branch_live = self._live(branch, subst)
         if not branch_live:
             raise _Fail()
 
         rest = [node for node in pending if node is not branch]
-        undecided = False
+        undecided = None
         for choice in branch_live:
             self.charge()
+            self.branches += 1
             c_evars = list(evars)
             c_lits = list(lits)
             c_pending = list(rest)
             c_subst = dict(subst)
             try:
                 self._push_into(choice, c_evars, c_lits, c_pending, c_subst)
-                result = self._search(c_evars, c_lits, c_pending, c_subst)
-                return result
+                return self._search(c_evars, c_lits, c_pending, c_subst, len(lits), len(rest))
             except _Fail:
                 continue
-            except RefsolverUnknown:
-                undecided = True
+            except RefsolverUnknown as exc:
+                undecided = undecided or exc
                 continue
-        if undecided:
-            raise RefsolverUnknown("undecided branch")
+        if undecided is not None:
+            raise RefsolverUnknown(str(undecided))
         self.failed.add(key)
         raise _Fail()
 
@@ -408,7 +479,7 @@ class _Engine:
         only). Anything else stays undecided."""
         candidates: set[str] = set()
         for node in pending:
-            candidates |= self.frees.of(node) - subst.keys()
+            candidates |= self.frees.of(node).difference(subst)
         boxed = None
         half = None
         for var in sorted(candidates):
@@ -446,20 +517,26 @@ class _Engine:
         else:
             raise RefsolverUnknown("non-ground quantified subformula")
 
-        undecided = False
+        undecided = None
         for value in range(lo, hi + 1):
             self.charge()
+            self.branches += 1
             c_subst = dict(subst)
             c_subst[var] = value
             try:
-                return self._search(list(evars), list(lits), list(pending), c_subst)
+                return self._search(
+                    list(evars), list(lits), list(pending), c_subst,
+                    len(lits), len(pending), (var,),
+                )
             except _Fail:
                 continue
-            except RefsolverUnknown:
-                undecided = True
+            except RefsolverUnknown as exc:
+                undecided = undecided or exc
                 continue
-        if undecided or not complete:
-            raise RefsolverUnknown("value enumeration inconclusive")
+        if undecided is not None:
+            raise RefsolverUnknown(str(undecided))
+        if not complete:
+            raise RefsolverUnknown("probe window exhausted")
         self.failed.add(key)
         raise _Fail()
 
@@ -477,6 +554,8 @@ class _Script:
         self.outputs: list[str] = []
         self.last_status: str | None = None
         self.last_model: dict[str, int] | None = None
+        self.last_reason: str | None = None
+        self.last_stats: dict[str, int | float] | None = None
         self.produce_models = False
 
     def fresh(self, base: str) -> str:
@@ -649,6 +728,9 @@ def solve_text(text: str) -> str:
         if cmd == "get-model":
             _emit_model(script)
             continue
+        if cmd == "get-info" and len(form) == 2:
+            _emit_info(script, form[1])
+            continue
         if cmd == "exit":
             break
         # Ignoring a command such as push or pop would answer later checks
@@ -659,28 +741,48 @@ def solve_text(text: str) -> str:
 
 
 def _check(script: _Script) -> None:
-    if any(node == ("unsupported",) for node in script.asserts):
-        script.last_status = "unknown"
-        script.last_model = None
-        script.outputs.append("unknown")
-        return
     engine = _Engine()
-    goal = list(script.asserts)
-    try:
-        witness = engine.solve_exists(list(script.decls), goal, {})
-    except RefsolverUnknown:
-        script.last_status = "unknown"
-        script.last_model = None
-        script.outputs.append("unknown")
+    start = time.perf_counter()
+    status, witness, reason = "unknown", None, None
+    if any(node == ("unsupported",) for node in script.asserts):
+        reason = "unsupported formula shape"
+    else:
+        try:
+            witness = engine.solve_exists(list(script.decls), list(script.asserts), {})
+            status = "unsat" if witness is None else "sat"
+        except RefsolverUnknown as exc:
+            reason = str(exc)
+    script.last_stats = dict(engine.statistics(), time=time.perf_counter() - start)
+    script.last_status = status
+    script.last_reason = reason
+    script.last_model = None
+    if witness is not None:
+        script.last_model = {name: witness.get(name, 0) for name in script.decls}
+    script.outputs.append(status)
+
+
+def _emit_info(script: _Script, flag: str) -> None:
+    """Answer get-info about the last check-sat: :reason-unknown and
+    :all-statistics (steps, propagate rounds, branches, Omega calls, failed
+    memo hits, and :time in seconds)."""
+    if flag == ":reason-unknown":
+        if script.last_status != "unknown":
+            script.outputs.append('(error "the last check-sat did not return unknown")')
+            return
+        reason = script.last_reason.replace('"', '""')
+        script.outputs.append(f'(:reason-unknown "{reason}")')
         return
-    if witness is None:
-        script.last_status = "unsat"
-        script.last_model = None
-        script.outputs.append("unsat")
+    if flag == ":all-statistics":
+        if script.last_stats is None:
+            script.outputs.append('(error "no check-sat to report on")')
+            return
+        pairs = " ".join(
+            f":{key} {value:.6f}" if isinstance(value, float) else f":{key} {value}"
+            for key, value in script.last_stats.items()
+        )
+        script.outputs.append(f"({pairs})")
         return
-    script.last_status = "sat"
-    script.last_model = {name: witness.get(name, 0) for name in script.decls}
-    script.outputs.append("sat")
+    script.outputs.append("unsupported")
 
 
 def _emit_model(script: _Script) -> None:

@@ -40,11 +40,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverOutcome:
+    """One solver call: verdict, model, the spawn-to-exit wall time, and what
+    the solver said about itself through get-info."""
+
     status: str  # sat | unsat | unknown
     model: dict[str, int] | None
     wall_ms: float
     raw: str
     timed_out: bool = False
+    reason_unknown: str | None = None
+    statistics: dict[str, int | float] = field(default_factory=dict)
+
+    @property
+    def solve_ms(self) -> float:
+        """The solving time the solver reports (``:time``), else the wall time."""
+        seconds = self.statistics.get("time")
+        return self.wall_ms if seconds is None else seconds * 1000.0
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,7 @@ class Verdict:
     engine: str  # ef | eg-bounded
     k: int | None = None
     witness: dict[str, int] | None = None
-    stats: dict[str, int | float] = field(default_factory=dict)
+    stats: dict[str, int | float | str] = field(default_factory=dict)
 
     def exit_code(self) -> int:
         return {"holds": 0, "not-holds": 1}.get(self.result, 2)
@@ -95,7 +106,9 @@ def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:
     except subprocess.TimeoutExpired as exc:
         wall_ms = (time.perf_counter() - start) * 1000.0
         raw = (exc.stdout or b"").decode(errors="replace")
-        return SolverOutcome("unknown", None, wall_ms, raw, timed_out=True)
+        return SolverOutcome(
+            "unknown", None, wall_ms, raw, timed_out=True, reason_unknown="timeout"
+        )
     wall_ms = (time.perf_counter() - start) * 1000.0
     raw = proc.stdout.decode(errors="replace")
 
@@ -113,7 +126,79 @@ def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:
     model = None
     if status == "sat" and script.produce_models:
         model = parse_model(raw, script.declarations)
-    return SolverOutcome(status, model, wall_ms, raw)
+    reason, statistics = parse_info(raw)
+    return SolverOutcome(status, model, wall_ms, raw, False, reason, statistics)
+
+
+def solver_stats(outcomes: list[SolverOutcome], unknown: bool) -> dict[str, int | float | str]:
+    """The solver's share of ``Verdict.stats`` over one check's calls.
+
+    ``solver_ms`` sums the solving times the solver reports and
+    ``solver_wall_ms`` the spawn-to-exit walls; the integer statistics are
+    summed as ``solver_<name>``. An unknown verdict carries the first
+    reason a call gave, as ``reason_unknown``.
+    """
+    stats: dict[str, int | float | str] = {
+        "solver_ms": sum(o.solve_ms for o in outcomes),
+        "solver_wall_ms": sum(o.wall_ms for o in outcomes),
+        "solver_calls": len(outcomes),
+    }
+    for outcome in outcomes:
+        for name, value in outcome.statistics.items():
+            if isinstance(value, int):
+                key = "solver_" + name.replace("-", "_")
+                stats[key] = stats.get(key, 0) + value
+    if unknown:
+        stats["reason_unknown"] = next(
+            (o.reason_unknown for o in outcomes if o.reason_unknown), "unreported"
+        )
+    return stats
+
+
+def parse_info(raw: str) -> tuple[str | None, dict[str, int | float]]:
+    """Read the get-info answers in solver output: the ``:reason-unknown``
+    text and the numeric ``:all-statistics`` entries (keys without the
+    colon). Output without them, or that does not parse, gives nothing."""
+    start = raw.find("(:")
+    if start < 0:
+        return None, {}
+    try:
+        forms = parse_all(raw[start:])
+    except SolverProtocolError:
+        return None, {}
+    reason = None
+    statistics: dict[str, int | float] = {}
+    for form in forms:
+        if not isinstance(form, list):
+            continue
+        for key, value in zip(form[::2], form[1::2]):
+            if not isinstance(key, str) or not key.startswith(":"):
+                break
+            if key == ":reason-unknown":
+                reason = _info_text(value)
+                continue
+            number = _number(value)
+            if number is not None:
+                statistics[key[1:]] = number
+    return reason, statistics
+
+
+def _info_text(value) -> str:
+    if isinstance(value, list):
+        return " ".join(_info_text(item) for item in value)
+    if len(value) >= 2 and value[0] == value[-1] == '"':
+        return value[1:-1].replace('""', '"')
+    return value
+
+
+def _number(value) -> int | float | None:
+    if isinstance(value, str):
+        for kind in (int, float):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+    return None
 
 
 def parse_model(raw: str, expected: tuple[str, ...]) -> dict[str, int]:

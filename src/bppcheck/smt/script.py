@@ -70,6 +70,8 @@ def to_smtlib(
     lines.append("(check-sat)")
     if produce_models:
         lines.append("(get-model)")
+    lines.append("(get-info :reason-unknown)")
+    lines.append("(get-info :all-statistics)")
     text = "\n".join(lines) + "\n"
     return SmtScript(
         logic=logic,

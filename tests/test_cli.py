@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 from bppcheck.cli import main
 from bppcheck.parsing import MAX_FORMULA_DEPTH
+from bppcheck.smt.runner import KILL_GRACE_S
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,6 +34,44 @@ class TestExitCodes:
         code, out, _ = run(capsys, DATA / "reach.bpp", "--solver", fake)
         assert code == 2
         assert "result: unknown" in out
+
+    def test_unknown_carries_the_solver_reason(self, capsys):
+        fake = (
+            f"{sys.executable} -c \"print('unknown'); "
+            "print('(:reason-unknown incomplete)')\""
+        )
+        code, out, _ = run(capsys, DATA / "liveness.bpp", "--solver", fake, "--stats")
+        assert code == 2
+        assert "reason_unknown: incomplete" in out
+        assert "reason_unknown=incomplete" in out
+        code, out, _ = run(capsys, DATA / "reach.bpp", "--solver", fake, "--format", "json")
+        assert code == 2
+        assert json.loads(out)["stats"]["reason_unknown"] == "incomplete"
+
+    def test_eg_encoding_stops_at_the_timeout(self, tmp_path):
+        # AF nested 50 deep allocates (k+1)^50 path blocks; encoding shares
+        # the solver's deadline, so the check ends as unknown instead.
+        problem = tmp_path / "deep.bpp"
+        problem.write_text(
+            "initial\nX\nrules\nX -> a -> X, Y\nY -> a -> nil\nformula\n"
+            + "AF(" * 50 + "Y >= 2" + ")" * 50 + "\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        timeout = 1.0
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "bppcheck", str(problem), "-k", "3",
+             "--timeout", str(timeout), "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["result"] == "unknown"
+        assert payload["stats"]["reason_unknown"] == "timeout"
+        assert payload["stats"]["solver_calls"] == 0
+        assert elapsed < timeout + KILL_GRACE_S
 
     def test_parse_error_is_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.bpp"

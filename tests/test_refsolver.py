@@ -4,9 +4,19 @@ and classic integer-gap instances are pinned by hand."""
 
 import itertools
 import random
+from pathlib import Path
 
-from bppcheck.refsolver import solve_text
+from bppcheck.core import Bpp, Rule
+from bppcheck.ctl import EG, And, ENext, desugar
+from bppcheck.eg import encode_eg
+from bppcheck.oracle import eval_bounded
+from bppcheck.parsing import parse_problem
+from bppcheck.refsolver import _Engine, solve_text
 from bppcheck.refsolver.omega import omega_solve
+
+from .conftest import random_atom, random_marking
+
+LIVENESS = Path(__file__).resolve().parent.parent / "demos" / "inputs" / "liveness.bpp"
 
 
 def run(script: str) -> list[str]:
@@ -224,6 +234,180 @@ class TestScripts:
         assert out == ['(error "unsupported command push")']
 
 
+class TestGetInfo:
+    def test_statistics_of_the_last_check(self):
+        out = run(
+            """
+            (declare-const x Int)
+            (declare-const y Int)
+            (assert (or (= x 1) (= x 2)))
+            (assert (or (= y x) (= y 5)))
+            (assert (> y 4))
+            (check-sat)
+            (get-info :all-statistics)
+            """
+        )
+        assert out[0] == "sat"
+        stats = out[1].strip("()").split()
+        pairs = dict(zip(stats[::2], stats[1::2]))
+        assert list(pairs) == [
+            ":steps", ":propagate-rounds", ":branches", ":omega-calls",
+            ":failed-memo-hits", ":time",
+        ]
+        assert int(pairs[":branches"]) >= 1
+        assert int(pairs[":propagate-rounds"]) >= 1
+        assert float(pairs[":time"]) >= 0.0
+
+    def test_reason_unknown(self):
+        out = run(
+            """
+            (declare-const x Int)
+            (assert (= (* x x) 4))
+            (check-sat)
+            (get-info :reason-unknown)
+            """
+        )
+        assert out == ["unknown", '(:reason-unknown "unsupported formula shape")']
+
+    def test_probe_window_is_the_reason(self):
+        out = run(
+            """
+            (declare-const a Int)
+            (assert (>= a 0))
+            (assert (forall ((t Int)) (>= (+ t a) 0)))
+            (check-sat)
+            (get-info :reason-unknown)
+            """
+        )
+        assert out == ["unknown", '(:reason-unknown "probe window exhausted")']
+
+    def test_no_reason_after_a_definite_answer(self):
+        out = run("(assert false)(check-sat)(get-info :reason-unknown)")
+        assert out[0] == "unsat"
+        assert out[1].startswith("(error")
+
+    def test_unknown_flag_is_unsupported(self):
+        assert run("(get-info :version)") == ["unsupported"]
+
+
+def _reductions(monkeypatch, k: int) -> int:
+    """Literal reductions the engine makes on the liveness demo at bound k."""
+    problem = parse_problem(LIVENESS.read_text(encoding="utf-8"))
+    text = encode_eg(problem.bpp, problem.initial, problem.formula, k).script.text
+    count = 0
+    reduce_lit = _Engine._reduce_lit
+
+    def counting(self, node, subst):
+        nonlocal count
+        count += 1
+        return reduce_lit(self, node, subst)
+
+    monkeypatch.setattr(_Engine, "_reduce_lit", counting)
+    assert solve_text(text).startswith("sat\n")
+    return count
+
+
+class TestIncrementalPropagation:
+    def test_reductions_grow_linearly_with_k(self, monkeypatch):
+        # Propagation revisits only what a branch added or pinned, so
+        # doubling the path length about doubles the work; a full rescan
+        # per search level quadruples it.
+        at_100 = _reductions(monkeypatch, 100)
+        at_200 = _reductions(monkeypatch, 200)
+        assert at_200 <= 2.5 * at_100, (at_100, at_200)
+
+    def test_eg_unrollings_vs_bounded_oracle(self):
+        # Path-shaped scripts: k chained disjunctions (one per step) of
+        # conjunctions of equalities, plus per-position atoms and successor
+        # blocks, solved in process and compared with the explicit oracle.
+        rng = random.Random(404)
+        compared = sat = 0
+        for _ in range(120):
+            n = rng.randint(2, 4)
+            symbols = tuple(f"P{i}" for i in range(n))
+            rules = tuple(
+                Rule(rid, rng.choice(symbols), rng.choice("ab"),
+                     tuple(rng.choice(symbols) for _ in range(rng.randint(0, 2))))
+                for rid in range(rng.randint(2, 5))
+            )
+            bpp = Bpp(symbols, rules)
+            init = random_marking(rng, bpp)
+            k = rng.randint(1, 8)
+            body = random_atom(rng, bpp)
+            if rng.random() < 0.5:
+                body = And(body, ENext(rng.choice("ab"), random_atom(rng, bpp)))
+            f = EG(body)
+            text = encode_eg(bpp, init, f, k).script.text
+            expected = eval_bounded(desugar(f), init, k, bpp)
+            assert expected.is_definite
+            got = solve_text(text).split("\n", 1)[0]
+            assert got == ("sat" if expected.value else "unsat"), (bpp, init, k, f)
+            compared += 1
+            sat += expected.value
+        assert compared == 120
+        assert 20 <= sat <= 100
+
+    def test_forced_splices_vs_enumeration(self):
+        # Each script opens with a two-variable equality over a and b, then
+        # pins c. Pinning c leaves one live disjunct in the next goal; its
+        # splice pins b, which the first literal (already scanned in that
+        # round) mentions, and that in turn decides a. The splice also
+        # brings a goal that is already true by c, over a variable z that
+        # nothing may pin. Random chained disjunctions of equalities follow.
+        # Verdicts and models are checked against enumeration of the box
+        # every variable is asserted into.
+        rng = random.Random(505)
+        names = ["w0", "w1", "w2", "w3", "w4"]
+        box = 2
+        verdicts = set()
+        for _ in range(150):
+            a, b, c, d, z = rng.sample(names, 5)
+            m = rng.choice([1, -1, 2])
+            r = rng.randint(-3, 3)
+            v = rng.randint(-box, box)
+            e, f = rng.randint(-box, box), rng.randint(-box, box)
+            other = rng.choice([x for x in range(-box, box + 1) if x != v])
+            items = [
+                (f"(= (+ {a} (* {_num(m)} {b})) {_num(r)})",
+                 lambda env, a=a, b=b, m=m, r=r: env[a] + m * env[b] == r),
+                (f"(= {c} {_num(v)})", lambda env, c=c, v=v: env[c] == v),
+            ]
+            inner, inner_ev = _chained_disjunction(rng, names, box)
+            true_by_c = f"(or (= {c} {_num(v)}) (= {z} {box + 1}))"
+            forced_tail = f"(and (= {b} {_num(e)}) (= {d} {_num(f)}) {true_by_c} {inner})"
+            items.append((
+                f"(or (and (= {c} {_num(other)}) (= {d} {_num(f)})) {forced_tail})",
+                lambda env, b=b, c=c, d=d, z=z, e=e, f=f, v=v, other=other, inner_ev=inner_ev: (
+                    env[c] == other and env[d] == f
+                ) or (
+                    env[b] == e and env[d] == f and (env[c] == v or env[z] == box + 1)
+                    and inner_ev(env)
+                ),
+            ))
+            for _ in range(rng.randint(0, 3)):
+                items.append(_chained_disjunction(rng, names, box))
+            decls = "".join(f"(declare-const {x} Int)" for x in names)
+            bounds = "".join(f"(assert (and (>= {x} (- {box})) (<= {x} {box})))" for x in names)
+            asserts = "".join(f"(assert {smt})" for smt, _ in items)
+            script = f"(set-option :produce-models true){decls}{bounds}{asserts}(check-sat)(get-model)"
+            expected = any(
+                all(ev(dict(zip(names, point))) for _, ev in items)
+                for point in itertools.product(range(-box, box + 1), repeat=len(names))
+            )
+            out = run(script)
+            assert out[0] == ("sat" if expected else "unsat"), script
+            if expected:
+                model = {}
+                for line in out:
+                    if "define-fun" in line:
+                        parts = line.replace("(", " ").replace(")", " ").split()
+                        value = -int(parts[-1]) if parts[-2] == "-" else int(parts[-1])
+                        model[parts[1]] = value
+                assert all(ev(model) for _, ev in items), script
+            verdicts.add(out[0])
+        assert verdicts == {"sat", "unsat"}
+
+
 class TestRandomQuantifierFree:
     def test_vs_enumeration(self):
         rng = random.Random(202)
@@ -313,3 +497,30 @@ def _random_formula(rng, names, depth):
     if kind == "or":
         return f"(or {a_smt} {b_smt})", lambda env: a_ev(env) or b_ev(env)
     return f"(=> {a_smt} {b_smt})", lambda env: (not a_ev(env)) or b_ev(env)
+
+
+def _num(value: int) -> str:
+    return str(value) if value >= 0 else f"(- {-value})"
+
+
+def _chained_disjunction(rng, names, box):
+    """(or (and (= x p) (= y q)) ...) over random variable pairs, like one
+    step of a path unrolling; returns (smt, evaluator)."""
+    disjuncts = []
+    for _ in range(rng.randint(1, 3)):
+        x, y = rng.sample(names, 2)
+        p, q = rng.randint(-box, box), rng.randint(-box, box)
+        shape = rng.random()
+        if shape < 0.2:
+            disjuncts.append((f"(= {x} {_num(p)})", lambda env, x=x, p=p: env[x] == p))
+        elif shape < 0.6:
+            smt = f"(and (= {x} {_num(p)}) (= {y} {_num(q)}))"
+            disjuncts.append((smt, lambda env, x=x, y=y, p=p, q=q: env[x] == p and env[y] == q))
+        else:
+            smt = f"(and (= {x} {_num(p)}) (= (+ {y} (* (- 1) {x})) {_num(q)}))"
+            disjuncts.append(
+                (smt, lambda env, x=x, y=y, p=p, q=q: env[x] == p and env[y] - env[x] == q)
+            )
+    smt = "(or " + " ".join(d for d, _ in disjuncts) + ")"
+    evs = [ev for _, ev in disjuncts]
+    return smt, lambda env: any(ev(env) for ev in evs)

@@ -20,9 +20,11 @@ from bppcheck.smt import (
     exists,
     lin,
     neg,
+    parse_info,
     parse_model,
     resolve_solver,
     run_solver,
+    solver_stats,
     to_smtlib,
 )
 
@@ -127,6 +129,71 @@ class TestRunSolver:
         assert outcome.status == "unknown"
         assert outcome.timed_out
         assert elapsed < 0.5 + 2.0 + 2.0  # budget + kill grace + slack
+
+
+class TestSolverInfo:
+    def test_script_ends_with_the_info_requests(self):
+        text = to_smtlib(lin([("x", 1)], ">=", 0), ("x",)).text
+        assert text.endswith(
+            "(check-sat)\n(get-model)\n"
+            "(get-info :reason-unknown)\n(get-info :all-statistics)\n"
+        )
+
+    # 2x + 3y = 7 with x, y >= 0 pins nothing: one Omega call decides it.
+    NEEDS_OMEGA = conj(
+        [lin([("x", 2), ("y", 3)], "=", 7), lin([("x", 1)], ">=", 0), lin([("y", 1)], ">=", 0)]
+    )
+
+    def test_bundled_solver_reports_its_solve_time(self):
+        outcome = run_solver(to_smtlib(self.NEEDS_OMEGA, ("x", "y")), config())
+        assert outcome.status == "sat"
+        assert outcome.model == {"x": 2, "y": 1}
+        assert outcome.statistics["steps"] >= 1
+        assert outcome.statistics["omega-calls"] == 1
+        # Solving a two-variable problem is far quicker than the child's start.
+        assert outcome.solve_ms == outcome.statistics["time"] * 1000.0
+        assert outcome.solve_ms < outcome.wall_ms
+
+    def test_wall_time_stands_in_without_a_time_statistic(self):
+        cmd = (sys.executable, "-c", "print('unsat')")
+        outcome = run_solver(to_smtlib(FALSE, ()), SolverConfig(cmd, 5))
+        assert outcome.statistics == {}
+        assert outcome.reason_unknown is None
+        assert outcome.solve_ms == outcome.wall_ms
+
+    def test_z3_style_answers(self):
+        raw = (
+            "unknown\n"
+            '(error "line 5 column 10: model is not available")\n'
+            '(:reason-unknown "smt tactic failed to show goal to be sat/unsat")\n'
+            "(:added-eqs          12\n"
+            " :arith-conflicts    3\n"
+            " :max-memory         19.41\n"
+            " :time               0.02)\n"
+        )
+        reason, stats = parse_info(raw)
+        assert reason == "smt tactic failed to show goal to be sat/unsat"
+        assert stats == {"added-eqs": 12, "arith-conflicts": 3, "max-memory": 19.41, "time": 0.02}
+
+    def test_unparsable_info_is_ignored(self):
+        assert parse_info("sat\n(:steps 3") == (None, {})
+        assert parse_info("sat\n") == (None, {})
+
+    def test_timeout_is_the_reason(self):
+        cmd = (sys.executable, "-c", "import time; time.sleep(60)")
+        outcome = run_solver(to_smtlib(FALSE, ()), SolverConfig(cmd, 0.2))
+        assert outcome.reason_unknown == "timeout"
+
+    def test_verdict_stats_sum_calls(self):
+        script = to_smtlib(self.NEEDS_OMEGA, ("x", "y"))
+        outcomes = [run_solver(script, config()) for _ in range(2)]
+        stats = solver_stats(outcomes, unknown=False)
+        assert stats["solver_calls"] == 2
+        assert stats["solver_ms"] == sum(o.solve_ms for o in outcomes)
+        assert stats["solver_wall_ms"] == sum(o.wall_ms for o in outcomes)
+        assert stats["solver_omega_calls"] == 2
+        assert "reason_unknown" not in stats
+        assert solver_stats([], unknown=True)["reason_unknown"] == "unreported"
 
 
 class TestParseModel:
