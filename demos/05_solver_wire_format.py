@@ -1,10 +1,11 @@
-"""What actually goes over the solver pipe.
+"""What actually goes to the solver.
 
-The only wire protocol in the system is SMT-LIB2 text on the child
-process's stdin/stdout. This script prints the exact script bytes for a
-small reachability encoding, runs them through the configured solver, and
-shows the decoded outcome. Point --solver/BPPCHECK_SOLVER at any solver
-that reads SMT-LIB2 from stdin to swap back ends.
+The one boundary between the engines and a solver is SMT-LIB2 text: an
+external solver reads it on a child process's stdin, the bundled solver
+gets the same text in process. This script prints the exact script bytes
+for a small reachability encoding, runs them through the configured solver,
+and shows the decoded outcome. Point BPPCHECK_SOLVER at any solver that
+reads SMT-LIB2 from stdin to swap back ends.
 
 Run:  python demos/05_solver_wire_format.py
 """

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,9 +69,12 @@ def build_parser() -> _Parser:
                         help="step bound for the bounded engine (default 10)")
     parser.add_argument("--solver", metavar="CMD",
                         help="solver command line reading SMT-LIB2 on stdin "
-                        "(default: z3 -in -smt2 when available, else the bundled solver)")
+                        "(default: z3 -in -smt2 when available, else the bundled solver, "
+                        "which runs in process)")
     parser.add_argument("--timeout", type=float, default=60.0, metavar="SECS",
-                        help="per-solver-call budget in seconds (default 60)")
+                        help="budget per solver call in seconds (default 60): the "
+                        "bundled solver stops itself at it, a solver command is "
+                        "killed shortly after it")
     parser.add_argument("--emit-smt", metavar="PATH",
                         help="dump the exact script bytes sent to the solver")
     parser.add_argument("--dot", metavar="PATH",
@@ -82,7 +84,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="check multiple problem files concurrently")
+                        help="check multiple problem files in N worker processes")
     return parser
 
 
@@ -129,11 +131,22 @@ def _dispatch(opts) -> int:
         print(render_report(report, opts.format, stats=opts.stats))
         return report.verdict.exit_code()
 
-    # Batch mode: independent checks, one solver process each.
+    # Batch mode: independent checks on worker processes, since the bundled
+    # solver runs in the checking process and holds the GIL while it solves.
     if opts.emit_smt or opts.dot:
         raise _UsageError("--emit-smt/--dot need a single input file")
-    with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-        reports = list(pool.map(lambda p: _run_problem(p, opts), opts.inputs))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    workers = min(opts.jobs, len(opts.inputs))
+    spawn = multiprocessing.get_context("spawn")  # fork is unsafe with threads
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            reports = list(pool.map(_run_problem, opts.inputs, [opts] * len(opts.inputs)))
+    except BrokenProcessPool as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_ENVIRONMENT
     code = EXIT_HOLDS
     for path, report in zip(opts.inputs, reports):
         print(f"== {path} ==")

@@ -167,10 +167,9 @@ def atoms_to_node(psi: Formula, name_of: dict[str, str]) -> Node:
 
 @dataclass
 class EfNodeResult:
-    """Outcome of one EF node's solver call."""
+    """One EF node's solver call: the script sent and what came back. A sat
+    outcome's model has been checked against the encoding."""
 
-    status: str  # sat | unsat | unknown
-    model: dict[str, int] | None
     script: SmtScript
     outcome: SolverOutcome
 
@@ -205,14 +204,11 @@ def check_ef_detailed(
         if on_script is not None:
             on_script(len(results), script)
         outcome = run_solver(script, config)
-        model = None
-        if outcome.status == "sat":
-            model = outcome.model
-            # Never trust model printing: the bindings must satisfy every
-            # emitted constraint under the independent evaluator.
-            if not eval_node(node, model):
-                raise SolverProtocolError("solver model does not satisfy the encoding")
-        results.append(EfNodeResult(outcome.status, model, script, outcome))
+        # Never trust model printing: the bindings must satisfy every
+        # emitted constraint under the independent evaluator.
+        if outcome.status == "sat" and not eval_node(node, outcome.model):
+            raise SolverProtocolError("solver model does not satisfy the encoding")
+        results.append(EfNodeResult(script, outcome))
         if outcome.status == "sat":
             return True
         if outcome.status == "unsat":
@@ -237,7 +233,7 @@ def check_ef_detailed(
         raise MixedFormula(f"unexpected node in EF-class formula: {g!r}")
 
     value = ev(core)
-    witness = next((r.model for r in results if r.status == "sat"), None)
+    witness = next((r.outcome.model for r in results if r.outcome.status == "sat"), None)
     stats = {
         "n_vars": len(enc.declarations),
         "n_asserts": (len(enc.constraints) + 1) * max(1, len(results)),

@@ -6,6 +6,19 @@ from __future__ import annotations
 class BppCheckError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):
+        # Subclasses take other constructor arguments than their message, so
+        # pickling (how batch workers hand errors back) keeps the message
+        # and the attributes instead of calling the constructor again.
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    err = cls.__new__(cls, *args)
+    err.args = args
+    err.__dict__.update(state)
+    return err
+
 
 class UnknownSymbol(BppCheckError):
     def __init__(self, name: str):

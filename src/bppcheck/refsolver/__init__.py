@@ -1,12 +1,16 @@
 """A small, exact decision procedure for linear integer arithmetic scripts.
 
 This is the fallback back-end used when no external SMT solver is
-installed. It reads SMT-LIB2 on stdin (``python -m bppcheck.refsolver``)
-and answers sat/unsat/unknown plus a model, like any other solver on the
-other end of the pipe. ``(get-info :reason-unknown)`` and
-``(get-info :all-statistics)`` report on the last check-sat: why it gave
-up, and its steps, propagate rounds, branches, Omega calls, failed-memo
-hits and solving time (``:time``, seconds).
+installed. ``solve_text`` takes an SMT-LIB2 script and returns what a
+solver would print: sat/unsat/unknown plus a model. The checker calls it
+in its own process; ``python -m bppcheck.refsolver`` serves the same text
+over stdin/stdout like any other solver on the other end of a pipe.
+``(get-info :reason-unknown)`` and ``(get-info :all-statistics)`` report
+on the last check-sat: why it gave up, and its steps, propagate rounds,
+branches, Omega calls, failed-memo hits and solving time (``:time``,
+seconds). Since nothing kills a solve in process, the engine stops itself:
+at a deadline (reason ``timeout``), at its step budget, and at
+``RECURSION_LIMIT`` or an exhausted memory (unknown, never a traceback).
 
 Decision strategy: negation normal form, then a backtracking search that
 eagerly substitutes pinned variables, splits disjunctions with failure
@@ -24,6 +28,7 @@ came from.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
 
@@ -31,6 +36,12 @@ from .omega import OmegaBudgetExceeded, omega_solve
 from ..sexpr import parse_all
 
 DEFAULT_STEP_BUDGET = 20_000_000
+
+#: Python stack depth allowed while a script is read and solved. The search
+#: recurses once per branching level (about two per step of a bounded EG
+#: unrolling) and the formula builder once per nesting level; input deeper
+#: than this answers unknown with reason ``recursion depth exceeded``.
+RECURSION_LIMIT = 20_000
 
 
 class RefsolverUnknown(Exception):
@@ -129,13 +140,15 @@ class _FreeVars:
 
 
 class _Engine:
-    def __init__(self, step_budget: int = DEFAULT_STEP_BUDGET):
+    def __init__(self, step_budget: int = DEFAULT_STEP_BUDGET, deadline: float | None = None):
         self.steps = 0
         self.budget = step_budget
+        self.deadline = deadline
         self.frees = _FreeVars()
         self.notex_memo: dict[tuple, bool] = {}
         self.detached_memo: dict[tuple, dict[str, int] | None] = {}
-        self.failed: set[frozenset] = set()
+        self.failed: set[tuple[int, ...]] = set()
+        self.entry_ids: dict[tuple, int] = {}  # failure-memo entries, interned
         self.rounds = 0
         self.branches = 0
         self.omega_calls = 0
@@ -145,6 +158,8 @@ class _Engine:
         self.steps += units
         if self.steps > self.budget:
             raise RefsolverUnknown("step budget exhausted")
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            raise RefsolverUnknown("timeout")
 
     def statistics(self) -> dict[str, int]:
         return {
@@ -389,14 +404,19 @@ class _Engine:
             return
         pending.append(node)
 
-    def _residual_key(self, lits, pending, subst):
-        entries = [("lit",) + lit for lit in lits]
+    def _residual_key(self, lits, pending, subst) -> tuple[int, ...]:
+        """The residual problem as the sorted ids of its distinct entries:
+        each literal, and each pending goal with the values of its pinned
+        free variables. An entry gets its id the first time the engine sees
+        it, so the failure memo stores small int tuples, not the goals."""
+        ids = self.entry_ids
+        entries = {ids.setdefault(lit, len(ids)) for lit in lits}
         for node in pending:
             pinned = tuple(
                 sorted((v, subst[v]) for v in self.frees.of(node) if v in subst)
             )
-            entries.append(("node", id(node), pinned))
-        return frozenset(entries)
+            entries.add(ids.setdefault((id(node), pinned), len(ids)))
+        return tuple(sorted(entries))
 
     def _search(self, evars, lits, pending, subst, lit_from=0, pend_from=0, pinned=()):
         """Propagate, then decide: Omega on a pure conjunction, else branch.
@@ -412,9 +432,9 @@ class _Engine:
         if not pending:
             self.omega_calls += 1
             try:
-                witness = omega_solve(lits)
-            except OmegaBudgetExceeded:
-                raise RefsolverUnknown("omega budget exhausted") from None
+                witness = omega_solve(lits, deadline=self.deadline)
+            except OmegaBudgetExceeded as exc:
+                raise RefsolverUnknown(str(exc)) from None
             if witness is None:
                 raise _Fail()
             out = {v: subst.get(v, 0) for v in evars}
@@ -690,14 +710,36 @@ def _build(e, env, sign: bool, script: _Script):
     raise RefsolverUnknown(f"unsupported form {head!r}")
 
 
-def solve_text(text: str) -> str:
-    """Interpret an SMT-LIB2 script and return the solver's printed output."""
+def solve_text(text: str, deadline: float | None = None) -> str:
+    """Interpret an SMT-LIB2 script and return the solver's printed output.
+
+    ``deadline`` is a ``time.perf_counter()`` value: a check-sat still
+    running past it answers unknown with reason ``timeout``. The search and
+    the formula builder run under ``RECURSION_LIMIT``, whichever entry point
+    calls this (the pipe driver or a solver call in the checker's process);
+    running out of stack depth or of memory answers unknown with a reason.
+    """
+    limit = sys.getrecursionlimit()
+    if limit < RECURSION_LIMIT:
+        sys.setrecursionlimit(RECURSION_LIMIT)
+    try:
+        return _interpret(text, deadline)
+    finally:
+        if limit < RECURSION_LIMIT:
+            sys.setrecursionlimit(limit)
+
+
+def _interpret(text: str, deadline: float | None) -> str:
     script = _Script()
     try:
         forms = parse_all(text)
     except Exception:
         return '(error "parse error")\n'
-    for form in forms:
+    # Each form is dropped once interpreted: a long script's parse tree would
+    # otherwise stay alive through every check-sat.
+    forms.reverse()
+    while forms:
+        form = forms.pop()
         if not isinstance(form, list) or not form:
             continue
         cmd = form[0]
@@ -720,10 +762,12 @@ def solve_text(text: str) -> str:
             try:
                 script.asserts.append(_build(form[1], {}, True, script))
             except RefsolverUnknown:
-                script.asserts.append(("unsupported",))
+                script.asserts.append(("unsupported", "unsupported formula shape"))
+            except (RecursionError, MemoryError) as exc:
+                script.asserts.append(("unsupported", _limit_reason(exc)))
             continue
         if cmd == "check-sat":
-            _check(script)
+            _check(script, deadline)
             continue
         if cmd == "get-model":
             _emit_model(script)
@@ -740,18 +784,25 @@ def solve_text(text: str) -> str:
     return "\n".join(script.outputs) + ("\n" if script.outputs else "")
 
 
-def _check(script: _Script) -> None:
-    engine = _Engine()
+def _limit_reason(exc: BaseException) -> str:
+    return "recursion depth exceeded" if isinstance(exc, RecursionError) else "out of memory"
+
+
+def _check(script: _Script, deadline: float | None) -> None:
+    engine = _Engine(deadline=deadline)
     start = time.perf_counter()
     status, witness, reason = "unknown", None, None
-    if any(node == ("unsupported",) for node in script.asserts):
-        reason = "unsupported formula shape"
+    unsupported = next((node for node in script.asserts if node[0] == "unsupported"), None)
+    if unsupported is not None:
+        reason = unsupported[1]
     else:
         try:
             witness = engine.solve_exists(list(script.decls), list(script.asserts), {})
             status = "unsat" if witness is None else "sat"
         except RefsolverUnknown as exc:
             reason = str(exc)
+        except (RecursionError, MemoryError) as exc:
+            reason = _limit_reason(exc)
     script.last_stats = dict(engine.statistics(), time=time.perf_counter() - start)
     script.last_status = status
     script.last_reason = reason

@@ -6,7 +6,6 @@ from . import solve_text
 
 
 def main() -> int:
-    sys.setrecursionlimit(1_000_000)
     if len(sys.argv) > 1:
         with open(sys.argv[1], "r", encoding="utf-8") as handle:
             text = handle.read()

@@ -13,13 +13,14 @@ meaning ``sum(coeffs[v] * v) + const >= 0`` (or ``== 0``).
 
 from __future__ import annotations
 
+import time
 from math import gcd
 
 Lit = tuple[str, dict[str, int], int]
 
 
 class OmegaBudgetExceeded(Exception):
-    pass
+    """The step budget or the deadline ran out; the message says which."""
 
 
 class _Infeasible(Exception):
@@ -88,15 +89,18 @@ def _ceil_div(p: int, q: int) -> int:
 
 
 class _Solver:
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, deadline: float | None):
         self.budget = budget
+        self.deadline = deadline
         self.steps = 0
         self.fresh = 0
 
     def charge(self) -> None:
         self.steps += 1
         if self.steps > self.budget:
-            raise OmegaBudgetExceeded()
+            raise OmegaBudgetExceeded("omega budget exhausted")
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            raise OmegaBudgetExceeded("timeout")
 
     def fresh_var(self) -> str:
         self.fresh += 1
@@ -255,17 +259,21 @@ class _Solver:
         return None
 
 
-def omega_solve(lits: list, budget: int = 200_000) -> dict[str, int] | None:
+def omega_solve(
+    lits: list, budget: int = 200_000, deadline: float | None = None
+) -> dict[str, int] | None:
     """Decide a conjunction of integer-linear literals; return a witness
     covering every variable that occurs, or None when infeasible.
 
     Coefficients may be given as dicts or as (var, coeff) pair sequences.
+    Raises OmegaBudgetExceeded past ``budget`` steps or past ``deadline``
+    (a ``time.perf_counter()`` value).
     """
     lits = [
         (kind, dict(coeffs) if not isinstance(coeffs, dict) else coeffs, const)
         for kind, coeffs, const in lits
     ]
-    solver = _Solver(budget)
+    solver = _Solver(budget, deadline)
     witness = solver.solve(list(lits))
     if witness is None:
         return None

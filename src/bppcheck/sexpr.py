@@ -48,29 +48,23 @@ def tokenize(text: str) -> list[str]:
 
 
 def parse_all(text: str) -> list:
-    """Parse every top-level s-expression in the text."""
-    tokens = tokenize(text)
+    """Parse every top-level s-expression in the text.
+
+    Iterative, with an explicit stack of open lists, so nesting depth is
+    bounded by memory rather than by Python's recursion limit.
+    """
     forms: list = []
-    pos = 0
-
-    def parse_one(at: int):
-        if at >= len(tokens):
-            raise SolverProtocolError("unexpected end of input")
-        tok = tokens[at]
+    open_lists: list[list] = []
+    for tok in tokenize(text):
         if tok == "(":
-            items = []
-            at += 1
-            while at < len(tokens) and tokens[at] != ")":
-                item, at = parse_one(at)
-                items.append(item)
-            if at >= len(tokens):
-                raise SolverProtocolError("unbalanced parenthesis")
-            return items, at + 1
-        if tok == ")":
-            raise SolverProtocolError("unexpected ')'")
-        return tok, at + 1
-
-    while pos < len(tokens):
-        form, pos = parse_one(pos)
-        forms.append(form)
+            open_lists.append([])
+        elif tok == ")":
+            if not open_lists:
+                raise SolverProtocolError("unexpected ')'")
+            done = open_lists.pop()
+            (open_lists[-1] if open_lists else forms).append(done)
+        else:
+            (open_lists[-1] if open_lists else forms).append(tok)
+    if open_lists:
+        raise SolverProtocolError("unbalanced parenthesis")
     return forms

@@ -1,9 +1,12 @@
-"""Run an external SMT solver on a script and decode what came back.
+"""Hand a script to the SMT solver and decode what came back.
 
-The wire protocol is SMT-LIB2 text over the child's stdin/stdout, nothing
-else. The default command is ``z3 -in -smt2`` when a z3 binary is on PATH;
-otherwise the bundled pure-Python reference solver is used, still as a
-separate process.
+The one boundary is SMT-LIB2 text: the script's bytes go in, the solver's
+printed answer comes out, and the same code decodes it. The default solver
+is ``z3 -in -smt2`` when a z3 binary is on PATH, otherwise the bundled
+pure-Python reference solver (``BUNDLED_COMMAND``). The bundled solver gets
+the text in this process, through ``refsolver.solve_text``, and stops
+itself at the timeout; any other command runs as a child process that gets
+the text on stdin and is killed at the timeout plus ``KILL_GRACE_S``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import os
 import shlex
 import shutil
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -31,6 +33,10 @@ KILL_GRACE_S = 2.0
 
 ENV_SOLVER = "BPPCHECK_SOLVER"
 
+#: The bundled solver's command line. A config with this command solves in
+#: process; ``python -m bppcheck.refsolver`` serves the same text over a pipe.
+BUNDLED_COMMAND = (sys.executable, "-m", "bppcheck.refsolver")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -40,8 +46,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverOutcome:
-    """One solver call: verdict, model, the spawn-to-exit wall time, and what
-    the solver said about itself through get-info."""
+    """One solver call: verdict, model, the call's wall time (in process for
+    the bundled solver, spawn to exit for a child), and what the solver said
+    about itself through get-info."""
 
     status: str  # sat | unsat | unknown
     model: dict[str, int] | None
@@ -75,7 +82,7 @@ class Verdict:
 def default_solver_command() -> tuple[str, ...]:
     if shutil.which("z3"):
         return ("z3", "-in", "-smt2")
-    return (sys.executable, "-m", "bppcheck.refsolver")
+    return BUNDLED_COMMAND
 
 
 def resolve_solver(command_line: str | None = None, timeout_s: float = 60.0) -> SolverConfig:
@@ -91,8 +98,51 @@ def resolve_solver(command_line: str | None = None, timeout_s: float = 60.0) -> 
 
 
 def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:
-    """Spawn the solver, feed it the script, and decode its verdict."""
+    """Give the script to the solver and decode its verdict.
+
+    The bundled solver solves in this process; any other command is spawned.
+    Either way the same script text goes in and the same code decodes the
+    printed answer.
+    """
     start = time.perf_counter()
+    if config.command == BUNDLED_COMMAND:
+        from ..refsolver import solve_text
+
+        raw = solve_text(script.text, deadline=start + config.timeout_s)
+        returncode = 0
+    else:
+        raw, returncode = _spawn(script, config)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    if returncode is None:
+        return SolverOutcome(
+            "unknown", None, wall_ms, raw, timed_out=True, reason_unknown="timeout"
+        )
+
+    status = None
+    for line in raw.splitlines():
+        word = line.strip()
+        if word in ("sat", "unsat", "unknown"):
+            status = word
+            break
+    if status is None:
+        if returncode != 0:
+            raise SolverCrashed(returncode, raw)
+        raise SolverProtocolError(f"no verdict in solver output: {raw[:500]!r}")
+
+    model = None
+    if status == "sat" and script.produce_models:
+        model = parse_model(raw, script.declarations)
+    reason, statistics = parse_info(raw)
+    return SolverOutcome(
+        status, model, wall_ms, raw, reason == "timeout", reason, statistics
+    )
+
+
+def _spawn(script: SmtScript, config: SolverConfig) -> tuple[str, int | None]:
+    """Run an external solver on the script: its output and exit status, or
+    None for the status when it was killed at the timeout."""
+    import subprocess
+
     try:
         proc = subprocess.run(
             list(config.command),
@@ -104,37 +154,16 @@ def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:
     except FileNotFoundError:
         raise SolverNotFound(config.command[0]) from None
     except subprocess.TimeoutExpired as exc:
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        raw = (exc.stdout or b"").decode(errors="replace")
-        return SolverOutcome(
-            "unknown", None, wall_ms, raw, timed_out=True, reason_unknown="timeout"
-        )
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    raw = proc.stdout.decode(errors="replace")
-
-    status = None
-    for line in raw.splitlines():
-        word = line.strip()
-        if word in ("sat", "unsat", "unknown"):
-            status = word
-            break
-    if status is None:
-        if proc.returncode != 0:
-            raise SolverCrashed(proc.returncode, raw)
-        raise SolverProtocolError(f"no verdict in solver output: {raw[:500]!r}")
-
-    model = None
-    if status == "sat" and script.produce_models:
-        model = parse_model(raw, script.declarations)
-    reason, statistics = parse_info(raw)
-    return SolverOutcome(status, model, wall_ms, raw, False, reason, statistics)
+        return (exc.stdout or b"").decode(errors="replace"), None
+    return proc.stdout.decode(errors="replace"), proc.returncode
 
 
 def solver_stats(outcomes: list[SolverOutcome], unknown: bool) -> dict[str, int | float | str]:
     """The solver's share of ``Verdict.stats`` over one check's calls.
 
     ``solver_ms`` sums the solving times the solver reports and
-    ``solver_wall_ms`` the spawn-to-exit walls; the integer statistics are
+    ``solver_wall_ms`` the calls' wall times (the whole call in process for
+    the bundled solver, spawn to exit for a child); the integer statistics are
     summed as ``solver_<name>``. An unknown verdict carries the first
     reason a call gave, as ``reason_unknown``.
     """
@@ -184,11 +213,17 @@ def parse_info(raw: str) -> tuple[str | None, dict[str, int | float]]:
 
 
 def _info_text(value) -> str:
-    if isinstance(value, list):
-        return " ".join(_info_text(item) for item in value)
-    if len(value) >= 2 and value[0] == value[-1] == '"':
-        return value[1:-1].replace('""', '"')
-    return value
+    words = []
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        elif len(item) >= 2 and item[0] == item[-1] == '"':
+            words.append(item[1:-1].replace('""', '"'))
+        else:
+            words.append(item)
+    return " ".join(words)
 
 
 def _number(value) -> int | float | None:
@@ -212,34 +247,29 @@ def parse_model(raw: str, expected: tuple[str, ...]) -> dict[str, int]:
     idx = text.find("sat")
     if idx >= 0:
         text = text[idx + 3 :]
-    try:
-        forms = parse_all(text)
-    except SolverProtocolError:
-        raise
     bindings: dict[str, int] = {}
-
-    def eat(form) -> None:
+    # Depth-first, left to right, with an explicit stack: solver output
+    # from elsewhere may nest deeper than Python's recursion limit.
+    stack = parse_all(text)[::-1]
+    while stack:
+        form = stack.pop()
         if not isinstance(form, list):
-            return
-        if form and form[0] == "define-fun":
-            if len(form) != 5:
-                return
-            _, name, args, sort, value = form
-            if args != [] or not isinstance(name, str):
-                return
-            if sort != "Int":
-                bindings.setdefault(name, _NON_INT)
-                return
-            parsed = _int_value(value)
-            if parsed is None:
-                raise NonIntegerBinding(name, repr(value))
-            bindings[name] = parsed
-            return
-        for item in form:
-            eat(item)
-
-    for form in forms:
-        eat(form)
+            continue
+        if not form or form[0] != "define-fun":
+            stack.extend(reversed(form))
+            continue
+        if len(form) != 5:
+            continue
+        _, name, args, sort, value = form
+        if args != [] or not isinstance(name, str):
+            continue
+        if sort != "Int":
+            bindings.setdefault(name, _NON_INT)
+            continue
+        parsed = _int_value(value)
+        if parsed is None:
+            raise NonIntegerBinding(name, repr(value))
+        bindings[name] = parsed
 
     out: dict[str, int] = {}
     for name in expected:
@@ -260,12 +290,12 @@ _NON_INT = _NonInt()
 
 
 def _int_value(value) -> int | None:
+    sign = 1
+    while isinstance(value, list) and len(value) == 2 and value[0] == "-":
+        sign, value = -sign, value[1]
     if isinstance(value, str):
         try:
-            return int(value)
+            return sign * int(value)
         except ValueError:
             return None
-    if isinstance(value, list) and len(value) == 2 and value[0] == "-":
-        inner = _int_value(value[1])
-        return None if inner is None else -inner
     return None

@@ -18,8 +18,9 @@ QUANTIFIED_LOGIC = "LIA"
 class SmtScript:
     """One self-contained SMT-LIB2 script.
 
-    ``text`` is exactly what goes over the solver's stdin; the timeout is
-    runner metadata (the runner kills the child), not part of the script.
+    ``text`` is exactly what the solver gets, on stdin or in process; the
+    timeout is runner metadata (a deadline for the bundled solver, a kill
+    for a child), not part of the script.
     """
 
     logic: str

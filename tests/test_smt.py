@@ -230,6 +230,20 @@ class TestParseModel:
         model = parse_model(self.MODERN, ("y", "x"))
         assert list(model) == ["y", "x"]
 
+    def test_output_nested_past_the_recursion_limit(self):
+        # Decoding runs in the checker's process: output from an external
+        # solver, however deep, gives a binding or a protocol error.
+        deep = 50_000
+        value = "(- " * deep + "3" + ")" * deep
+        raw = (
+            "sat\n(model " + "(x " * deep + f"(define-fun x () Int {value})"
+            + ")" * deep + ")\n(:reason-unknown " + "(" * deep + '"deep"' + ")" * deep + ")\n"
+        )
+        assert parse_model(raw, ("x",)) == {"x": 3 if deep % 2 == 0 else -3}
+        assert parse_info(raw)[0] == "deep"
+        with pytest.raises(MissingBinding):
+            parse_model(raw, ("y",))
+
     def test_full_witness_shape(self):
         # The shape a reachability witness comes back in: one binding per
         # occurrence/firing/distance variable.
