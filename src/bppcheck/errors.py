@@ -15,7 +15,6 @@ class BppCheckError(Exception):
 
 def _rebuild(cls, args, state):
     err = cls.__new__(cls, *args)
-    err.args = args
     err.__dict__.update(state)
     return err
 
