@@ -3,8 +3,10 @@
 A marking is reachable iff there are firing counts y satisfying the flow
 equations plus a connectivity certificate: distance labels z that force
 every used rule's left symbol to be derivable from the initial marking.
-One solver call decides each EF node; positive answers are certified by
-reconstructing a concrete firing sequence from the y counts.
+One solver call decides each EF node; a sat model is re-checked against
+the whole encoding by the independent evaluator. ``realize_firing_counts``
+reconstructs a concrete firing sequence from a model's y counts; the
+checker itself does not call it.
 """
 
 from __future__ import annotations

@@ -13,15 +13,19 @@ at a deadline (reason ``timeout``), at its step budget, and at
 ``RECURSION_LIMIT`` or an exhausted memory (unknown, never a traceback).
 
 Decision strategy: negation normal form, then a backtracking search that
-eagerly substitutes pinned variables, splits disjunctions with failure
-memoization, splices positive existential blocks, decides universally
-quantified subformulas recursively once they are ground, and hands
-conjunctions of literals to the Omega test. Propagation is incremental:
-each search level looks again only at the goals its branch added and at
-those that mention a variable pinned since they were last looked at (the
-watched-literal idea of Chaff, Moskewicz et al., DAC 2001). Reductions and
-peeks per level thus follow what changed; the failure-memo key, the branch
-choice and the detached-goal check still scan every goal once per level.
+eagerly substitutes pinned variables, splices positive existential blocks
+and hands conjunctions of literals to the Omega test. Propagation is
+incremental: each search level looks again only at the goals its branch
+added and at those that mention a variable pinned since they were last
+looked at (the watched-literal idea of Chaff, Moskewicz et al., DAC 2001).
+The search enters a child in one place, ``_children``: one child per live
+disjunct of a disjunction, or per value of a variable when only quantified
+goals are left; an exhausted complete choice memoizes the residual problem
+as failed. Quantified subformulas once ground, and goals whose unpinned
+variables occur nowhere else, are decided by one memoized sub-solve,
+``_sub_solve``, keyed on the goal and the values of its pinned variables.
+The failure-memo key, the branch choice and the detached-goal check still
+scan every goal once per level.
 It is a generic engine: it knows nothing about where its input formulas
 came from.
 """
@@ -72,40 +76,22 @@ def _mk_lit(kind: str, coeffs: dict[str, int], const: int):
     return (kind, items, const)
 
 
-def _mk_and(children):
+def _mk_junction(kind: str, children):
+    """Flattened 'and' / 'or' of the children, with true and false folded."""
+    unit, zero = (("true",), ("false",)) if kind == "and" else (("false",), ("true",))
     out = []
     for ch in children:
-        if ch == ("true",):
+        if ch == unit:
             continue
-        if ch == ("false",):
-            return ("false",)
-        if ch[0] == "and":
+        if ch == zero:
+            return zero
+        if ch[0] == kind:
             out.extend(ch[1])
         else:
             out.append(ch)
     if not out:
-        return ("true",)
-    if len(out) == 1:
-        return out[0]
-    return ("and", tuple(out))
-
-
-def _mk_or(children):
-    out = []
-    for ch in children:
-        if ch == ("false",):
-            continue
-        if ch == ("true",):
-            return ("true",)
-        if ch[0] == "or":
-            out.extend(ch[1])
-        else:
-            out.append(ch)
-    if not out:
-        return ("false",)
-    if len(out) == 1:
-        return out[0]
-    return ("or", tuple(out))
+        return unit
+    return out[0] if len(out) == 1 else (kind, tuple(out))
 
 
 class _FreeVars:
@@ -145,8 +131,7 @@ class _Engine:
         self.budget = step_budget
         self.deadline = deadline
         self.frees = _FreeVars()
-        self.notex_memo: dict[tuple, bool] = {}
-        self.detached_memo: dict[tuple, dict[str, int] | None] = {}
+        self.sub_memo: dict[tuple, dict[str, int] | None] = {}
         self.failed: set[tuple[int, ...]] = set()
         self.entry_ids: dict[tuple, int] = {}  # failure-memo entries, interned
         self.rounds = 0
@@ -211,7 +196,8 @@ class _Engine:
             return True if live is None else (None if live else False)
         # Quantified: only decidable when ground.
         if self.frees.of(node) <= subst.keys():
-            return self._decide_ground(node, subst)
+            found = self._sub_solve(node, list(node[1]), node[2], subst) is not None
+            return found if kind == "ex" else not found
         return None
 
     def _live(self, node, subst):
@@ -225,16 +211,19 @@ class _Engine:
                 live.append(ch)
         return live
 
-    def _decide_ground(self, node, subst) -> bool:
-        kind, names, body = node
-        key = (id(node), tuple(sorted((v, subst[v]) for v in self.frees.of(node))))
-        got = self.notex_memo.get(key)
-        if got is None:
-            inner = {v: subst[v] for v in self.frees.of(node)}
-            witness = self.solve_exists(list(names), [body], inner)
-            got = witness is not None
-            self.notex_memo[key] = got
-        return got if kind == "ex" else not got
+    def _pinned(self, node, subst) -> tuple:
+        """The node's pinned free variables with their values, sorted."""
+        return tuple(sorted((v, subst[v]) for v in self.frees.of(node) if v in subst))
+
+    def _sub_solve(self, node, evars: list[str], goal, subst):
+        """Witness for exists(evars) over goal, with the node's pinned free
+        variables at their values; memoized on (node, pinned frees). Ground
+        quantified nodes have every free variable pinned and detached goals
+        at least one unpinned, so their keys never meet."""
+        key = (id(node), self._pinned(node, subst))
+        if key not in self.sub_memo:
+            self.sub_memo[key] = self.solve_exists(evars, [goal], dict(key[1]))
+        return self.sub_memo[key]
 
     # -- main search ---------------------------------------------------------
 
@@ -362,16 +351,7 @@ class _Engine:
             if not mine or not (left > 1 or lits) or any(occurs[v] > 1 for v in mine):
                 kept.append(node)
                 continue
-            key = (
-                id(node),
-                tuple(sorted((v, subst[v]) for v in self.frees.of(node) if v in subst)),
-            )
-            if key in self.detached_memo:
-                witness = self.detached_memo[key]
-            else:
-                inner = {v: subst[v] for v in self.frees.of(node) if v in subst}
-                witness = self.solve_exists(sorted(mine), [node], inner)
-                self.detached_memo[key] = witness
+            witness = self._sub_solve(node, sorted(mine), node, subst)
             if witness is None:
                 raise _Fail()
             for v in mine:
@@ -381,6 +361,8 @@ class _Engine:
 
     def _push_into(self, node, evars, lits, pending, subst) -> None:
         """Add a goal: literals to lits, other non-trivial nodes to pending."""
+        if node[0] in ("ge", "eq"):
+            node = self._reduce_lit(node, subst)
         kind = node[0]
         if kind == "true":
             return
@@ -394,15 +376,7 @@ class _Engine:
             evars.extend(node[1])
             self._push_into(node[2], evars, lits, pending, subst)
             return
-        if kind in ("ge", "eq"):
-            red = self._reduce_lit(node, subst)
-            if red == ("true",):
-                return
-            if red == ("false",):
-                raise _Fail()
-            lits.append(red)
-            return
-        pending.append(node)
+        (lits if kind in ("ge", "eq") else pending).append(node)
 
     def _residual_key(self, lits, pending, subst) -> tuple[int, ...]:
         """The residual problem as the sorted ids of its distinct entries:
@@ -412,10 +386,7 @@ class _Engine:
         ids = self.entry_ids
         entries = {ids.setdefault(lit, len(ids)) for lit in lits}
         for node in pending:
-            pinned = tuple(
-                sorted((v, subst[v]) for v in self.frees.of(node) if v in subst)
-            )
-            entries.add(ids.setdefault((id(node), pinned), len(ids)))
+            entries.add(ids.setdefault((id(node), self._pinned(node, subst)), len(ids)))
         return tuple(sorted(entries))
 
     def _search(self, evars, lits, pending, subst, lit_from=0, pend_from=0, pinned=()):
@@ -426,20 +397,17 @@ class _Engine:
         """
         self._propagate(evars, lits, pending, subst, lit_from, pend_from, pinned)
 
-        if not lits and not pending:
-            return {v: subst.get(v, 0) for v in evars}
-
         if not pending:
-            self.omega_calls += 1
-            try:
-                witness = omega_solve(lits, deadline=self.deadline)
-            except OmegaBudgetExceeded as exc:
-                raise RefsolverUnknown(str(exc)) from None
-            if witness is None:
-                raise _Fail()
-            out = {v: subst.get(v, 0) for v in evars}
-            out.update(witness)
-            return out
+            witness = {}
+            if lits:
+                self.omega_calls += 1
+                try:
+                    witness = omega_solve(lits, deadline=self.deadline)
+                except OmegaBudgetExceeded as exc:
+                    raise RefsolverUnknown(str(exc)) from None
+                if witness is None:
+                    raise _Fail()
+            return {**{v: subst.get(v, 0) for v in evars}, **witness}
 
         key = self._residual_key(lits, pending, subst)
         if key in self.failed:
@@ -461,29 +429,38 @@ class _Engine:
                     break
         if branch is None:
             return self._branch_on_values(evars, lits, pending, subst, key)
-        branch_live = self._live(branch, subst)
-        if not branch_live:
-            raise _Fail()
 
         rest = [node for node in pending if node is not branch]
+
+        def descend(choice):
+            c_evars, c_lits, c_pending, c_subst = list(evars), list(lits), list(rest), dict(subst)
+            self._push_into(choice, c_evars, c_lits, c_pending, c_subst)
+            return self._search(c_evars, c_lits, c_pending, c_subst, len(lits), len(rest))
+
+        return self._children(self._live(branch, subst), descend, key, complete=True)
+
+    def _children(self, options, descend, key, complete: bool):
+        """The one step into a child: charge and count a branch per option
+        and return the first witness descend(option) finds. A failed child
+        moves on to the next option; so does an undecided one, whose reason
+        is raised once no sibling answers sat. When every child failed, the
+        residual problem is memoized as failed if the options were complete
+        (all disjuncts, a boxed range); a probe window is not, and ends in
+        unknown."""
         undecided = None
-        for choice in branch_live:
+        for option in options:
             self.charge()
             self.branches += 1
-            c_evars = list(evars)
-            c_lits = list(lits)
-            c_pending = list(rest)
-            c_subst = dict(subst)
             try:
-                self._push_into(choice, c_evars, c_lits, c_pending, c_subst)
-                return self._search(c_evars, c_lits, c_pending, c_subst, len(lits), len(rest))
+                return descend(option)
             except _Fail:
                 continue
             except RefsolverUnknown as exc:
                 undecided = undecided or exc
-                continue
         if undecided is not None:
             raise RefsolverUnknown(str(undecided))
+        if not complete:
+            raise RefsolverUnknown("probe window exhausted")
         self.failed.add(key)
         raise _Fail()
 
@@ -518,8 +495,8 @@ class _Engine:
             if lo is not None and hi is not None:
                 if hi < lo:
                     raise _Fail()
-                if boxed is None or hi - lo < boxed[1]:
-                    boxed = (var, hi - lo, lo, hi)
+                if boxed is None or hi - lo < boxed[2] - boxed[1]:
+                    boxed = (var, lo, hi)
             elif half is None:
                 if lo is not None:
                     half = (var, lo, lo + self.PROBE_WIDTH)
@@ -528,37 +505,17 @@ class _Engine:
                 else:
                     half = (var, -self.PROBE_WIDTH // 2, self.PROBE_WIDTH // 2)
 
-        if boxed is not None:
-            var, _, lo, hi = boxed
-            complete = True
-        elif half is not None:
-            var, lo, hi = half
-            complete = False
-        else:
+        if boxed is None and half is None:
             raise RefsolverUnknown("non-ground quantified subformula")
+        var, lo, hi = boxed or half
 
-        undecided = None
-        for value in range(lo, hi + 1):
-            self.charge()
-            self.branches += 1
-            c_subst = dict(subst)
-            c_subst[var] = value
-            try:
-                return self._search(
-                    list(evars), list(lits), list(pending), c_subst,
-                    len(lits), len(pending), (var,),
-                )
-            except _Fail:
-                continue
-            except RefsolverUnknown as exc:
-                undecided = undecided or exc
-                continue
-        if undecided is not None:
-            raise RefsolverUnknown(str(undecided))
-        if not complete:
-            raise RefsolverUnknown("probe window exhausted")
-        self.failed.add(key)
-        raise _Fail()
+        def descend(value):
+            return self._search(
+                list(evars), list(lits), list(pending), {**subst, var: value},
+                len(lits), len(pending), (var,),
+            )
+
+        return self._children(range(lo, hi + 1), descend, key, complete=boxed is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +533,6 @@ class _Script:
         self.last_model: dict[str, int] | None = None
         self.last_reason: str | None = None
         self.last_stats: dict[str, int | float] | None = None
-        self.produce_models = False
 
     def fresh(self, base: str) -> str:
         self.rename_counter += 1
@@ -593,30 +549,21 @@ def _parse_term(e, env) -> tuple[dict[str, int], int]:
     if not e:
         raise RefsolverUnknown("empty term")
     head = e[0]
-    if head == "+":
+    if head in ("+", "-"):
+        if head == "-" and len(e) < 2:
+            raise ValueError("'-' without arguments")
         coeffs: dict[str, int] = {}
         const = 0
+        # (- a) negates a; (- a b c) subtracts b and c from a.
+        sign = -1 if head == "-" and len(e) == 2 else 1
         for sub in e[1:]:
             c, k = _parse_term(sub, env)
             for v, x in c.items():
-                coeffs[v] = coeffs.get(v, 0) + x
-            const += k
-        return coeffs, const
-    if head == "-":
-        if len(e) == 2:
-            c, k = _parse_term(e[1], env)
-            return {v: -x for v, x in c.items()}, -k
-        coeffs, const = _parse_term(e[1], env)
-        coeffs = dict(coeffs)
-        for sub in e[2:]:
-            c, k = _parse_term(sub, env)
-            for v, x in c.items():
-                coeffs[v] = coeffs.get(v, 0) - x
-            const -= k
+                coeffs[v] = coeffs.get(v, 0) + sign * x
+            const += sign * k
+            sign = -1 if head == "-" else 1
         return coeffs, const
     if head == "*":
-        coeffs: dict[str, int] = {}
-        const = 1
         symbolic: tuple[dict[str, int], int] | None = None
         scale = 1
         for sub in e[1:]:
@@ -634,12 +581,21 @@ def _parse_term(e, env) -> tuple[dict[str, int], int]:
     raise RefsolverUnknown(f"unsupported term {head!r}")
 
 
-_REL_POS = {
-    ">=": lambda d, k: _mk_lit("ge", d, k),
-    ">": lambda d, k: _mk_lit("ge", d, k - 1),
-    "<=": lambda d, k: _mk_lit("ge", {v: -c for v, c in d.items()}, -k),
-    "<": lambda d, k: _mk_lit("ge", {v: -c for v, c in d.items()}, -k - 1),
-}
+#: A term t in ``t REL 0`` as ``s * t + offset >= 0``, keyed by REL as
+#: (s, offset). Its negation is (-s, -1 - offset): not (t >= 0) is -t - 1 >= 0.
+_AS_GE = {">=": (1, 0), ">": (1, -1), "<=": (-1, 0), "<": (-1, -1)}
+
+
+def _mk_rel(rel: str, diff: dict[str, int], const: int, sign: bool):
+    """The literal for ``diff + const REL 0``, or for its negation."""
+    s, offset = _AS_GE[rel]
+    if not sign:
+        s, offset = -s, -1 - offset
+    coeffs = diff if s == 1 else {v: -c for v, c in diff.items()}
+    return _mk_lit("ge", coeffs, s * const + offset)
+
+
+_DUAL = {"and": "or", "or": "and"}
 
 
 def _build(e, env, sign: bool, script: _Script):
@@ -655,18 +611,16 @@ def _build(e, env, sign: bool, script: _Script):
     head = e[0]
     if head == "not":
         return _build(e[1], env, not sign, script)
-    if head == "and":
-        parts = [_build(sub, env, sign, script) for sub in e[1:]]
-        return _mk_and(parts) if sign else _mk_or(parts)
-    if head == "or":
-        parts = [_build(sub, env, sign, script) for sub in e[1:]]
-        return _mk_or(parts) if sign else _mk_and(parts)
-    if head == "=>":
-        if len(e) != 3:
-            raise RefsolverUnknown("n-ary =>")
-        a_neg = _build(e[1], env, not sign, script)
-        b_pos = _build(e[2], env, sign, script)
-        return _mk_or([a_neg, b_pos]) if sign else _mk_and([a_neg, b_pos])
+    if head in ("and", "or", "=>"):
+        if head == "=>":
+            if len(e) != 3:
+                raise RefsolverUnknown("n-ary =>")
+            # a => b is (or (not a) b).
+            parts = [_build(e[1], env, not sign, script), _build(e[2], env, sign, script)]
+            head = "or"
+        else:
+            parts = [_build(sub, env, sign, script) for sub in e[1:]]
+        return _mk_junction(head if sign else _DUAL[head], parts)
     if head in (">=", ">", "<=", "<", "=", "distinct"):
         if len(e) != 3:
             raise RefsolverUnknown(f"non-binary {head}")
@@ -679,21 +633,19 @@ def _build(e, env, sign: bool, script: _Script):
         want_eq = head == "="
         if head == "distinct":
             want_eq, sign = True, not sign
-        if want_eq:
-            if sign:
-                return _mk_lit("eq", diff, const)
-            gt = _mk_lit("ge", diff, const - 1)
-            lt = _mk_lit("ge", {v: -c for v, c in diff.items()}, -const - 1)
-            return _mk_or([gt, lt])
+        if not want_eq:
+            return _mk_rel(head, diff, const, sign)
         if sign:
-            return _REL_POS[head](diff, const)
-        negated = {">=": "<", ">": "<=", "<=": ">", "<": ">="}[head]
-        return _REL_POS[negated](diff, const)
+            return _mk_lit("eq", diff, const)
+        parts = [_mk_rel(">", diff, const, True), _mk_rel("<", diff, const, True)]
+        return _mk_junction("or", parts)
     if head in ("exists", "forall"):
         binders = e[1]
         names = []
         inner_env = dict(env)
         for binder in binders:
+            if isinstance(binder, str) or len(binder) != 2 or not isinstance(binder[0], str):
+                raise ValueError(f"binder {binder!r}")
             name, sort = binder
             if sort != "Int":
                 raise RefsolverUnknown(f"sort {sort!r}")
@@ -743,45 +695,51 @@ def _interpret(text: str, deadline: float | None) -> str:
         if not isinstance(form, list) or not form:
             continue
         cmd = form[0]
-        if cmd in ("set-logic", "set-info"):
+        if cmd in ("set-logic", "set-info", "set-option"):
             continue
-        if cmd == "set-option":
-            if len(form) >= 3 and form[1] == ":produce-models":
-                script.produce_models = form[2] == "true"
-            continue
-        if cmd == "declare-const":
-            script.decls.append(form[1])
-            continue
-        if cmd == "declare-fun":
-            if form[2] != []:
-                script.outputs.append('(error "only constants are supported")')
-                continue
-            script.decls.append(form[1])
-            continue
-        if cmd == "assert":
+        if cmd in ("declare-const", "declare-fun", "assert"):
             try:
-                script.asserts.append(_build(form[1], {}, True, script))
-            except RefsolverUnknown:
-                script.asserts.append(("unsupported", "unsupported formula shape"))
-            except (RecursionError, MemoryError) as exc:
-                script.asserts.append(("unsupported", _limit_reason(exc)))
-            continue
-        if cmd == "check-sat":
+                _read(script, form)
+            except (IndexError, ValueError):
+                # A missing or misshapen argument: like an unsupported
+                # command, the script cannot go on past it.
+                script.outputs.append(f'(error "ill-formed {cmd}")')
+                break
+        elif cmd == "check-sat":
             _check(script, deadline)
-            continue
-        if cmd == "get-model":
+        elif cmd == "get-model":
             _emit_model(script)
-            continue
-        if cmd == "get-info" and len(form) == 2:
+        elif cmd == "get-info" and len(form) == 2:
             _emit_info(script, form[1])
-            continue
-        if cmd == "exit":
+        elif cmd == "exit":
             break
-        # Ignoring a command such as push or pop would answer later checks
-        # about the wrong assertion set, so the script ends here instead.
-        script.outputs.append(f'(error "unsupported command {cmd}")')
-        break
+        else:
+            # Ignoring a command such as push or pop would answer later
+            # checks about the wrong assertion set, so the script ends here.
+            script.outputs.append(f'(error "unsupported command {cmd}")')
+            break
     return "\n".join(script.outputs) + ("\n" if script.outputs else "")
+
+
+def _read(script: _Script, form: list) -> None:
+    """Take in a declaration or an assertion. A form with a missing or
+    misshapen argument raises IndexError or ValueError."""
+    if form[0] == "assert":
+        try:
+            node = _build(form[1], {}, True, script)
+        except RefsolverUnknown:
+            node = ("unsupported", "unsupported formula shape")
+        except (RecursionError, MemoryError) as exc:
+            node = ("unsupported", _limit_reason(exc))
+        script.asserts.append(node)
+        return
+    name = form[1]
+    if not isinstance(name, str):
+        raise ValueError(f"constant name {name!r}")
+    if form[0] == "declare-fun" and form[2] != []:
+        script.outputs.append('(error "only constants are supported")')
+        return
+    script.decls.append(name)
 
 
 def _limit_reason(exc: BaseException) -> str:

@@ -53,8 +53,6 @@ class SolverOutcome:
     status: str  # sat | unsat | unknown
     model: dict[str, int] | None
     wall_ms: float
-    raw: str
-    timed_out: bool = False
     reason_unknown: str | None = None
     statistics: dict[str, int | float] = field(default_factory=dict)
 
@@ -114,9 +112,7 @@ def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:
         raw, returncode = _spawn(script, config)
     wall_ms = (time.perf_counter() - start) * 1000.0
     if returncode is None:
-        return SolverOutcome(
-            "unknown", None, wall_ms, raw, timed_out=True, reason_unknown="timeout"
-        )
+        return SolverOutcome("unknown", None, wall_ms, reason_unknown="timeout")
 
     status = None
     for line in raw.splitlines():
@@ -133,9 +129,7 @@ def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:
     if status == "sat" and script.produce_models:
         model = parse_model(raw, script.declarations)
     reason, statistics = parse_info(raw)
-    return SolverOutcome(
-        status, model, wall_ms, raw, reason == "timeout", reason, statistics
-    )
+    return SolverOutcome(status, model, wall_ms, reason, statistics)
 
 
 def _spawn(script: SmtScript, config: SolverConfig) -> tuple[str, int | None]:

@@ -25,10 +25,8 @@ class SmtScript:
 
     logic: str
     declarations: tuple[str, ...]
-    assertion_text: str
     text: str
     produce_models: bool
-    n_asserts: int = 1
 
     @property
     def n_vars(self) -> int:
@@ -60,14 +58,13 @@ def to_smtlib(
     if logic is None:
         logic = QUANTIFIED_LOGIC if has_quantifier(node) else QF_LOGIC
 
-    assertion = to_sexpr(node)
     lines = []
     if produce_models:
         lines.append("(set-option :produce-models true)")
     lines.append(f"(set-logic {logic})")
     for name in declarations:
         lines.append(f"(declare-const {name} Int)")
-    lines.append(f"(assert {assertion})")
+    lines.append(f"(assert {to_sexpr(node)})")
     lines.append("(check-sat)")
     if produce_models:
         lines.append("(get-model)")
@@ -77,7 +74,6 @@ def to_smtlib(
     return SmtScript(
         logic=logic,
         declarations=tuple(declarations),
-        assertion_text=assertion,
         text=text,
         produce_models=produce_models,
     )

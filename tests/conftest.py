@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +95,13 @@ def random_atom(rng: random.Random, bpp: Bpp, allow_negative: bool = True) -> At
     cmp = rng.choice(list(Cmp))
     bound = rng.randint(0, 3)
     return Atom(LinearAtom(tuple(terms), cmp, bound))
+
+
+def pipe_driver(text: str) -> subprocess.CompletedProcess:
+    """``python -m bppcheck.refsolver`` on the text, as an external solver."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "bppcheck.refsolver"],
+        input=text, env=env, capture_output=True, text=True, timeout=120,
+    )

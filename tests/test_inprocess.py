@@ -3,7 +3,6 @@ the same printed answer as its pipe driver, and the limits a killed child
 used to have (a deadline, stack depth) enforced by the solver itself."""
 
 import json
-import os
 import random
 import re
 import shutil
@@ -25,21 +24,12 @@ from bppcheck.refsolver.omega import OmegaBudgetExceeded, omega_solve
 from bppcheck.sexpr import parse_all
 from bppcheck.smt.runner import BUNDLED_COMMAND, SolverConfig
 
-from .conftest import random_atom, random_bpp, random_marking
+from .conftest import pipe_driver, random_atom, random_bpp, random_marking
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 DEMO_INPUTS = sorted((ROOT / "demos" / "inputs").glob("*.bpp"))
 BUNDLED = SolverConfig(BUNDLED_COMMAND, 30.0)
-
-
-def pipe_driver(text: str) -> subprocess.CompletedProcess:
-    """``python -m bppcheck.refsolver`` on the text, as an external solver."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, "-m", "bppcheck.refsolver"],
-        input=text, env=env, capture_output=True, text=True, timeout=120,
-    )
 
 
 def without_time(printed: str) -> str:

@@ -6,6 +6,8 @@ import itertools
 import random
 from pathlib import Path
 
+import pytest
+
 from bppcheck.core import Bpp, Rule
 from bppcheck.ctl import EG, And, ENext, desugar
 from bppcheck.eg import encode_eg
@@ -14,7 +16,7 @@ from bppcheck.parsing import parse_problem
 from bppcheck.refsolver import _Engine, solve_text
 from bppcheck.refsolver.omega import omega_solve
 
-from .conftest import random_atom, random_marking
+from .conftest import pipe_driver, random_atom, random_marking
 
 LIVENESS = Path(__file__).resolve().parent.parent / "demos" / "inputs" / "liveness.bpp"
 
@@ -233,6 +235,62 @@ class TestScripts:
         )
         assert out == ['(error "unsupported command push")']
 
+    @pytest.mark.parametrize("script, command", [
+        ("(assert)", "assert"),
+        ("(assert (not))", "assert"),
+        ("(declare-const)", "declare-const"),
+        ("(declare-fun f)", "declare-fun"),
+        ("(declare-const x Int)(assert (>= (-) x))", "assert"),
+        ("(assert (exists (x) true))", "assert"),
+    ])
+    def test_ill_formed_command_ends_the_script(self, script, command):
+        # A missing or misshapen argument is reported like an unsupported
+        # command, through the pipe driver too: no traceback, exit 0, and
+        # the check-sat after it is not answered.
+        expected = [f'(error "ill-formed {command}")']
+        assert run(script + "(check-sat)") == expected
+        proc = pipe_driver(script + "(check-sat)")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == expected
+
+
+#: An assertion the engine can only probe: a is bounded below only, and
+#: (forall t. t + a >= 0) is false for every a, so every value in the probe
+#: window fails and the window is exhausted (undecided, not unsat).
+UNDECIDED = "(and (>= a 0) (forall ((t Int)) (>= (+ t a) 0)))"
+
+
+class TestUndecidedChild:
+    def test_does_not_hide_a_later_sat_sibling(self):
+        out = run(
+            "(set-option :produce-models true)(declare-const a Int)(declare-const b Int)"
+            f"(assert (or {UNDECIDED} (= b 1)))(check-sat)(get-model)"
+        )
+        assert out[0] == "sat"
+        assert _model(out)["b"] == 1
+
+    def test_is_not_memoized_as_failed(self):
+        # Both values of c leave the same residual problem, which mentions
+        # neither c nor any variable pinned on the way: a disjunction over b
+        # and the disjunction of the undecided goal with a contradiction. The
+        # first visit must not record it as failed, or the second would be a
+        # memo hit; with no sat child anywhere the answer is unknown.
+        out = run(
+            "(declare-const a Int)(declare-const b Int)(declare-const c Int)"
+            "(assert (>= c 0))(assert (or (= c 0) (= c 1)))"
+            "(assert (or (>= b 0) (<= b (- 10))))"
+            f"(assert (or {UNDECIDED} (and (= b 1) (= b 2))))"
+            "(check-sat)(get-info :reason-unknown)(get-info :all-statistics)"
+        )
+        assert out[:2] == ["unknown", '(:reason-unknown "probe window exhausted")']
+        stats = out[2].strip("()").split()
+        pairs = dict(zip(stats[::2], stats[1::2]))
+        assert pairs[":failed-memo-hits"] == "0"
+        # Each of the 2 branches on c opens 2 on b; each of those opens the
+        # 2 disjuncts, and the undecided one 33 probed values of a.
+        assert pairs[":branches"] == str(2 * (1 + 2 * (1 + 2 + 33)))
+
 
 class TestGetInfo:
     def test_statistics_of_the_last_check(self):
@@ -397,12 +455,7 @@ class TestIncrementalPropagation:
             out = run(script)
             assert out[0] == ("sat" if expected else "unsat"), script
             if expected:
-                model = {}
-                for line in out:
-                    if "define-fun" in line:
-                        parts = line.replace("(", " ").replace(")", " ").split()
-                        value = -int(parts[-1]) if parts[-2] == "-" else int(parts[-1])
-                        model[parts[1]] = value
+                model = _model(out)
                 assert all(ev(model) for _, ev in items), script
             verdicts.add(out[0])
         assert verdicts == {"sat", "unsat"}
@@ -427,6 +480,48 @@ class TestRandomQuantifierFree:
             )
             got = status(script)
             assert got == ("sat" if expected else "unsat"), script
+
+
+class TestRandomMinusTerms:
+    def test_vs_enumeration(self):
+        # Terms built with n-ary (- a b c), unary (- a), + and constant *,
+        # compared in random relations against enumeration of the box. Its
+        # own generator, so the other random suites draw what they did.
+        rng = random.Random(606)
+        names = ["w0", "w1", "w2"]
+        box = 2
+        verdicts = set()
+        for _ in range(200):
+            atoms = []
+            for _ in range(rng.randint(1, 3)):
+                lhs, lhs_ev = _random_term(rng, names, depth=3)
+                rhs, rhs_ev = _random_term(rng, names, depth=1)
+                op = rng.choice([">=", "<=", ">", "<", "=", "distinct"])
+                atoms.append((
+                    f"({op} {lhs} {rhs})",
+                    lambda env, op=op, l=lhs_ev, r=rhs_ev: _holds(op, l(env), r(env)),
+                ))
+            join = rng.choice(["and", "or"])
+            formula = f"({join} " + " ".join(smt for smt, _ in atoms) + ")"
+            combine = all if join == "and" else any
+            decls = "".join(f"(declare-const {v} Int)" for v in names)
+            bounds = "".join(f"(assert (and (>= {v} (- {box})) (<= {v} {box})))" for v in names)
+            script = (f"(set-option :produce-models true){decls}{bounds}"
+                      f"(assert {formula})(check-sat)(get-model)")
+
+            def holds(env, atoms=atoms, combine=combine):
+                return combine(ev(env) for _, ev in atoms)
+
+            expected = any(
+                holds(dict(zip(names, point)))
+                for point in itertools.product(range(-box, box + 1), repeat=len(names))
+            )
+            out = run(script)
+            assert out[0] == ("sat" if expected else "unsat"), script
+            if expected:
+                assert holds(_model(out)), script
+            verdicts.add(out[0])
+        assert verdicts == {"sat", "unsat"}
 
 
 class TestRandomSingleQuantifier:
@@ -475,15 +570,7 @@ def _random_formula(rng, names, depth):
         smt = f"({op} {lhs} {rhs})"
 
         def ev(env, coeffs=coeffs, const=const, op=op):
-            total = sum(c * env[v] for v, c in coeffs.items())
-            return {
-                ">=": total >= const,
-                "<=": total <= const,
-                ">": total > const,
-                "<": total < const,
-                "=": total == const,
-                "distinct": total != const,
-            }[op]
+            return _holds(op, sum(c * env[v] for v, c in coeffs.items()), const)
 
         return smt, ev
     kind = rng.choice(["and", "or", "not", "=>"])
@@ -497,6 +584,47 @@ def _random_formula(rng, names, depth):
     if kind == "or":
         return f"(or {a_smt} {b_smt})", lambda env: a_ev(env) or b_ev(env)
     return f"(=> {a_smt} {b_smt})", lambda env: (not a_ev(env)) or b_ev(env)
+
+
+def _random_term(rng, names, depth):
+    """Random linear term over n-ary and unary minus, + and constant
+    scaling; returns (smt, evaluator)."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.3:
+            value = rng.randint(-4, 4)
+            return _num(value), lambda env, value=value: value
+        v = rng.choice(names)
+        return v, lambda env, v=v: env[v]
+    shape = rng.choice(["neg", "minus", "plus", "scale"])
+    if shape in ("neg", "scale"):
+        smt, ev = _random_term(rng, names, depth - 1)
+        if shape == "neg":
+            return f"(- {smt})", lambda env: -ev(env)
+        k = rng.randint(-3, 3)
+        return f"(* {_num(k)} {smt})", lambda env: k * ev(env)
+    parts = [_random_term(rng, names, depth - 1) for _ in range(rng.randint(2, 4))]
+    evs = [ev for _, ev in parts]
+    smt = f"({'-' if shape == 'minus' else '+'} " + " ".join(p for p, _ in parts) + ")"
+    if shape == "minus":
+        return smt, lambda env: evs[0](env) - sum(ev(env) for ev in evs[1:])
+    return smt, lambda env: sum(ev(env) for ev in evs)
+
+
+def _holds(op: str, left: int, right: int) -> bool:
+    return {
+        ">=": left >= right, "<=": left <= right, ">": left > right,
+        "<": left < right, "=": left == right, "distinct": left != right,
+    }[op]
+
+
+def _model(out: list[str]) -> dict[str, int]:
+    """The model a get-model printed, as a dict."""
+    model = {}
+    for line in out:
+        if "define-fun" in line:
+            parts = line.replace("(", " ").replace(")", " ").split()
+            model[parts[1]] = -int(parts[-1]) if parts[-2] == "-" else int(parts[-1])
+    return model
 
 
 def _num(value: int) -> str:

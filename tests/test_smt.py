@@ -127,7 +127,7 @@ class TestRunSolver:
         outcome = run_solver(script, SolverConfig(cmd, 0.5))
         elapsed = time.perf_counter() - start
         assert outcome.status == "unknown"
-        assert outcome.timed_out
+        assert outcome.reason_unknown == "timeout"
         assert elapsed < 0.5 + 2.0 + 2.0  # budget + kill grace + slack
 
 
