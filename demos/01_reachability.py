@@ -39,7 +39,7 @@ def main() -> None:
     for name, value in verdict.witness.items():
         print(f"  ({name}, {value})")
 
-    counts = model_firing_counts(encoding.vars, calls[0].outcome.model)
+    counts = model_firing_counts(encoding.vars, calls[0].model)
     sequence = realize_firing_counts(system, initial, counts)
     print(f"firing counts per rule: {counts}")
     print(f"one concrete interleaving: {sequence}")

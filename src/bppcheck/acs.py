@@ -10,7 +10,6 @@ every original behavior, so unreachability transfers back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -31,49 +30,60 @@ from .ctl import (
     AF,
 )
 from .errors import NameCollision, UnknownReference
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class Nop:
-    pass
+class Nop(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Spawn:
-    state: str
+class Spawn(Record):
+    __slots__ = __match_args__ = ("state",)
+
+    def __init__(self, state: str):
+        setfield(self, "state", state)
 
 
-@dataclass(frozen=True)
-class Send:
-    proc: str
-    msg: str
+class Send(Record):
+    __slots__ = __match_args__ = ("proc", "msg")
+
+    def __init__(self, proc: str, msg: str):
+        setfield(self, "proc", proc)
+        setfield(self, "msg", msg)
 
 
-@dataclass(frozen=True)
-class Recv:
-    proc: str
-    msg: str
+class Recv(Record):
+    __slots__ = __match_args__ = ("proc", "msg")
+
+    def __init__(self, proc: str, msg: str):
+        setfield(self, "proc", proc)
+        setfield(self, "msg", msg)
 
 
 AcsOp = Union[Nop, Spawn, Send, Recv]
 
 
-@dataclass(frozen=True)
-class AcsRule:
-    rid: int
-    src: str
-    op: AcsOp
-    dst: str
+class AcsRule(Record):
+    __slots__ = __match_args__ = ("rid", "src", "op", "dst")
+
+    def __init__(self, rid: int, src: str, op: AcsOp, dst: str):
+        setfield(self, "rid", rid)
+        setfield(self, "src", src)
+        setfield(self, "op", op)
+        setfield(self, "dst", dst)
 
 
-@dataclass(frozen=True)
-class Acs:
-    states: tuple[str, ...]
-    procs: tuple[str, ...]
-    msgs: tuple[str, ...]
-    rules: tuple[AcsRule, ...]
+class Acs(Record):
+    # The instance dict holds the cached properties, outside equality.
+    __match_args__ = ("states", "procs", "msgs", "rules")
+    __slots__ = __match_args__ + ("__dict__",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, states: tuple[str, ...], procs: tuple[str, ...], msgs: tuple[str, ...],
+                 rules: tuple[AcsRule, ...]):
+        setfield(self, "states", states)
+        setfield(self, "procs", procs)
+        setfield(self, "msgs", msgs)
+        setfield(self, "rules", rules)
         for group in (self.states, self.procs, self.msgs):
             if len(set(group)) != len(group):
                 raise ValueError("duplicate declaration")
@@ -107,17 +117,17 @@ class Acs:
         return {pm: i for i, pm in enumerate(self.pairs)}
 
 
-@dataclass(frozen=True)
-class AcsPlace:
+class AcsPlace(Record):
     """Counter configuration: u counts processes per state, v counts
     messages per (process, message) mailbox slot."""
 
-    u: tuple[int, ...]
-    v: tuple[int, ...]
+    __slots__ = __match_args__ = ("u", "v")
 
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.u) or any(c < 0 for c in self.v):
+    def __init__(self, u: tuple[int, ...], v: tuple[int, ...]):
+        if any(c < 0 for c in u) or any(c < 0 for c in v):
             raise ValueError("negative counter")
+        setfield(self, "u", u)
+        setfield(self, "v", v)
 
 
 def acs_step(acs: Acs, place: AcsPlace, rule: AcsRule) -> AcsPlace | None:
@@ -150,14 +160,17 @@ def acs_successors(acs: Acs, place: AcsPlace) -> list[tuple[int, AcsPlace]]:
     return out
 
 
-@dataclass(frozen=True)
-class ConvertedBpp:
+class ConvertedBpp(Record):
     """Conversion result plus the name maps back into the actor system."""
 
-    acs: Acs
-    bpp: Bpp
-    in_symbol: dict[tuple[str, str], str]
-    out_symbol: dict[tuple[str, str], str]
+    __slots__ = __match_args__ = ("acs", "bpp", "in_symbol", "out_symbol")
+
+    def __init__(self, acs: Acs, bpp: Bpp, in_symbol: dict[tuple[str, str], str],
+                 out_symbol: dict[tuple[str, str], str]):
+        setfield(self, "acs", acs)
+        setfield(self, "bpp", bpp)
+        setfield(self, "in_symbol", in_symbol)
+        setfield(self, "out_symbol", out_symbol)
 
 
 def convert(acs: Acs) -> ConvertedBpp:
@@ -228,13 +241,15 @@ def mail_ref(proc: str, msg: str) -> MailRef:
     return ("mail", proc, msg)
 
 
-@dataclass(frozen=True)
-class PropertyAtom:
+class PropertyAtom(Record):
     """Pre-lift linear atom whose terms reference actor-level names."""
 
-    terms: tuple[tuple[NameRef | MailRef, int], ...]
-    cmp: Cmp
-    bound: int
+    __slots__ = __match_args__ = ("terms", "cmp", "bound")
+
+    def __init__(self, terms: tuple[tuple[NameRef | MailRef, int], ...], cmp: Cmp, bound: int):
+        setfield(self, "terms", terms)
+        setfield(self, "cmp", cmp)
+        setfield(self, "bound", bound)
 
 
 def lift_atom(

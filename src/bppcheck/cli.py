@@ -10,13 +10,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .acs import convert, convert_place
 from .ctl import FormulaClass, classify, desugar
-from .ef import check_ef_detailed
-from .eg import check_eg
 from .errors import (
     BppCheckError,
     MixedFormula,
@@ -25,7 +21,6 @@ from .errors import (
     SolverNotFound,
     SolverProtocolError,
 )
-from .oracle import to_dot
 from .parsing import parse_acs, parse_problem, parse_property
 from .smt import SmtScript, Verdict, resolve_solver
 
@@ -45,12 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
 class Report:
-    verdict: Verdict
-    total_ms: float
-    scripts: list[SmtScript] = field(default_factory=list)
-    source: str = ""
+    __slots__ = ("verdict", "total_ms", "scripts")
+
+    def __init__(self, verdict: Verdict, total_ms: float, scripts: list[SmtScript]):
+        self.verdict = verdict
+        self.total_ms = total_ms
+        self.scripts = scripts
 
 
 def build_parser() -> _Parser:
@@ -118,6 +114,8 @@ def _dispatch(opts) -> int:
         raise _UsageError("k must be >= 0")
     if opts.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
+    if not 0 < opts.timeout < float("inf"):  # also false for nan
+        raise _UsageError("--timeout must be a positive number of seconds")
 
     if opts.acs:
         if len(opts.inputs) != 2:
@@ -165,6 +163,8 @@ def _run_problem(path: str, opts) -> Report:
 
 
 def _run_acs(system_path: str, property_path: str, opts) -> Report:
+    from .acs import convert, convert_place
+
     acs, place = parse_acs(_read(system_path), source=system_path)
     cb = convert(acs)
     init = convert_place(cb, place)
@@ -179,27 +179,32 @@ def _check(bpp, init, formula, opts) -> Report:
     def capture(index: int, script: SmtScript) -> None:
         scripts.append(script)
 
-    core = desugar(formula)
-    start = time.perf_counter()
-    if opts.mode == "auto":
-        cls = classify(core)
-        if cls == FormulaClass.EF_CLASS:
-            verdict, _, _ = check_ef_detailed(bpp, init, formula, config, on_script=capture)
-        elif cls == FormulaClass.EG_CLASS:
-            verdict = check_eg(bpp, init, formula, opts.k, config, on_script=capture)
-        else:
+    # Only the engine this check runs is imported.
+    mode = opts.mode
+    if mode == "auto":
+        cls = classify(desugar(formula))
+        if cls == FormulaClass.MIXED:
             raise MixedFormula(
                 "formula mixes EF with EG/E<a>; no engine decides it exactly "
                 "(E<a> under EF is supported by the bounded engine via --mode eg "
                 "when the EF is dropped)"
             )
-    elif opts.mode == "ef":
-        verdict, _, _ = check_ef_detailed(bpp, init, formula, config, on_script=capture)
+        mode = "ef" if cls == FormulaClass.EF_CLASS else "eg"
+    if mode == "ef":
+        from .ef import check_ef
+
+        start = time.perf_counter()
+        verdict = check_ef(bpp, init, formula, config, on_script=capture)
     else:
+        from .eg import check_eg
+
+        start = time.perf_counter()
         verdict = check_eg(bpp, init, formula, opts.k, config, on_script=capture)
     total_ms = (time.perf_counter() - start) * 1000.0
 
     if opts.dot:
+        from .oracle import to_dot
+
         Path(opts.dot).write_text(to_dot(bpp, init), encoding="utf-8")
     if opts.emit_smt:
         _write_scripts(opts.emit_smt, scripts)

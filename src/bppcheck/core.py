@@ -9,7 +9,6 @@ source of truth for vector indices everywhere in the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -19,6 +18,7 @@ from .errors import (
     RuleNotEnabled,
     UnknownSymbol,
 )
+from .record import Record, setfield
 
 # Reserved action for rules written without a label. Only usable in a
 # formula when spelled out explicitly.
@@ -33,22 +33,26 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 Marking = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """One rewrite step: ``lhs -> action -> rhs`` with rhs a symbol multiset."""
 
-    rid: int
-    lhs: str
-    action: str
-    rhs: tuple[str, ...]
+    __slots__ = __match_args__ = ("rid", "lhs", "action", "rhs")
+
+    def __init__(self, rid: int, lhs: str, action: str, rhs: tuple[str, ...]):
+        setfield(self, "rid", rid)
+        setfield(self, "lhs", lhs)
+        setfield(self, "action", action)
+        setfield(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Bpp:
-    symbols: tuple[str, ...]
-    rules: tuple[Rule, ...]
+class Bpp(Record):
+    # The instance dict holds the cached properties, outside equality.
+    __match_args__ = ("symbols", "rules")
+    __slots__ = __match_args__ + ("__dict__",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, symbols: tuple[str, ...], rules: tuple[Rule, ...]):
+        setfield(self, "symbols", symbols)
+        setfield(self, "rules", rules)
         seen: set[str] = set()
         for name in self.symbols:
             if not _NAME_RE.match(name):

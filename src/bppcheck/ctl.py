@@ -9,11 +9,11 @@ ENext, EG, EF.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .core import Bpp, Marking
 from .errors import UnknownSymbol
+from .record import Record, setfield
 
 
 class Cmp(enum.Enum):
@@ -38,13 +38,15 @@ class Cmp(enum.Enum):
         return lhs != rhs
 
 
-@dataclass(frozen=True)
-class LinearAtom:
+class LinearAtom(Record):
     """Constraint  sum(coeff * count(symbol))  cmp  bound."""
 
-    terms: tuple[tuple[str, int], ...]
-    cmp: Cmp
-    bound: int
+    __slots__ = __match_args__ = ("terms", "cmp", "bound")
+
+    def __init__(self, terms: tuple[tuple[str, int], ...], cmp: Cmp, bound: int):
+        setfield(self, "terms", terms)
+        setfield(self, "cmp", cmp)
+        setfield(self, "bound", bound)
 
     def coeff_map(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -62,59 +64,72 @@ class LinearAtom:
         return self.cmp.holds(total, self.bound)
 
 
-@dataclass(frozen=True)
-class Atom:
-    atom: LinearAtom
+class Atom(Record):
+    __slots__ = __match_args__ = ("atom",)
+
+    def __init__(self, atom: LinearAtom):
+        setfield(self, "atom", atom)
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: "Formula"
+class _Unary(Record):
+    __slots__ = __match_args__ = ("sub",)
+
+    def __init__(self, sub: Formula):
+        setfield(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class _Binary(Record):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class _Next(Record):
+    __slots__ = __match_args__ = ("action", "sub")
+
+    def __init__(self, action: str, sub: Formula):
+        setfield(self, "action", action)
+        setfield(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+# The node types: each shares its shape's fields, and equality tells the
+# types apart (EG(p) != EF(p)).
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ENext:
-    action: str
-    sub: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ANext:
-    action: str
-    sub: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EG:
-    sub: "Formula"
+class Imp(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AF:
-    sub: "Formula"
+class ENext(_Next):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EF:
-    sub: "Formula"
+class ANext(_Next):
+    __slots__ = ()
+
+
+class EG(_Unary):
+    __slots__ = ()
+
+
+class AF(_Unary):
+    __slots__ = ()
+
+
+class EF(_Unary):
+    __slots__ = ()
 
 
 Formula = Union[Atom, Not, And, Or, Imp, ENext, ANext, EG, AF, EF]

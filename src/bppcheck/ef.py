@@ -11,7 +11,6 @@ checker itself does not call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import Bpp, Marking, fire
@@ -29,6 +28,7 @@ from .ctl import (
     eval_atomic,
 )
 from .errors import BudgetExceeded, MixedFormula, SolverProtocolError, UnknownSymbol
+from .record import Record, setfield
 from .smt import (
     Node,
     SolverConfig,
@@ -48,23 +48,27 @@ from .smt import (
 _CMP_TO_SMT = {"==": "=", "!=": "!=", ">=": ">=", "<=": "<=", ">": ">", "<": "<"}
 
 
-@dataclass(frozen=True)
-class EfVars:
+class EfVars(Record):
     """Variable naming: x_<sym> reached count, y_<i+1> firing count per rule
     (1-based, file order), z_<sym> derivation distance."""
 
-    x: dict[str, str]
-    y: dict[int, str]
-    z: dict[str, str]
+    __slots__ = __match_args__ = ("x", "y", "z")
+
+    def __init__(self, x: dict[str, str], y: dict[int, str], z: dict[str, str]):
+        setfield(self, "x", x)
+        setfield(self, "y", y)
+        setfield(self, "z", z)
 
     def ordered(self) -> tuple[str, ...]:
         return tuple(self.x.values()) + tuple(self.y.values()) + tuple(self.z.values())
 
 
-@dataclass(frozen=True)
-class ReachabilityEncoding:
-    vars: EfVars
-    constraints: tuple[Node, ...]
+class ReachabilityEncoding(Record):
+    __slots__ = __match_args__ = ("vars", "constraints")
+
+    def __init__(self, vars: EfVars, constraints: tuple[Node, ...]):
+        setfield(self, "vars", vars)
+        setfield(self, "constraints", constraints)
 
     @property
     def declarations(self) -> tuple[str, ...]:
@@ -167,22 +171,13 @@ def atoms_to_node(psi: Formula, name_of: dict[str, str]) -> Node:
     raise MixedFormula(f"EF body must be propositional over atoms, got {psi!r}")
 
 
-@dataclass
-class EfNodeResult:
-    """One EF node's solver call: the script sent and what came back. A sat
-    outcome's model has been checked against the encoding."""
-
-    script: SmtScript
-    outcome: SolverOutcome
-
-
 def check_ef_detailed(
     bpp: Bpp,
     init: Marking,
     f: Formula,
     config: SolverConfig,
     on_script: Callable[[int, SmtScript], None] | None = None,
-) -> tuple[Verdict, ReachabilityEncoding, list[EfNodeResult]]:
+) -> tuple[Verdict, ReachabilityEncoding, list[SolverOutcome]]:
     """Decide an EF-class formula at the initial marking.
 
     Atoms are evaluated directly on the initial marking; every EF node costs
@@ -197,20 +192,20 @@ def check_ef_detailed(
             "not an EF-class formula; EG/E<a> content belongs to the bounded engine"
         )
     enc = encode_reachability(bpp, init)
-    results: list[EfNodeResult] = []
+    outcomes: list[SolverOutcome] = []
 
     def solve_ef(psi: Formula) -> bool | None:
         body = atoms_to_node(psi, enc.vars.x)
         node = conj(list(enc.constraints) + [body])
         script = to_smtlib(node, enc.declarations)
         if on_script is not None:
-            on_script(len(results), script)
+            on_script(len(outcomes), script)
         outcome = run_solver(script, config)
         # Never trust model printing: the bindings must satisfy every
         # emitted constraint under the independent evaluator.
         if outcome.status == "sat" and not eval_node(node, outcome.model):
             raise SolverProtocolError("solver model does not satisfy the encoding")
-        results.append(EfNodeResult(script, outcome))
+        outcomes.append(outcome)
         if outcome.status == "sat":
             return True
         if outcome.status == "unsat":
@@ -235,15 +230,15 @@ def check_ef_detailed(
         raise MixedFormula(f"unexpected node in EF-class formula: {g!r}")
 
     value = ev(core)
-    witness = next((r.outcome.model for r in results if r.outcome.status == "sat"), None)
+    witness = next((o.model for o in outcomes if o.status == "sat"), None)
     stats = {
         "n_vars": len(enc.declarations),
-        "n_asserts": (len(enc.constraints) + 1) * max(1, len(results)),
-        **solver_stats([r.outcome for r in results], unknown=value is None),
+        "n_asserts": (len(enc.constraints) + 1) * max(1, len(outcomes)),
+        **solver_stats(outcomes, unknown=value is None),
     }
     result = "unknown" if value is None else ("holds" if value else "not-holds")
     verdict = Verdict(result=result, engine="ef", k=None, witness=witness, stats=stats)
-    return verdict, enc, results
+    return verdict, enc, outcomes
 
 
 def check_ef(

@@ -13,7 +13,6 @@ quantified.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .core import Bpp, Marking, Rule, rule_delta
@@ -201,11 +200,13 @@ def hoist_positive_exists(node: Node) -> tuple[Node, tuple[str, ...]]:
     return walk(node), tuple(declared)
 
 
-@dataclass
 class EgEncoding:
-    script: SmtScript
-    alloc: VarAllocator
-    declared: tuple[str, ...]
+    __slots__ = ("script", "alloc", "declared")
+
+    def __init__(self, script: SmtScript, alloc: VarAllocator, declared: tuple[str, ...]):
+        self.script = script
+        self.alloc = alloc
+        self.declared = declared
 
     @property
     def path_vars_declared(self) -> int:
@@ -269,7 +270,7 @@ def check_eg(
         return Verdict(result="unknown", engine="eg-bounded", k=k, stats=stats)
     if on_script is not None:
         on_script(0, enc.script)
-    left = replace(config, timeout_s=deadline - time.perf_counter())
+    left = SolverConfig(config.command, deadline - time.perf_counter())
     outcome = run_solver(enc.script, left)
     result = {"sat": "holds", "unsat": "not-holds"}.get(outcome.status, "unknown")
     stats = {

@@ -8,30 +8,32 @@ memoized recursion for the k-step semantics. Budgets make every call total.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, TypeVar
 
 from .core import Bpp, Marking, successors
 from .ctl import And, Atom, EG, ENext, Formula, Not, eval_propositional
+from .record import Record, setfield
 
 S = TypeVar("S", bound=Hashable)
 
 
-@dataclass(frozen=True)
-class ExplorationBudget:
-    max_states: int = 50_000
-    max_depth: int | None = None
+class ExplorationBudget(Record):
+    __slots__ = __match_args__ = ("max_states", "max_depth")
 
-    def __post_init__(self) -> None:
-        if self.max_states < 1:
+    def __init__(self, max_states: int = 50_000, max_depth: int | None = None):
+        if max_states < 1:
             raise ValueError("max_states must be >= 1")
+        setfield(self, "max_states", max_states)
+        setfield(self, "max_depth", max_depth)
 
 
-@dataclass(frozen=True)
-class OracleAnswer:
+class OracleAnswer(Record):
     """Either a definite boolean or the admission that the budget tripped."""
 
-    value: bool | None
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: bool | None):
+        setfield(self, "value", value)
 
     @classmethod
     def definitely(cls, value: bool) -> "OracleAnswer":

@@ -10,11 +10,8 @@ carries a 1-based line/column pointing at the first offending token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .acs import Acs, AcsPlace, AcsRule, ConvertedBpp, Nop, PropertyAtom, Recv, Send, Spawn
-from .acs import lift_formula, mail_ref, name_ref
 from .core import TAU, Bpp, Marking, Rule, parikh
 from .ctl import (
     AF,
@@ -32,6 +29,10 @@ from .ctl import (
     Or,
 )
 from .errors import ParseError
+from .record import Record, setfield
+
+if TYPE_CHECKING:
+    from .acs import Acs, AcsPlace, AcsRule, ConvertedBpp, PropertyAtom
 
 KEYWORDS = ("initial", "rules", "formula", "nil")
 UNARY_OPS = {"Neg": Not, "EG": EG, "AF": AF, "EF": EF}
@@ -45,12 +46,14 @@ CMP_TOKENS = {"==": Cmp.EQ, "!=": Cmp.NE, ">=": Cmp.GE, "<=": Cmp.LE, ">": Cmp.G
 MAX_FORMULA_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | number | punct | eof
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = __match_args__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        setfield(self, "kind", kind)  # ident | number | punct | eof
+        setfield(self, "text", text)
+        setfield(self, "line", line)
+        setfield(self, "col", col)
 
 
 _PUNCT = ("->", "==", "!=", ">=", "<=", "(", ")", ",", "*", "+", "-", ">", "<", ":", "!", "?")
@@ -162,12 +165,16 @@ class _Cursor:
         return text is None or tok.text == text
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    bpp: Bpp
-    initial: Marking
-    formula: Formula
-    source: str = field(default="", compare=False)
+class ProblemFile(Record):
+    # source lives in the instance dict, so equality ignores it.
+    __match_args__ = ("bpp", "initial", "formula")
+    __slots__ = __match_args__ + ("__dict__",)
+
+    def __init__(self, bpp: Bpp, initial: Marking, formula: Formula, source: str = ""):
+        setfield(self, "bpp", bpp)
+        setfield(self, "initial", initial)
+        setfield(self, "formula", formula)
+        setfield(self, "source", source)
 
 
 def _expect_var(cur: _Cursor, expected: str = "a symbol name") -> Token:
@@ -331,6 +338,8 @@ def parse_acs(text: str, source: str = "") -> tuple[Acs, AcsPlace]:
     ``rules`` with one transition per line, and a required ``init`` with
     ``state:count`` and ``(proc,msg):count`` entries (omitted entries are 0).
     """
+    from .acs import Acs, AcsPlace
+
     cur = _Cursor(tokenize(text))
 
     def ident_list(what: str) -> list[str]:
@@ -418,6 +427,8 @@ def _expect_acs_name(cur: _Cursor, what: str) -> str:
 
 
 def _parse_acs_rule(cur, rid: int, states: set, procs: set, msgs: set) -> AcsRule:
+    from .acs import AcsRule, Nop, Recv, Send, Spawn
+
     src_tok = cur.peek()
     src = _expect_acs_name(cur, "a declared state")
     if src not in states:
@@ -470,6 +481,8 @@ def parse_property(text: str, cb: ConvertedBpp, source: str = "") -> Formula:
     The formula grammar is the problem-file one; atoms may reference state
     names, converted in/out symbol names, and mailbox terms mail(p, m).
     """
+    from .acs import lift_formula
+
     cur = _Cursor(tokenize(text))
     tree = _parse_formula(cur, cb.bpp.actions, lambda: _parse_property_atom(cur, cb))
     if cur.peek().kind != "eof":
@@ -478,6 +491,8 @@ def parse_property(text: str, cb: ConvertedBpp, source: str = "") -> Formula:
 
 
 def _parse_property_atom(cur: _Cursor, cb: ConvertedBpp) -> PropertyAtom:
+    from .acs import PropertyAtom, mail_ref, name_ref
+
     terms: list = []
 
     def parse_mult(sign: int) -> None:

@@ -37,7 +37,7 @@ import time
 from collections import Counter
 
 from .omega import OmegaBudgetExceeded, omega_solve
-from ..sexpr import parse_all
+from ..sexpr import parse_all, render
 
 DEFAULT_STEP_BUDGET = 20_000_000
 
@@ -716,7 +716,8 @@ def _interpret(text: str, deadline: float | None) -> str:
         else:
             # Ignoring a command such as push or pop would answer later
             # checks about the wrong assertion set, so the script ends here.
-            script.outputs.append(f'(error "unsupported command {cmd}")')
+            head = render(cmd).replace('"', '""')
+            script.outputs.append(f'(error "unsupported command {head}")')
             break
     return "\n".join(script.outputs) + ("\n" if script.outputs else "")
 

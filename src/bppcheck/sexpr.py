@@ -68,3 +68,27 @@ def parse_all(text: str) -> list:
     if open_lists:
         raise SolverProtocolError("unbalanced parenthesis")
     return forms
+
+
+_CLOSE = object()
+
+
+def render(form) -> str:
+    """Print a parsed form back as text, with an explicit stack like
+    ``parse_all``."""
+    parts: list[str] = []
+    stack = [form]
+    while stack:
+        item = stack.pop()
+        if item is _CLOSE:
+            parts.append(")")
+            continue
+        if parts and parts[-1] != "(":
+            parts.append(" ")
+        if isinstance(item, list):
+            parts.append("(")
+            stack.append(_CLOSE)
+            stack.extend(reversed(item))
+        else:
+            parts.append(item)
+    return "".join(parts)

@@ -12,11 +12,9 @@ the text on stdin and is killed at the timeout plus ``KILL_GRACE_S``.
 from __future__ import annotations
 
 import os
-import shlex
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field
 
 from ..errors import (
     MissingBinding,
@@ -25,8 +23,9 @@ from ..errors import (
     SolverNotFound,
     SolverProtocolError,
 )
-from .script import SmtScript
+from ..record import Record, setfield
 from ..sexpr import parse_all
+from .script import SmtScript
 
 #: Extra time a child gets to die after its budget, before we report anyway.
 KILL_GRACE_S = 2.0
@@ -38,23 +37,29 @@ ENV_SOLVER = "BPPCHECK_SOLVER"
 BUNDLED_COMMAND = (sys.executable, "-m", "bppcheck.refsolver")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    command: tuple[str, ...]
-    timeout_s: float = 60.0
+class SolverConfig(Record):
+    __slots__ = __match_args__ = ("command", "timeout_s")
+
+    def __init__(self, command: tuple[str, ...], timeout_s: float = 60.0):
+        setfield(self, "command", command)
+        setfield(self, "timeout_s", timeout_s)
 
 
-@dataclass(frozen=True)
-class SolverOutcome:
+class SolverOutcome(Record):
     """One solver call: verdict, model, the call's wall time (in process for
     the bundled solver, spawn to exit for a child), and what the solver said
     about itself through get-info."""
 
-    status: str  # sat | unsat | unknown
-    model: dict[str, int] | None
-    wall_ms: float
-    reason_unknown: str | None = None
-    statistics: dict[str, int | float] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("status", "model", "wall_ms", "reason_unknown", "statistics")
+
+    def __init__(self, status: str, model: dict[str, int] | None, wall_ms: float,
+                 reason_unknown: str | None = None,
+                 statistics: dict[str, int | float] | None = None):
+        setfield(self, "status", status)  # sat | unsat | unknown
+        setfield(self, "model", model)
+        setfield(self, "wall_ms", wall_ms)
+        setfield(self, "reason_unknown", reason_unknown)
+        setfield(self, "statistics", {} if statistics is None else statistics)
 
     @property
     def solve_ms(self) -> float:
@@ -63,15 +68,19 @@ class SolverOutcome:
         return self.wall_ms if seconds is None else seconds * 1000.0
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Decoded check result: what holds, which engine said so, and how."""
 
-    result: str  # holds | not-holds | unknown
-    engine: str  # ef | eg-bounded
-    k: int | None = None
-    witness: dict[str, int] | None = None
-    stats: dict[str, int | float | str] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("result", "engine", "k", "witness", "stats")
+
+    def __init__(self, result: str, engine: str, k: int | None = None,
+                 witness: dict[str, int] | None = None,
+                 stats: dict[str, int | float | str] | None = None):
+        setfield(self, "result", result)  # holds | not-holds | unknown
+        setfield(self, "engine", engine)  # ef | eg-bounded
+        setfield(self, "k", k)
+        setfield(self, "witness", witness)
+        setfield(self, "stats", {} if stats is None else stats)
 
     def exit_code(self) -> int:
         return {"holds": 0, "not-holds": 1}.get(self.result, 2)
@@ -88,6 +97,8 @@ def resolve_solver(command_line: str | None = None, timeout_s: float = 60.0) -> 
     BPPCHECK_SOLVER environment variable, or the built-in default."""
     source = command_line or os.environ.get(ENV_SOLVER)
     if source:
+        import shlex
+
         parts = tuple(shlex.split(source))
         if not parts:
             raise SolverNotFound(source)

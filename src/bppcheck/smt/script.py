@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
 from ..errors import IllFormedFormula
+from ..record import Record, setfield
 from .terms import Node, free_vars, has_quantifier, to_sexpr
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -14,8 +13,7 @@ QF_LOGIC = "QF_LIA"
 QUANTIFIED_LOGIC = "LIA"
 
 
-@dataclass(frozen=True)
-class SmtScript:
+class SmtScript(Record):
     """One self-contained SMT-LIB2 script.
 
     ``text`` is exactly what the solver gets, on stdin or in process; the
@@ -23,10 +21,13 @@ class SmtScript:
     for a child), not part of the script.
     """
 
-    logic: str
-    declarations: tuple[str, ...]
-    text: str
-    produce_models: bool
+    __slots__ = __match_args__ = ("logic", "declarations", "text", "produce_models")
+
+    def __init__(self, logic: str, declarations: tuple[str, ...], text: str, produce_models: bool):
+        setfield(self, "logic", logic)
+        setfield(self, "declarations", declarations)
+        setfield(self, "text", text)
+        setfield(self, "produce_models", produce_models)
 
     @property
     def n_vars(self) -> int:

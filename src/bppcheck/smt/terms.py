@@ -8,10 +8,10 @@ trees render to identical bytes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from ..errors import IllFormedFormula
+from ..record import Record, setfield
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -19,54 +19,64 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 OPS = (">=", "<=", ">", "<", "=", "!=")
 
 
-@dataclass(frozen=True)
-class BoolConst:
-    value: bool
+class BoolConst(Record):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: bool):
+        setfield(self, "value", value)
 
 
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
-class Lin:
+class Lin(Record):
     """sum(coeff * var)  op  bound."""
 
-    terms: tuple[tuple[str, int], ...]
-    op: str
-    bound: int
+    __slots__ = __match_args__ = ("terms", "op", "bound")
 
-    def __post_init__(self) -> None:
-        if self.op not in OPS:
-            raise IllFormedFormula(f"bad comparison {self.op!r}")
-        for name, coeff in self.terms:
+    def __init__(self, terms: tuple[tuple[str, int], ...], op: str, bound: int):
+        if op not in OPS:
+            raise IllFormedFormula(f"bad comparison {op!r}")
+        for name, coeff in terms:
             if not _NAME_RE.match(name):
                 raise IllFormedFormula(f"bad variable name {name!r}")
             if not isinstance(coeff, int):
                 raise IllFormedFormula(f"non-integer coefficient for {name!r}")
-        if not isinstance(self.bound, int):
+        if not isinstance(bound, int):
             raise IllFormedFormula("non-integer bound")
+        setfield(self, "terms", terms)
+        setfield(self, "op", op)
+        setfield(self, "bound", bound)
 
 
-@dataclass(frozen=True)
-class NotF:
-    sub: "Node"
+class NotF(Record):
+    __slots__ = __match_args__ = ("sub",)
+
+    def __init__(self, sub: "Node"):
+        setfield(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class AndF:
-    items: tuple["Node", ...]
+class AndF(Record):
+    __slots__ = __match_args__ = ("items",)
+
+    def __init__(self, items: tuple["Node", ...]):
+        setfield(self, "items", items)
 
 
-@dataclass(frozen=True)
-class OrF:
-    items: tuple["Node", ...]
+class OrF(Record):
+    __slots__ = __match_args__ = ("items",)
+
+    def __init__(self, items: tuple["Node", ...]):
+        setfield(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Exists:
-    names: tuple[str, ...]
-    body: "Node"
+class Exists(Record):
+    __slots__ = __match_args__ = ("names", "body")
+
+    def __init__(self, names: tuple[str, ...], body: "Node"):
+        setfield(self, "names", names)
+        setfield(self, "body", body)
 
 
 Node = Union[BoolConst, Lin, NotF, AndF, OrF, Exists]

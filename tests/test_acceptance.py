@@ -80,7 +80,7 @@ class TestCriterion1FigureRegression:
             problem.bpp, problem.initial, problem.formula, SOLVER
         )
         assert verdict.result == "holds"
-        model = results[0].outcome.model
+        model = results[0].model
 
         # Independent re-evaluation of the flow equation per symbol:
         # init(P) + sum_r y_r*rhs_r(P) - sum_{lhs(r)=P} y_r = x_P.
@@ -144,7 +144,7 @@ class TestCriterion3EfDifferential:
                 assert (verdict.result == "holds") == expected.value, (i, bpp, init, psi)
                 definite += 1
             if verdict.result == "holds":
-                model = results[0].outcome.model
+                model = results[0].model
                 counts = model_firing_counts(enc.vars, model)
                 try:
                     sequence = realize_firing_counts(bpp, init, counts)

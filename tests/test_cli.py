@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from bppcheck.cli import main
 from bppcheck.parsing import MAX_FORMULA_DEPTH
 from bppcheck.smt.runner import KILL_GRACE_S
@@ -95,6 +97,17 @@ class TestExitCodes:
         code, _, err = run(capsys, DATA / "pingpong.acs", "--acs")
         assert code == 3
         assert "usage error" in err
+
+    @pytest.mark.parametrize("solver", [None, "command"])
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_timeout_not_positive_is_usage_error(self, capsys, timeout, solver):
+        # In process and through a solver command alike: no verdict, no
+        # traceback, and exit 3.
+        extra = () if solver is None else ("--solver", f'"{sys.executable}" -m bppcheck.refsolver')
+        code, out, err = run(capsys, DATA / "reach.bpp", "--timeout", timeout, *extra)
+        assert code == 3
+        assert out == ""
+        assert "usage error: --timeout must be a positive number" in err
 
     def test_missing_file_is_environment_error(self, capsys):
         code, _, err = run(capsys, "definitely-missing.bpp")

@@ -173,7 +173,7 @@ class TestDifferential:
                 assert got == expected.value, (bpp, init, psi)
                 compared += 1
             if verdict.result == "holds":
-                model = results[0].outcome.model
+                model = results[0].model
                 counts = model_firing_counts(enc.vars, model)
                 seq = realize_firing_counts(bpp, init, counts)
                 assert seq is not None, (bpp, init, counts)

@@ -1,5 +1,6 @@
-"""Package layout: the bundled solver child loads only its own modules, and
-every demo runs against the package as laid out in this checkout."""
+"""Package layout: the bundled solver child loads only its own modules, a
+check loads only the engine it runs, and every demo runs against the
+package as laid out in this checkout."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -35,6 +37,30 @@ def test_solver_child_imports_only_itself():
         "bppcheck.refsolver.omega",
         "bppcheck.sexpr",
     ]
+
+
+@pytest.mark.parametrize("args, unused", [
+    ([DATA / "reach.bpp"], {"acs", "eg", "oracle"}),
+    ([DATA / "liveness.bpp"], {"ef", "acs", "oracle"}),
+    ([DATA / "pingpong.acs", DATA / "q0_twice.prop", "--acs"], {"eg", "oracle"}),
+], ids=["ef", "eg", "acs"])
+def test_check_loads_only_its_engine(args, unused):
+    # Every module a check imports adds to each start, and creating a
+    # dataclass costs about a millisecond, so the package uses neither.
+    proc = run_fresh(
+        "-c",
+        "import contextlib, io, sys\n"
+        "from bppcheck import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({[str(a) for a in args]!r})\n"
+        "print(code, *sorted(sys.modules))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    assert code in ("0", "1")
+    loaded = {m.split(".", 1)[1] for m in modules if m.startswith("bppcheck.")}
+    assert loaded & unused == set()
+    assert {"dataclasses", "inspect"}.isdisjoint(modules)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

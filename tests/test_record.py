@@ -1,0 +1,77 @@
+"""Value semantics of the package's records: equal fields and the same type
+make equal, equally hashed records; hashed records cannot be changed."""
+
+import pickle
+
+import pytest
+
+from bppcheck.acs import Recv, Send
+from bppcheck.core import Bpp, Rule
+from bppcheck.ctl import AF, EF, EG, And, Atom, Cmp, Imp, LinearAtom, Not, Or
+from bppcheck.parsing import ProblemFile, parse_problem
+from bppcheck.smt import AndF, OrF, lin
+
+P = Atom(LinearAtom((("X", 1),), Cmp.GE, 1))
+Q = Atom(LinearAtom((("Y", 2),), Cmp.LT, 3))
+
+
+def test_equal_nodes_are_equal_and_hash_equal():
+    a, b = And(EG(P), Not(Q)), And(EG(P), Not(Q))
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, And(EG(P), Not(P))}) == 2
+
+
+@pytest.mark.parametrize("family", [
+    [EG(P), EF(P), AF(P), Not(P)],
+    [And(P, Q), Or(P, Q), Imp(P, Q)],
+    [AndF((lin([("x", 1)], ">=", 0),)), OrF((lin([("x", 1)], ">=", 0),))],
+    [Send("p", "m"), Recv("p", "m")],
+])
+def test_same_fields_different_types_are_unequal(family):
+    for i, left in enumerate(family):
+        for right in family[i + 1:]:
+            assert left != right
+            assert not left == right
+
+
+@pytest.mark.parametrize("record, field", [
+    (EG(P), "sub"),
+    (P.atom, "bound"),
+    (Rule(0, "X", "a", ()), "rhs"),
+    (lin([("x", 1)], ">=", 0), "op"),
+    (Bpp(("X",), ()), "symbols"),
+])
+def test_assigning_a_field_of_a_hashed_record_raises(record, field):
+    before = hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert hash(record) == before
+
+
+def test_cached_properties_stay_outside_equality():
+    rules = (Rule(0, "X", "a", ("Y",)),)
+    warm, cold = Bpp(("X", "Y"), rules), Bpp(("X", "Y"), rules)
+    assert warm.index == {"X": 0, "Y": 1}
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+
+
+def test_problem_file_equality_ignores_source():
+    text = "initial X rules X -> Y formula EF(Y >= 1)\n"
+    one, two = parse_problem(text, source="one.bpp"), parse_problem(text, source="two.bpp")
+    assert (one.source, two.source) == ("one.bpp", "two.bpp")
+    assert one == two
+    assert hash(one) == hash(two)
+    assert one != ProblemFile(one.bpp, (0, 1), one.formula, source="one.bpp")
+
+
+def test_records_pickle_round_trip():
+    problem = parse_problem("initial X rules X -> Y formula EF(Y >= 1)\n", source="p.bpp")
+    copy = pickle.loads(pickle.dumps(problem))
+    assert copy == problem
+    assert copy.source == "p.bpp"
+    assert copy.bpp.index == {"X": 0, "Y": 1}

@@ -15,6 +15,7 @@ from bppcheck.oracle import eval_bounded
 from bppcheck.parsing import parse_problem
 from bppcheck.refsolver import _Engine, solve_text
 from bppcheck.refsolver.omega import omega_solve
+from bppcheck.sexpr import parse_all
 
 from .conftest import pipe_driver, random_atom, random_marking
 
@@ -234,6 +235,20 @@ class TestScripts:
             """
         )
         assert out == ['(error "unsupported command push")']
+
+    @pytest.mark.parametrize("script, message", [
+        ('("a b")', '"unsupported command ""a b"""'),
+        ("((a))", '"unsupported command (a)"'),
+        ('((a "x") b)', '"unsupported command (a ""x"")"'),
+    ])
+    def test_unsupported_head_is_an_smtlib_string(self, script, message):
+        # The head is printed as an s-expression with its quotes doubled, so
+        # a client reading the pipe gets one well-formed error form.
+        expected = [["error", message]]
+        assert parse_all(solve_text(script)) == expected
+        proc = pipe_driver(script)
+        assert proc.returncode == 0
+        assert parse_all(proc.stdout) == expected
 
     @pytest.mark.parametrize("script, command", [
         ("(assert)", "assert"),
