@@ -18,7 +18,7 @@ and hands conjunctions of literals to the Omega test. Propagation is
 incremental: each search level looks again only at the goals its branch
 added and at those that mention a variable pinned since they were last
 looked at (the watched-literal idea of Chaff, Moskewicz et al., DAC 2001).
-The search enters a child in one place, ``_children``: one child per live
+The search is one loop over a stack of choice points: one child per live
 disjunct of a disjunction, or per value of a variable when only quantified
 goals are left; an exhausted complete choice memoizes the residual problem
 as failed. Quantified subformulas once ground, and goals whose unpinned
@@ -42,8 +42,8 @@ from ..sexpr import parse_all, render
 DEFAULT_STEP_BUDGET = 20_000_000
 
 #: Python stack depth allowed while a script is read and solved. The search
-#: recurses once per branching level (about two per step of a bounded EG
-#: unrolling) and the formula builder once per nesting level; input deeper
+#: and the Omega test are loops; the formula builder recurses once per nesting
+#: level and a nested sub-solve once per quantifier level, and input deeper
 #: than this answers unknown with reason ``recursion depth exceeded``.
 RECURSION_LIMIT = 20_000
 
@@ -389,80 +389,104 @@ class _Engine:
             entries.add(ids.setdefault((id(node), self._pinned(node, subst)), len(ids)))
         return tuple(sorted(entries))
 
-    def _search(self, evars, lits, pending, subst, lit_from=0, pend_from=0, pinned=()):
-        """Propagate, then decide: Omega on a pure conjunction, else branch.
+    def _search(self, evars, lits, pending, subst):
+        """Depth-first search, one loop over a stack of choice points.
 
-        The caller's items before lit_from / pend_from are at fixpoint up to
-        the variables in ``pinned``; see _propagate.
-        """
-        self._propagate(evars, lits, pending, subst, lit_from, pend_from, pinned)
-
-        if not pending:
-            witness = {}
-            if lits:
-                self.omega_calls += 1
-                try:
-                    witness = omega_solve(lits, deadline=self.deadline)
-                except OmegaBudgetExceeded as exc:
-                    raise RefsolverUnknown(str(exc)) from None
-                if witness is None:
-                    raise _Fail()
-            return {**{v: subst.get(v, 0) for v in evars}, **witness}
-
-        key = self._residual_key(lits, pending, subst)
-        if key in self.failed:
-            self.memo_hits += 1
-            raise _Fail()
-
-        # Branch on the disjunction with the fewest unpinned variables: the
-        # most-determined goal first, which follows chained equalities in the
-        # order they pin each other instead of guessing ahead.
-        branch = None
-        branch_unpinned = None
-        for node in pending:
-            if node[0] != "or":
-                continue
-            unpinned = sum(1 for v in self.frees.of(node) if v not in subst)
-            if branch is None or unpinned < branch_unpinned:
-                branch, branch_unpinned = node, unpinned
-                if unpinned == 0:
-                    break
-        if branch is None:
-            return self._branch_on_values(evars, lits, pending, subst, key)
-
-        rest = [node for node in pending if node is not branch]
-
-        def descend(choice):
-            c_evars, c_lits, c_pending, c_subst = list(evars), list(lits), list(rest), dict(subst)
-            self._push_into(choice, c_evars, c_lits, c_pending, c_subst)
-            return self._search(c_evars, c_lits, c_pending, c_subst, len(lits), len(rest))
-
-        return self._children(self._live(branch, subst), descend, key, complete=True)
-
-    def _children(self, options, descend, key, complete: bool):
-        """The one step into a child: charge and count a branch per option
-        and return the first witness descend(option) finds. A failed child
-        moves on to the next option; so does an undecided one, whose reason
-        is raised once no sibling answers sat. When every child failed, the
+        A node is propagated, then decided: Omega on a pure conjunction, else
+        it pushes a choice point ``[options, parent, var, key, complete,
+        undecided]``. Each option is charged and counted as a branch, then its
+        child is a copy of the parent ``(evars, lits, pending, subst)`` with
+        the option as a goal or, for a ``var``, as its value. A failed child
+        moves on to the next option; so does an undecided one, whose reason is
+        raised once no sibling answers sat. When every child failed, the
         residual problem is memoized as failed if the options were complete
         (all disjuncts, a boxed range); a probe window is not, and ends in
-        unknown."""
-        undecided = None
-        for option in options:
-            self.charge()
-            self.branches += 1
+        unknown. A child's items before lit_from / pend_from are at fixpoint
+        up to the variables in pinned; see _propagate.
+        """
+        stack: list[list] = []
+        point = None  # the choice point whose option is entered; None: the root
+        lit_from = pend_from = 0
+        pinned = ()
+        while True:
+            outcome = None  # why the node was undecided; None when it failed
             try:
-                return descend(option)
+                if point is not None:
+                    (p_evars, p_lits, p_pending, p_subst), var = point[1], point[2]
+                    evars, lits, pending, subst = list(p_evars), list(p_lits), list(p_pending), dict(p_subst)
+                    lit_from, pend_from = len(p_lits), len(p_pending)
+                    if var is None:
+                        pinned = ()
+                        self._push_into(option, evars, lits, pending, subst)
+                    else:
+                        subst[var] = option
+                        pinned = (var,)
+                self._propagate(evars, lits, pending, subst, lit_from, pend_from, pinned)
+
+                if not pending:
+                    witness = {}
+                    if lits:
+                        self.omega_calls += 1
+                        try:
+                            witness = omega_solve(lits, deadline=self.deadline)
+                        except OmegaBudgetExceeded as exc:
+                            raise RefsolverUnknown(str(exc)) from None
+                        if witness is None:
+                            raise _Fail()
+                    return {**{v: subst.get(v, 0) for v in evars}, **witness}
+
+                key = self._residual_key(lits, pending, subst)
+                if key in self.failed:
+                    self.memo_hits += 1
+                    raise _Fail()
+
+                # Branch on the disjunction with the fewest unpinned variables:
+                # the most-determined goal first, which follows chained
+                # equalities in the order they pin each other instead of
+                # guessing ahead.
+                branch = None
+                branch_unpinned = None
+                for node in pending:
+                    if node[0] != "or":
+                        continue
+                    unpinned = sum(1 for v in self.frees.of(node) if v not in subst)
+                    if branch is None or unpinned < branch_unpinned:
+                        branch, branch_unpinned = node, unpinned
+                        if unpinned == 0:
+                            break
+                if branch is None:
+                    stack.append(self._branch_on_values(evars, lits, pending, subst, key))
+                else:
+                    rest = [node for node in pending if node is not branch]
+                    stack.append([iter(self._live(branch, subst)), (evars, lits, rest, subst),
+                                  None, key, True, None])
             except _Fail:
-                continue
+                pass
             except RefsolverUnknown as exc:
-                undecided = undecided or exc
-        if undecided is not None:
-            raise RefsolverUnknown(str(undecided))
-        if not complete:
-            raise RefsolverUnknown("probe window exhausted")
-        self.failed.add(key)
-        raise _Fail()
+                outcome = str(exc)
+
+            # Enter the next option of the innermost choice point that has one.
+            # A point that is exhausted, or past the budget or the deadline,
+            # is popped and reports to the point below it.
+            while True:
+                if not stack:
+                    raise _Fail() if outcome is None else RefsolverUnknown(outcome)
+                point = stack[-1]
+                point[5] = point[5] or outcome
+                option = next(point[0], None)
+                try:
+                    if option is not None:
+                        self.charge()
+                        self.branches += 1
+                        break
+                    outcome = point[5]
+                    if outcome is None and not point[4]:
+                        outcome = "probe window exhausted"
+                    elif outcome is None:
+                        self.failed.add(point[3])
+                except RefsolverUnknown as exc:
+                    outcome = str(exc)
+                stack.pop()
 
     #: Probe width for quantified free variables bounded on one side only;
     #: finding a witness inside the window is sound, exhausting it is not,
@@ -470,10 +494,10 @@ class _Engine:
     PROBE_WIDTH = 32
 
     def _branch_on_values(self, evars, lits, pending, subst, key):
-        """Last resort for quantified goals with unpinned free variables:
-        enumerate a variable the current literals box into a finite interval
-        (complete), or probe a window when only one side is bounded (sat
-        only). Anything else stays undecided."""
+        """Last resort for quantified goals with unpinned free variables: a
+        choice point over the values of a variable the current literals box
+        into a finite interval (complete), or over a probe window when only
+        one side is bounded (sat only). Anything else stays undecided."""
         candidates: set[str] = set()
         for node in pending:
             candidates |= self.frees.of(node).difference(subst)
@@ -509,13 +533,7 @@ class _Engine:
             raise RefsolverUnknown("non-ground quantified subformula")
         var, lo, hi = boxed or half
 
-        def descend(value):
-            return self._search(
-                list(evars), list(lits), list(pending), {**subst, var: value},
-                len(lits), len(pending), (var,),
-            )
-
-        return self._children(range(lo, hi + 1), descend, key, complete=boxed is not None)
+        return [iter(range(lo, hi + 1)), (evars, lits, pending, subst), var, key, boxed is not None, None]
 
 
 # ---------------------------------------------------------------------------

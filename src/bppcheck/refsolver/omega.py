@@ -7,6 +7,11 @@ coefficient is 1, and dark-shadow plus splinter enumeration otherwise.
 Everything is arbitrary-precision integer arithmetic; a found witness is
 re-checked against the input before being returned.
 
+The eliminations run as one loop: each step turns the problem into the
+next and records how to recover the eliminated variable; splinters wait on
+a LIFO stack. Rows stay tight (nonzero, coprime coefficients), so a step
+tightens only the rows it rewrites or creates.
+
 Literals are ``(kind, coeffs, const)`` with kind ``'ge'`` or ``'eq'``,
 meaning ``sum(coeffs[v] * v) + const >= 0`` (or ``== 0``).
 """
@@ -14,6 +19,7 @@ meaning ``sum(coeffs[v] * v) + const >= 0`` (or ``== 0``).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from math import gcd
 
 Lit = tuple[str, dict[str, int], int]
@@ -23,53 +29,37 @@ class OmegaBudgetExceeded(Exception):
     """The step budget or the deadline ran out; the message says which."""
 
 
-class _Infeasible(Exception):
-    pass
-
-
-def _tighten(kind: str, coeffs: dict[str, int], const: int) -> Lit | bool:
-    """Normalize one literal; returns True/False when it became ground."""
+def _put(out: list[Lit], kind: str, coeffs: dict[str, int], const: int) -> bool:
+    """Append the tightened literal to out, or drop it when it is ground
+    true; False when it is ground false."""
     coeffs = {v: c for v, c in coeffs.items() if c != 0}
     if not coeffs:
         return const == 0 if kind == "eq" else const >= 0
-    g = 0
-    for c in coeffs.values():
-        g = gcd(g, abs(c))
+    g = gcd(*coeffs.values())
     if g > 1:
-        if kind == "eq":
-            if const % g != 0:
-                return False
-            const //= g
-        else:
-            const //= g  # floor division tightens: S >= ceil(-k/g)
+        if kind == "eq" and const % g != 0:
+            return False
+        const //= g  # floor division tightens an inequality: S >= ceil(-k/g)
         coeffs = {v: c // g for v, c in coeffs.items()}
-    return (kind, coeffs, const)
+    out.append((kind, coeffs, const))
+    return True
 
 
-def _normalize(lits: list[Lit]) -> list[Lit]:
-    out = []
-    for kind, coeffs, const in lits:
-        t = _tighten(kind, dict(coeffs), const)
-        if t is True:
-            continue
-        if t is False:
-            raise _Infeasible()
-        out.append(t)
-    return out
-
-
-def _subst(lits: list[Lit], var: str, expr: dict[str, int], expr_const: int) -> list[Lit]:
-    """Replace var by the linear expression in every literal."""
-    out = []
-    for kind, coeffs, const in lits:
+def _subst(lits: list[Lit], var: str, expr: dict[str, int], expr_const: int) -> list[Lit] | None:
+    """Replace var by the linear expression in every literal, tightening the
+    rewritten ones; None when one of them became false."""
+    out: list[Lit] = []
+    for lit in lits:
+        kind, coeffs, const = lit
         c = coeffs.get(var)
         if c is None:
-            out.append((kind, coeffs, const))
+            out.append(lit)
             continue
         merged = {v: k for v, k in coeffs.items() if v != var}
         for v, k in expr.items():
             merged[v] = merged.get(v, 0) + c * k
-        out.append((kind, merged, const + c * expr_const))
+        if not _put(out, kind, merged, const + c * expr_const):
+            return None
     return out
 
 
@@ -84,8 +74,21 @@ def _sticky_eval(expr: dict[str, int], const: int, witness: dict[str, int]) -> i
     return total
 
 
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
+def _pick(los, ups, witness: dict[str, int]) -> int:
+    """The largest lower bound ``a*var >= expr + k`` (los) under the witness,
+    else the smallest upper bound ``b*var <= expr + k`` (ups), else 0. Every
+    bound is evaluated, so the defaults it records do not depend on which."""
+    lo_val = None
+    for a, expr, k0 in los:
+        v = -(-_sticky_eval(expr, k0, witness) // a)
+        lo_val = v if lo_val is None else max(lo_val, v)
+    hi_val = None
+    for b, expr, k0 in ups:
+        v = _sticky_eval(expr, k0, witness) // b
+        hi_val = v if hi_val is None else min(hi_val, v)
+    if lo_val is not None:
+        return lo_val
+    return 0 if hi_val is None else hi_val
 
 
 class _Solver:
@@ -95,8 +98,8 @@ class _Solver:
         self.steps = 0
         self.fresh = 0
 
-    def charge(self) -> None:
-        self.steps += 1
+    def charge(self, units: int = 1) -> None:
+        self.steps += units
         if self.steps > self.budget:
             raise OmegaBudgetExceeded("omega budget exhausted")
         if self.deadline is not None and time.perf_counter() >= self.deadline:
@@ -106,44 +109,56 @@ class _Solver:
         self.fresh += 1
         return f"@o{self.fresh}"
 
-    def solve(self, lits: list[Lit]) -> dict[str, int] | None:
-        self.charge()
-        try:
-            lits = _normalize(lits)
-        except _Infeasible:
-            return None
-        if not lits:
-            return {}
-
-        eqs = [ln for ln in lits if ln[0] == "eq"]
-        if eqs:
+    def solve(self, lits: list[Lit] | None) -> dict[str, int] | None:
+        """Witness for tight rows (None: infeasible), or None. Each loop turn
+        is one sub-problem, charged once. Back-substitutions ``(var, los,
+        ups)`` for ``_pick`` run in reverse on success. A failed problem moves
+        on to the latest splinter left, undoing what was recorded after it."""
+        undo: list[tuple] = []
+        splinters: list[tuple] = []  # (splinter rows, their base rows, len(undo) there)
+        while True:
+            self.charge()
+            if lits is None:
+                while splinters:
+                    rows, base, depth = splinters[-1]
+                    row = next(rows, None)
+                    if row is not None:
+                        break
+                    splinters.pop()
+                else:
+                    return None
+                del undo[depth:]
+                lits = list(base)
+                if not _put(lits, *row):
+                    lits = None
+                continue
+            if not lits:
+                witness: dict[str, int] = {}
+                for var, los, ups in reversed(undo):
+                    witness[var] = _pick(los, ups, witness)
+                return witness
             # Prefer an equality with a unit coefficient; the modulus trick
             # appends one, so this choice is what makes it terminate.
-            chosen = next(
-                (ln for ln in eqs if any(abs(c) == 1 for c in ln[1].values())),
-                eqs[0],
-            )
-            return self._eliminate_eq(lits, chosen)
-        return self._eliminate_ineq(lits)
+            eqs = [ln for ln in lits if ln[0] == "eq"]
+            if eqs:
+                chosen = next(
+                    (ln for ln in eqs if any(abs(c) == 1 for c in ln[1].values())),
+                    eqs[0],
+                )
+                lits = self._eliminate_eq(lits, chosen, undo)
+            else:
+                lits = self._eliminate_ineq(lits, undo, splinters)
 
-    def _eliminate_eq(self, lits: list[Lit], eq: Lit) -> dict[str, int] | None:
+    def _eliminate_eq(self, lits: list[Lit], eq: Lit, undo: list) -> list[Lit] | None:
         _, coeffs, const = eq
-        unit = None
-        for v, c in coeffs.items():
-            if abs(c) == 1:
-                unit = v
-                break
+        unit = next((v for v, c in coeffs.items() if abs(c) == 1), None)
         if unit is not None:
             c = coeffs[unit]
             # c*unit + R + const = 0  =>  unit = -(R + const)/c
             expr = {v: -k // c for v, k in coeffs.items() if v != unit}
             expr_const = -const // c
-            rest = [ln for ln in lits if ln is not eq]
-            witness = self.solve(_subst(rest, unit, expr, expr_const))
-            if witness is None:
-                return None
-            witness[unit] = _sticky_eval(expr, expr_const, witness)
-            return witness
+            undo.append((unit, [(1, expr, expr_const)], []))
+            return _subst([ln for ln in lits if ln is not eq], unit, expr, expr_const)
 
         # No unit coefficient: introduce the symmetric-modulus equation,
         # which has a unit coefficient on the chosen variable.
@@ -154,109 +169,72 @@ class _Solver:
             r = a % m
             return r - m if r > m - r else r
 
-        sigma = self.fresh_var()
         new_coeffs = {v: modhat(c) for v, c in coeffs.items()}
-        new_coeffs[sigma] = -m
-        new_eq: Lit = ("eq", new_coeffs, modhat(const))
+        new_coeffs[self.fresh_var()] = -m
         # modhat(coeffs[var]) is -sign(coeffs[var]), a unit.
-        return self.solve(lits + [new_eq])
+        out = list(lits)
+        return out if _put(out, "eq", new_coeffs, modhat(const)) else None
 
-    def _eliminate_ineq(self, lits: list[Lit]) -> dict[str, int] | None:
+    def _eliminate_ineq(self, lits: list[Lit], undo: list, splinters: list) -> list[Lit] | None:
         # Choose the variable with the cheapest lower*upper pairing.
-        occurrences: dict[str, tuple[int, int]] = {}
+        lower, upper = Counter(), Counter()
         for _, coeffs, _k in lits:
             for v, c in coeffs.items():
-                lo, hi = occurrences.get(v, (0, 0))
-                if c > 0:
-                    lo += 1
-                else:
-                    hi += 1
-                occurrences[v] = (lo, hi)
-        var = min(
-            occurrences,
-            key=lambda v: (occurrences[v][0] * occurrences[v][1], occurrences[v][0] + occurrences[v][1], v),
-        )
+                (lower if c > 0 else upper)[v] += 1
+        var = min(lower.keys() | upper.keys(),
+                  key=lambda v: (lower[v] * upper[v], lower[v] + upper[v], v))
 
-        lowers: list[tuple[int, dict[str, int], int]] = []  # a*var >= -(R+k): (a, R, k)
-        uppers: list[tuple[int, dict[str, int], int]] = []  # b*var <= R+k:    (b, R, k)
+        # Lower bounds a*var >= A as (a, A, k), upper bounds b*var <= B as (b, B, k).
+        los: list[tuple[int, dict[str, int], int]] = []
+        ups: list[tuple[int, dict[str, int], int]] = []
         rest: list[Lit] = []
-        for kind, coeffs, const in lits:
+        for lit in lits:
+            kind, coeffs, const = lit
             c = coeffs.get(var, 0)
-            r = {v: k for v, k in coeffs.items() if v != var}
             if c == 0:
-                rest.append((kind, coeffs, const))
+                rest.append(lit)
             elif c > 0:
-                lowers.append((c, r, const))
+                los.append((c, {v: -k for v, k in coeffs.items() if v != var}, -const))
             else:
-                uppers.append((-c, r, const))
+                ups.append((-c, {v: k for v, k in coeffs.items() if v != var}, const))
+        if not los or not ups:
+            undo.append((var, los, ups))
+            return rest
 
-        def bound_exprs():
-            # Lower bound value: a*var >= -(R+k); upper: b*var <= R+k.
-            los = [(a, {v: -k for v, k in r.items()}, -k0) for a, r, k0 in lowers]
-            ups = [(b, dict(r), k0) for b, r, k0 in uppers]
-            return los, ups
+        # Every generated row costs a step, so a |lowers| x |uppers| blow-up
+        # runs out of budget before the rows are built.
+        self.charge(len(los) * len(ups))
+        exact = all(a == 1 for a, _, _ in los) or all(b == 1 for b, _, _ in ups)
+        if not exact:
+            # Tried if the dark shadow fails: splinters near each lower bound.
+            splinters.append((self._splinters(var, los, ups), lits, len(undo)))
+        undo.append((var, los, ups))
+        out = rest
+        for a, a_expr, a_k in los:
+            for b, b_expr, b_k in ups:
+                # a*B - b*A >= (a-1)(b-1) for the dark shadow, >= 0 exact.
+                coeffs: dict[str, int] = {}
+                for v, k in b_expr.items():
+                    coeffs[v] = coeffs.get(v, 0) + a * k
+                for v, k in a_expr.items():
+                    coeffs[v] = coeffs.get(v, 0) - b * k
+                const = a * b_k - b * a_k
+                if not exact:
+                    const -= (a - 1) * (b - 1)
+                if not _put(out, "ge", coeffs, const):
+                    return None
+        return out
 
-        def pick_var(witness: dict[str, int]) -> int:
-            los, ups = bound_exprs()
-            lo_val = None
-            for a, expr, k0 in los:
-                v = _ceil_div(_sticky_eval(expr, k0, witness), a)
-                lo_val = v if lo_val is None else max(lo_val, v)
-            hi_val = None
-            for b, expr, k0 in ups:
-                v = _sticky_eval(expr, k0, witness) // b
-                hi_val = v if hi_val is None else min(hi_val, v)
-            if lo_val is not None:
-                return lo_val
-            if hi_val is not None:
-                return hi_val
-            return 0
-
-        if not lowers or not uppers:
-            witness = self.solve(rest)
-            if witness is None:
-                return None
-            witness[var] = pick_var(witness)
-            return witness
-
-        los, ups = bound_exprs()
-        exact = all(a == 1 or b == 1 for a, _, _ in los for b, _, _ in ups)
-
-        def shadow(dark: bool) -> list[Lit]:
-            out = list(rest)
-            for a, a_expr, a_k in los:
-                for b, b_expr, b_k in ups:
-                    # a*B - b*A >= (a-1)(b-1) for the dark shadow, >= 0 exact.
-                    coeffs: dict[str, int] = {}
-                    for v, k in b_expr.items():
-                        coeffs[v] = coeffs.get(v, 0) + a * k
-                    for v, k in a_expr.items():
-                        coeffs[v] = coeffs.get(v, 0) - b * k
-                    const = a * b_k - b * a_k
-                    if dark:
-                        const -= (a - 1) * (b - 1)
-                    out.append(("ge", coeffs, const))
-            return out
-
-        witness = self.solve(shadow(dark=not exact))
-        if witness is not None:
-            witness[var] = pick_var(witness)
-            return witness
-        if exact:
-            return None
-
-        # Dark shadow failed: enumerate splinters near each lower bound.
+    @staticmethod
+    def _splinters(var: str, los, ups):
+        """The equalities ``a*var = A + i`` for each lower bound, 0 <= i <=
+        (a*bmax - a - bmax) / bmax, in order."""
         bmax = max(b for b, _, _ in ups)
         for a, a_expr, a_k in los:
-            hi = (a * bmax - a - bmax) // bmax
-            for i in range(hi + 1):
+            for i in range((a * bmax - a - bmax) // bmax + 1):
                 eq_coeffs = {v: -k for v, k in a_expr.items()}
-                eq_coeffs[var] = eq_coeffs.get(var, 0) + a
-                splinter: Lit = ("eq", eq_coeffs, -a_k - i)
-                witness = self.solve(lits + [splinter])
-                if witness is not None:
-                    return witness
-        return None
+                eq_coeffs[var] = a
+                yield ("eq", eq_coeffs, -a_k - i)
 
 
 def omega_solve(
@@ -266,15 +244,18 @@ def omega_solve(
     covering every variable that occurs, or None when infeasible.
 
     Coefficients may be given as dicts or as (var, coeff) pair sequences.
-    Raises OmegaBudgetExceeded past ``budget`` steps or past ``deadline``
-    (a ``time.perf_counter()`` value).
+    Raises OmegaBudgetExceeded past ``budget`` steps (one per sub-problem
+    and one per generated shadow row) or past ``deadline`` (a
+    ``time.perf_counter()`` value).
     """
     lits = [
         (kind, dict(coeffs) if not isinstance(coeffs, dict) else coeffs, const)
         for kind, coeffs, const in lits
     ]
-    solver = _Solver(budget, deadline)
-    witness = solver.solve(list(lits))
+    rows: list[Lit] | None = []
+    if not all(_put(rows, *lit) for lit in lits):
+        rows = None
+    witness = _Solver(budget, deadline).solve(rows)
     if witness is None:
         return None
     out: dict[str, int] = {}

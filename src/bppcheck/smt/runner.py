@@ -30,6 +30,11 @@ from .script import SmtScript
 #: Extra time a child gets to die after its budget, before we report anyway.
 KILL_GRACE_S = 2.0
 
+#: The longest a child is waited for, whatever the timeout: ``subprocess``
+#: waits through ``poll``, whose timeout is a C int of milliseconds (about
+#: 24.8 days), and raises OverflowError past it.
+MAX_WAIT_S = 1e6
+
 ENV_SOLVER = "BPPCHECK_SOLVER"
 
 #: The bundled solver's command line. A config with this command solves in
@@ -154,7 +159,7 @@ def _spawn(script: SmtScript, config: SolverConfig) -> tuple[str, int | None]:
             input=script.text.encode(),
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
-            timeout=config.timeout_s + KILL_GRACE_S,
+            timeout=min(config.timeout_s + KILL_GRACE_S, MAX_WAIT_S),
         )
     except FileNotFoundError:
         raise SolverNotFound(config.command[0]) from None

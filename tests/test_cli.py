@@ -109,6 +109,21 @@ class TestExitCodes:
         assert out == ""
         assert "usage error: --timeout must be a positive number" in err
 
+    @pytest.mark.parametrize("timeout", ["3e6", "1e12", "1e308"])
+    def test_huge_timeout_with_a_solver_command(self, timeout):
+        # The wait for the child is clamped below what subprocess can
+        # represent, so the check runs instead of overflowing. The -u keeps
+        # the command apart from the bundled one, which would solve in process.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bppcheck", str(DATA / "reach.bpp"), "--timeout", timeout,
+             "--solver", f'"{sys.executable}" -u -m bppcheck.refsolver'],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "result: holds" in proc.stdout
+
     def test_missing_file_is_environment_error(self, capsys):
         code, _, err = run(capsys, "definitely-missing.bpp")
         assert code == 4

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from bppcheck import refsolver
 from bppcheck.cli import main
 from bppcheck.ctl import EF, EG, And, ENext, FormulaClass, classify, desugar
 from bppcheck.ef import check_ef_detailed
@@ -126,10 +127,12 @@ class TestDeadline:
 
 
 class TestDepth:
-    def test_deep_unrolling_holds(self, capsys):
-        # The search recurses once per branching level, past Python's
-        # default limit of 1,000 at this bound; the solver lifts the limit
-        # around a solve, in process as in its pipe driver.
+    def test_deep_unrolling_holds(self, capsys, monkeypatch):
+        # The search and the Omega test are loops, so the thousand-odd
+        # branches of this bound need no stack per level: it holds under
+        # Python's default limit of 1,000. The raised limit serves the formula
+        # builder and nested sub-solves only.
+        monkeypatch.setattr(refsolver, "RECURSION_LIMIT", 1_000)
         code, out = run_cli(capsys, ROOT / "demos" / "inputs" / "liveness.bpp", "-k", "700")
         assert code == 0, out
         assert "result: holds" in out

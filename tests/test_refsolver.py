@@ -4,6 +4,8 @@ and classic integer-gap instances are pinned by hand."""
 
 import itertools
 import random
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,8 +15,8 @@ from bppcheck.ctl import EG, And, ENext, desugar
 from bppcheck.eg import encode_eg
 from bppcheck.oracle import eval_bounded
 from bppcheck.parsing import parse_problem
-from bppcheck.refsolver import _Engine, solve_text
-from bppcheck.refsolver.omega import omega_solve
+from bppcheck.refsolver import _Engine, omega, solve_text
+from bppcheck.refsolver.omega import OmegaBudgetExceeded, omega_solve
 from bppcheck.sexpr import parse_all
 
 from .conftest import pipe_driver, random_atom, random_marking
@@ -74,23 +76,66 @@ class TestOmega:
                 kind = rng.choice(["ge", "eq"])
                 lits.append((kind, coeffs, rng.randint(-6, 6)))
 
-            expected = False
-            for point in itertools.product(range(-box, box + 1), repeat=n_vars):
-                env = dict(zip(names, point))
-                ok = True
-                for kind, coeffs, const in lits:
-                    total = sum(c * env.get(v, 0) for v, c in coeffs.items()) + const
-                    if kind == "eq" and total != 0:
-                        ok = False
-                        break
-                    if kind == "ge" and total < 0:
-                        ok = False
-                        break
-                if ok:
-                    expected = True
-                    break
             got = omega_solve(lits)
-            assert (got is not None) == expected, lits
+            assert (got is not None) == _feasible_in_box(lits, names, box), lits
+
+    def test_inexact_shadows_vs_enumeration(self, monkeypatch):
+        # Coefficients of 2 to 7 on both sides of a variable make shadows
+        # inexact, so the dark shadow, its splinters and the modulus step for
+        # equalities without a unit coefficient all run.
+        ran = Counter()
+        fresh_var = omega._Solver.fresh_var
+        splinters = omega._Solver._splinters
+
+        def counting_fresh_var(self):
+            ran["modulus"] += 1
+            return fresh_var(self)
+
+        def counting_splinters(*args):
+            ran["dark shadow"] += 1
+            for row in splinters(*args):
+                ran["splinter"] += 1
+                yield row
+
+        monkeypatch.setattr(omega._Solver, "fresh_var", counting_fresh_var)
+        monkeypatch.setattr(omega._Solver, "_splinters", staticmethod(counting_splinters))
+        rng = random.Random(20261018)
+        box = 5
+        for _ in range(300):
+            names = [f"v{i}" for i in range(rng.randint(1, 3))]
+            lits = [("ge", {v: sign}, box) for v in names for sign in (1, -1)]
+            for _ in range(rng.randint(2, 4)):
+                picked = rng.sample(names, rng.randint(1, len(names)))
+                coeffs = {v: rng.choice((-1, 1)) * rng.randint(2, 7) for v in picked}
+                lits.append((rng.choice(("ge", "ge", "eq")), coeffs, rng.randint(-12, 12)))
+            got = omega_solve(lits)
+            assert (got is not None) == _feasible_in_box(lits, names, box), lits
+            if got is not None:
+                assert _satisfies(lits, got), (lits, got)
+        assert min(ran["modulus"], ran["dark shadow"], ran["splinter"]) > 0, ran
+
+    def test_shadow_blowup_ends_in_the_budget(self):
+        # 500 lower and 500 upper bounds on x make 250,000 shadow rows; each
+        # costs a step, so the budget runs out before they are built.
+        lits = [("ge", {"x": 1}, -i) for i in range(500)]
+        lits += [("ge", {"x": -1}, 1000 + i) for i in range(500)]
+        start = time.perf_counter()
+        with pytest.raises(OmegaBudgetExceeded, match="^omega budget exhausted$"):
+            omega_solve(lits)
+        assert time.perf_counter() - start < 2.0
+
+
+def _satisfies(lits, env: dict[str, int]) -> bool:
+    for kind, coeffs, const in lits:
+        total = sum(c * env.get(v, 0) for v, c in coeffs.items()) + const
+        if total != 0 if kind == "eq" else total < 0:
+            return False
+    return True
+
+
+def _feasible_in_box(lits, names: list[str], box: int) -> bool:
+    points = itertools.product(range(-box, box + 1), repeat=len(names))
+    return any(_satisfies(lits, dict(zip(names, point))) for point in points)
 
 
 class TestScripts:
@@ -305,6 +350,56 @@ class TestUndecidedChild:
         # Each of the 2 branches on c opens 2 on b; each of those opens the
         # 2 disjuncts, and the undecided one 33 probed values of a.
         assert pairs[":branches"] == str(2 * (1 + 2 * (1 + 2 + 33)))
+
+
+class TestBranchOnValues:
+    """Choice points over the values of a boxed free variable of a
+    quantified goal, the search's last resort."""
+
+    @pytest.fixture
+    def value_choices(self, monkeypatch) -> list:
+        made = []
+        branch_on_values = _Engine._branch_on_values
+
+        def recording(self, *args):
+            made.append(branch_on_values(self, *args))
+            return made[-1]
+
+        monkeypatch.setattr(_Engine, "_branch_on_values", recording)
+        return made
+
+    def test_undecided_value_before_a_sat_one(self, value_choices):
+        # With c = 0 the ground forall needs UNDECIDED refuted for every a,
+        # and that check is undecided; with c = 1 the forall is true.
+        out = run(
+            "(set-option :produce-models true)(declare-const c Int)"
+            "(assert (>= c 0))(assert (<= c 1))"
+            f"(assert (forall ((a Int)) (or (>= c 1) (not {UNDECIDED}))))"
+            "(check-sat)(get-model)(get-info :all-statistics)"
+        )
+        assert out[0] == "sat"
+        assert _model(out)["c"] == 1
+        stats = out[-1].strip("()").split()
+        # 2 values of c, and under c = 0 the 33 probed values of a.
+        assert dict(zip(stats[::2], stats[1::2]))[":branches"] == "35"
+        assert [choice[4] for choice in value_choices] == [True, False]  # complete or not
+
+    def test_exhausted_range_is_memoized(self, value_choices):
+        # Both values of d leave the same residual problem: c in [0, 1] under
+        # a forall that fails for each. The first visit exhausts the values
+        # of c and memoizes the problem as failed; the second is a memo hit.
+        out = run(
+            "(declare-const c Int)(declare-const d Int)"
+            "(assert (>= d 0))(assert (or (= d 0) (= d 1)))"
+            "(assert (>= c 0))(assert (<= c 1))(assert (forall ((t Int)) (>= t c)))"
+            "(check-sat)(get-info :all-statistics)"
+        )
+        assert out[0] == "unsat"
+        stats = out[1].strip("()").split()
+        pairs = dict(zip(stats[::2], stats[1::2]))
+        assert pairs[":failed-memo-hits"] == "1"
+        assert pairs[":branches"] == "4"  # d = 0, then c = 0 and 1, then d = 1
+        assert len(value_choices) == 1
 
 
 class TestGetInfo:
