@@ -301,6 +301,82 @@ class TestPropertyParsing:
         assert err.value.found == "EF"
 
 
+_ACS_HEAD = "states q\nprocs p\nmsgs m\nrules\n"
+_ACS_RULE = _ACS_HEAD + "q -> nop -> q\n"
+
+#: One input per error site of the actor-system parser and of the linear
+#: atom parser, as (name, front end, text, line, column, expected).
+#: Properties are parsed over the converted ACS_TEXT system.
+FRONT_END_REJECT_CORPUS = [
+    ("acs_distinct_states", "acs", "states q, q\nrules\nq -> nop -> q\ninit q:1\n",
+     1, 1, "distinct declarations"),
+    ("acs_state_name_tau", "acs", "states _tau\nrules\n_tau -> nop -> _tau\ninit _tau:1\n",
+     1, 8, "a state name"),
+    ("acs_no_rules", "acs", _ACS_HEAD + "init q:1\n", 5, 1, "a rule"),
+    ("acs_init_undeclared_process", "acs", _ACS_RULE + "init (r, m):1\n",
+     6, 7, "a declared process"),
+    ("acs_init_undeclared_message", "acs", _ACS_RULE + "init (p, x):1\n",
+     6, 10, "a declared message"),
+    ("acs_init_duplicate_pair", "acs", _ACS_RULE + "init (p, m):1, (p, m):2\n",
+     6, 17, "a fresh init entry"),
+    ("acs_init_undeclared_state", "acs", _ACS_RULE + "init r:1\n", 6, 6, "a declared state"),
+    ("acs_init_duplicate_state", "acs", _ACS_RULE + "init q:1, q:2\n",
+     6, 11, "a fresh init entry"),
+    ("acs_init_bad_entry", "acs", _ACS_RULE + "init 5\n", 6, 6, "an init entry"),
+    ("acs_trailing_garbage", "acs", _ACS_RULE + "init q:1 extra\n", 6, 10, "end of input"),
+    ("acs_rule_undeclared_source", "acs", _ACS_HEAD + "r -> nop -> q\ninit q:1\n",
+     5, 1, "a declared state"),
+    ("acs_rule_missing_operation", "acs", _ACS_HEAD + "q -> 5 -> q\ninit q:1\n",
+     5, 6, "an operation (nop, new, p!m, p?m)"),
+    ("acs_rule_undeclared_spawn", "acs", _ACS_HEAD + "q -> new r -> q\ninit q:1\n",
+     5, 10, "a declared state"),
+    ("acs_rule_undeclared_process", "acs", _ACS_HEAD + "q -> r!m -> q\ninit q:1\n",
+     5, 6, "a declared process"),
+    ("acs_rule_tau_process", "acs", _ACS_HEAD + "q -> _tau!m -> q\ninit q:1\n",
+     5, 6, "a declared process"),
+    ("acs_rule_missing_direction", "acs", _ACS_HEAD + "q -> p m -> q\ninit q:1\n",
+     5, 8, "'!' or '?'"),
+    ("acs_rule_undeclared_message", "acs", _ACS_HEAD + "q -> p?x -> q\ninit q:1\n",
+     5, 8, "a declared message"),
+    ("acs_rule_undeclared_destination", "acs", _ACS_HEAD + "q -> nop -> r\ninit q:1\n",
+     5, 13, "a declared state"),
+    ("property_number_term", "property", "EF(2 >= 1)",
+     1, 4, "a state, symbol, or mail(p, m) term"),
+    ("property_keyword_term", "property", "EF(q0 + nil >= 1)",
+     1, 9, "a state, symbol, or mail(p, m) term"),
+    ("property_undeclared_name", "property", "EF(q0 - nope >= 1)",
+     1, 9, "a declared state or converted symbol"),
+    ("property_undeclared_mailbox", "property", "EF(mail(p, nope) >= 1)",
+     1, 9, "a declared mailbox slot"),
+    ("property_mail_tau_process", "property", "EF(mail(_tau, m) >= 1)",
+     1, 9, "a declared process"),
+    ("property_mail_number_message", "property", "EF(mail(p, 5) >= 1)",
+     1, 12, "a declared message"),
+    ("property_missing_comparison", "property", "EF(q0 * 2 1)", 1, 11, "a comparison operator"),
+    ("property_missing_bound", "property", "EF(q0 >= q1)", 1, 10, "a number"),
+    ("property_trailing_garbage", "property", "EF(q0 >= 1) q1", 1, 13, "end of input"),
+    ("problem_number_term", "problem", "initial X rules X -> X formula X + 1 >= 1",
+     1, 36, "a symbol name"),
+    ("problem_undeclared_term", "problem", "initial X rules X -> X formula X - Y >= 1",
+     1, 36, "a declared symbol"),
+    ("problem_missing_comparison", "problem", "initial X rules X -> X formula X * 2 1",
+     1, 38, "a comparison operator"),
+]
+
+
+@pytest.mark.parametrize("name,front,text,line,col,expected", FRONT_END_REJECT_CORPUS,
+                         ids=[c[0] for c in FRONT_END_REJECT_CORPUS])
+def test_front_end_rejects_at_position(name, front, text, line, col, expected):
+    with pytest.raises(ParseError) as err:
+        if front == "acs":
+            parse_acs(text)
+        elif front == "property":
+            parse_property(text, convert(parse_acs(ACS_TEXT)[0]))
+        else:
+            parse_problem(text)
+    assert (err.value.line, err.value.column, err.value.expected) == (line, col, expected)
+
+
 class TestRandomRoundTrip:
     def test_generated_problems_round_trip(self):
         rng = random.Random(606)
