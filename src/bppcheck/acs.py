@@ -5,7 +5,10 @@ configurations count processes per state and messages per mailbox. The
 conversion splits each mailbox counter into an in/out pair so that a
 receive, which would need two tokens on the left side, becomes a single
 left symbol plus an out token on the right. The converted system admits
-every original behavior, so unreachability transfers back.
+every original behavior, so unreachability transfers back. A property over
+an actor system is an ordinary formula over the converted symbols:
+``parsing.parse_property`` reads state names, in/out symbol names and
+mailbox terms mail(p, m) straight into atoms over them.
 """
 
 from __future__ import annotations
@@ -14,21 +17,6 @@ from functools import cached_property
 from typing import Union
 
 from .core import TAU, Bpp, Marking, Rule
-from .ctl import (
-    And,
-    Atom,
-    Cmp,
-    EF,
-    EG,
-    ENext,
-    Formula,
-    Imp,
-    LinearAtom,
-    Not,
-    Or,
-    ANext,
-    AF,
-)
 from .errors import NameCollision, UnknownReference
 from .record import Record, setfield
 
@@ -225,81 +213,3 @@ def mailbox_content(cb: ConvertedBpp, marking: Marking, proc: str, msg: str) -> 
     i = cb.bpp.index[cb.in_symbol[(proc, msg)]]
     o = cb.bpp.index[cb.out_symbol[(proc, msg)]]
     return marking[i] - marking[o]
-
-
-#: Term references in actor-level properties: a plain name (state or direct
-#: converted symbol) or a mailbox content term mail(p, m).
-NameRef = tuple[str]
-MailRef = tuple[str, str, str]
-
-
-def name_ref(name: str) -> NameRef:
-    return (name,)
-
-
-def mail_ref(proc: str, msg: str) -> MailRef:
-    return ("mail", proc, msg)
-
-
-class PropertyAtom(Record):
-    """Pre-lift linear atom whose terms reference actor-level names."""
-
-    __slots__ = __match_args__ = ("terms", "cmp", "bound")
-
-    def __init__(self, terms: tuple[tuple[NameRef | MailRef, int], ...], cmp: Cmp, bound: int):
-        setfield(self, "terms", terms)
-        setfield(self, "cmp", cmp)
-        setfield(self, "bound", bound)
-
-
-def lift_atom(
-    cb: ConvertedBpp,
-    terms: list[tuple[NameRef | MailRef, int]],
-    cmp: Cmp,
-    bound: int,
-) -> LinearAtom:
-    """Rewrite an actor-level linear atom over converted symbols.
-
-    State counters map to state symbols, mail(p, m) maps to +coeff on the
-    in symbol and -coeff on the out symbol, and direct in/out symbol names
-    pass through.
-    """
-    out: list[tuple[str, int]] = []
-    for ref, coeff in terms:
-        if len(ref) == 3 and ref[0] == "mail":
-            _, proc, msg = ref
-            if (proc, msg) not in cb.acs.pair_index:
-                raise UnknownReference(f"no mailbox slot ({proc}, {msg})")
-            out.append((cb.in_symbol[(proc, msg)], coeff))
-            out.append((cb.out_symbol[(proc, msg)], -coeff))
-        else:
-            (name,) = ref
-            if name not in cb.bpp.index:
-                raise UnknownReference(f"{name!r} is neither a state nor a converted symbol")
-            out.append((name, coeff))
-    return LinearAtom(tuple(out), cmp, bound)
-
-
-def lift_formula(cb: ConvertedBpp, f) -> Formula:
-    """Map a formula tree whose leaves are PropertyAtom references."""
-    if isinstance(f, PropertyAtom):
-        return Atom(lift_atom(cb, list(f.terms), f.cmp, f.bound))
-    if isinstance(f, Not):
-        return Not(lift_formula(cb, f.sub))
-    if isinstance(f, And):
-        return And(lift_formula(cb, f.left), lift_formula(cb, f.right))
-    if isinstance(f, Or):
-        return Or(lift_formula(cb, f.left), lift_formula(cb, f.right))
-    if isinstance(f, Imp):
-        return Imp(lift_formula(cb, f.left), lift_formula(cb, f.right))
-    if isinstance(f, ENext):
-        return ENext(f.action, lift_formula(cb, f.sub))
-    if isinstance(f, ANext):
-        return ANext(f.action, lift_formula(cb, f.sub))
-    if isinstance(f, EG):
-        return EG(lift_formula(cb, f.sub))
-    if isinstance(f, AF):
-        return AF(lift_formula(cb, f.sub))
-    if isinstance(f, EF):
-        return EF(lift_formula(cb, f.sub))
-    raise TypeError(f"not a formula node: {f!r}")

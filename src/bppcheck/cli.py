@@ -59,8 +59,6 @@ def build_parser() -> _Parser:
                         help="problem file, or with --acs: system file and property file")
     parser.add_argument("--acs", action="store_true",
                         help="treat the input as an actor system plus a property file")
-    parser.add_argument("--mode", choices=("auto", "ef", "eg"), default="auto",
-                        help="engine selection (default: auto by formula class)")
     parser.add_argument("-k", type=int, default=10, metavar="N",
                         help="step bound for the bounded engine (default 10)")
     parser.add_argument("--solver", metavar="CMD",
@@ -165,10 +163,10 @@ def _run_problem(path: str, opts) -> Report:
 def _run_acs(system_path: str, property_path: str, opts) -> Report:
     from .acs import convert, convert_place
 
-    acs, place = parse_acs(_read(system_path), source=system_path)
+    acs, place = parse_acs(_read(system_path))
     cb = convert(acs)
     init = convert_place(cb, place)
-    formula = parse_property(_read(property_path), cb, source=property_path)
+    formula = parse_property(_read(property_path), cb)
     return _check(cb.bpp, init, formula, opts)
 
 
@@ -179,18 +177,11 @@ def _check(bpp, init, formula, opts) -> Report:
     def capture(index: int, script: SmtScript) -> None:
         scripts.append(script)
 
-    # Only the engine this check runs is imported.
-    mode = opts.mode
-    if mode == "auto":
-        cls = classify(desugar(formula))
-        if cls == FormulaClass.MIXED:
-            raise MixedFormula(
-                "formula mixes EF with EG/E<a>; no engine decides it exactly "
-                "(E<a> under EF is supported by the bounded engine via --mode eg "
-                "when the EF is dropped)"
-            )
-        mode = "ef" if cls == FormulaClass.EF_CLASS else "eg"
-    if mode == "ef":
+    # The formula class picks the engine; only that engine is imported.
+    cls = classify(desugar(formula))
+    if cls == FormulaClass.MIXED:
+        raise MixedFormula("formula mixes EF with EG/E<a>; no engine decides it exactly")
+    if cls == FormulaClass.EF_CLASS:
         from .ef import check_ef
 
         start = time.perf_counter()

@@ -103,9 +103,6 @@ class Bpp(Record):
         if len(m) != self.n:
             raise DimensionMismatch(self.n, len(m))
 
-    def zero_marking(self) -> Marking:
-        return (0,) * self.n
-
 
 def parikh(expr: Iterable[str], bpp: Bpp) -> Marking:
     """Count vector of a symbol multiset, in declaration order."""

@@ -48,12 +48,6 @@ class LinearAtom(Record):
         setfield(self, "cmp", cmp)
         setfield(self, "bound", bound)
 
-    def coeff_map(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for sym, c in self.terms:
-            out[sym] = out.get(sym, 0) + c
-        return out
-
     def evaluate(self, m: Marking, bpp: Bpp) -> bool:
         total = 0
         for sym, c in self.terms:

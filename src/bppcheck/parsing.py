@@ -32,7 +32,7 @@ from .errors import ParseError
 from .record import Record, setfield
 
 if TYPE_CHECKING:
-    from .acs import Acs, AcsPlace, AcsRule, ConvertedBpp, PropertyAtom
+    from .acs import Acs, AcsPlace, AcsRule, ConvertedBpp
 
 KEYWORDS = ("initial", "rules", "formula", "nil")
 UNARY_OPS = {"Neg": Not, "EG": EG, "AF": AF, "EF": EF}
@@ -211,7 +211,13 @@ def parse_problem(text: str, source: str = "") -> ProblemFile:
 
     cur.expect_keyword("formula")
     bpp = Bpp(tuple(declared), tuple(rules))
-    formula = _parse_formula(cur, bpp.actions, lambda: _parse_query(cur, bpp))
+
+    def symbol(cur: _Cursor) -> list[tuple[str, int]]:
+        if cur.peek().text not in bpp.index:
+            raise cur.fail("a declared symbol")
+        return [(cur.next().text, 1)]
+
+    formula = _parse_formula(cur, bpp.actions, lambda: _parse_atom(cur, symbol, "a symbol name"))
     tok = cur.peek()
     if tok.kind != "eof":
         raise cur.fail("end of input")
@@ -297,26 +303,26 @@ def _parse_formula(
     return NEXT_OPS[tok.text](label_tok.text, sub)
 
 
-def _parse_query(cur: _Cursor, bpp: Bpp) -> Atom:
+def _parse_atom(
+    cur: _Cursor, resolve: Callable[[_Cursor], list[tuple[str, int]]], what: str
+) -> Atom:
+    """One linear atom: signed terms, a comparison, a bound. resolve reads
+    the term at the cursor and gives its (symbol, coefficient) pairs, which
+    the sign and the ``* n`` factor then scale; what names a term."""
     terms: list[tuple[str, int]] = []
-
-    def parse_mult(sign: int) -> None:
+    scale = 1
+    while True:
         tok = cur.peek()
         if tok.kind != "ident" or tok.text in KEYWORDS or tok.text == TAU:
-            raise cur.fail("a symbol name")
-        if tok.text not in bpp.index:
-            raise cur.fail("a declared symbol")
-        cur.next()
-        coeff = 1
+            raise cur.fail(what)
+        pairs = resolve(cur)
         if cur.peek().text == "*":
             cur.next()
-            coeff = cur.expect_number()
-        terms.append((tok.text, sign * coeff))
-
-    parse_mult(1)
-    while cur.peek().text in ("+", "-"):
-        sign = 1 if cur.next().text == "+" else -1
-        parse_mult(sign)
+            scale *= cur.expect_number()
+        terms.extend((sym, scale * coeff) for sym, coeff in pairs)
+        if cur.peek().text not in ("+", "-"):
+            break
+        scale = 1 if cur.next().text == "+" else -1
 
     cmp_tok = cur.peek()
     if cmp_tok.text not in CMP_TOKENS:
@@ -331,7 +337,7 @@ def _parse_query(cur: _Cursor, bpp: Bpp) -> Atom:
 # ---------------------------------------------------------------------------
 
 
-def parse_acs(text: str, source: str = "") -> tuple[Acs, AcsPlace]:
+def parse_acs(text: str) -> tuple[Acs, AcsPlace]:
     """Parse the actor-system description format.
 
     Sections: ``states`` (required), ``procs`` and ``msgs`` (optional),
@@ -384,14 +390,9 @@ def parse_acs(text: str, source: str = "") -> tuple[Acs, AcsPlace]:
         if tok.text == "(":
             cur.next()
             p_tok = cur.peek()
-            p = _expect_acs_name(cur, "a declared process")
-            if p not in proc_set:
-                raise cur.fail("a declared process", p_tok)
+            p = _expect_declared(cur, proc_set, "a declared process")
             cur.expect_punct(",")
-            m_tok = cur.peek()
-            m = _expect_acs_name(cur, "a declared message")
-            if m not in msg_set:
-                raise cur.fail("a declared message", m_tok)
+            m = _expect_declared(cur, msg_set, "a declared message")
             cur.expect_punct(")")
             cur.expect_punct(":")
             count = cur.expect_number()
@@ -400,15 +401,13 @@ def parse_acs(text: str, source: str = "") -> tuple[Acs, AcsPlace]:
             seen.add(("pair", p, m))
             v[acs.pair_index[(p, m)]] = count
         elif tok.kind == "ident":
-            if tok.text not in state_set:
-                raise cur.fail("a declared state")
-            cur.next()
+            q = _expect_declared(cur, state_set, "a declared state")
             cur.expect_punct(":")
             count = cur.expect_number()
-            if ("state", tok.text) in seen:
+            if ("state", q) in seen:
                 raise cur.fail("a fresh init entry", tok)
-            seen.add(("state", tok.text))
-            u[acs.state_index[tok.text]] = count
+            seen.add(("state", q))
+            u[acs.state_index[q]] = count
         else:
             raise cur.fail("an init entry")
         if cur.peek().text != ",":
@@ -426,13 +425,19 @@ def _expect_acs_name(cur: _Cursor, what: str) -> str:
     return cur.next().text
 
 
+def _expect_declared(cur: _Cursor, names: set, what: str) -> str:
+    """An actor-system name from the declared set; what names it."""
+    tok = cur.peek()
+    name = _expect_acs_name(cur, what)
+    if name not in names:
+        raise cur.fail(what, tok)
+    return name
+
+
 def _parse_acs_rule(cur, rid: int, states: set, procs: set, msgs: set) -> AcsRule:
     from .acs import AcsRule, Nop, Recv, Send, Spawn
 
-    src_tok = cur.peek()
-    src = _expect_acs_name(cur, "a declared state")
-    if src not in states:
-        raise cur.fail("a declared state", src_tok)
+    src = _expect_declared(cur, states, "a declared state")
     cur.expect_punct("->")
 
     tok = cur.peek()
@@ -443,30 +448,18 @@ def _parse_acs_rule(cur, rid: int, states: set, procs: set, msgs: set) -> AcsRul
         op = Nop()
     elif tok.text == "new":
         cur.next()
-        spawn_tok = cur.peek()
-        spawned = _expect_acs_name(cur, "a declared state")
-        if spawned not in states:
-            raise cur.fail("a declared state", spawn_tok)
-        op = Spawn(spawned)
+        op = Spawn(_expect_declared(cur, states, "a declared state"))
     else:
-        proc = cur.next().text
-        if proc not in procs:
-            raise cur.fail("a declared process", tok)
+        proc = _expect_declared(cur, procs, "a declared process")
         kind_tok = cur.peek()
         if kind_tok.text not in ("!", "?"):
             raise cur.fail("'!' or '?'")
         cur.next()
-        msg_tok = cur.peek()
-        msg = _expect_acs_name(cur, "a declared message")
-        if msg not in msgs:
-            raise cur.fail("a declared message", msg_tok)
+        msg = _expect_declared(cur, msgs, "a declared message")
         op = Send(proc, msg) if kind_tok.text == "!" else Recv(proc, msg)
 
     cur.expect_punct("->")
-    dst_tok = cur.peek()
-    dst = _expect_acs_name(cur, "a declared state")
-    if dst not in states:
-        raise cur.fail("a declared state", dst_tok)
+    dst = _expect_declared(cur, states, "a declared state")
     return AcsRule(rid, src, op, dst)
 
 
@@ -475,63 +468,36 @@ def _parse_acs_rule(cur, rid: int, states: set, procs: set, msgs: set) -> AcsRul
 # ---------------------------------------------------------------------------
 
 
-def parse_property(text: str, cb: ConvertedBpp, source: str = "") -> Formula:
+def parse_property(text: str, cb: ConvertedBpp) -> Formula:
     """Parse a property formula over a converted actor system.
 
-    The formula grammar is the problem-file one; atoms may reference state
-    names, converted in/out symbol names, and mailbox terms mail(p, m).
+    The formula grammar is the problem-file one; a term is a state name, a
+    converted in/out symbol name, or mail(p, m), which reads as
+    ``p_m_in - p_m_out``. The atoms come out over converted symbols.
     """
-    from .acs import lift_formula
-
     cur = _Cursor(tokenize(text))
-    tree = _parse_formula(cur, cb.bpp.actions, lambda: _parse_property_atom(cur, cb))
-    if cur.peek().kind != "eof":
-        raise cur.fail("end of input")
-    return lift_formula(cb, tree)
 
-
-def _parse_property_atom(cur: _Cursor, cb: ConvertedBpp) -> PropertyAtom:
-    from .acs import PropertyAtom, mail_ref, name_ref
-
-    terms: list = []
-
-    def parse_mult(sign: int) -> None:
-        tok = cur.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS or tok.text == TAU:
-            raise cur.fail("a state, symbol, or mail(p, m) term")
-        if tok.text == "mail" and cur.peek(1).text == "(":
+    def term(cur: _Cursor) -> list[tuple[str, int]]:
+        if cur.peek().text == "mail" and cur.peek(1).text == "(":
             cur.next()
             cur.expect_punct("(")
             p_tok = cur.peek()
             proc = _expect_acs_name(cur, "a declared process")
             cur.expect_punct(",")
-            m_tok = cur.peek()
             msg = _expect_acs_name(cur, "a declared message")
             cur.expect_punct(")")
             if (proc, msg) not in cb.acs.pair_index:
                 raise cur.fail("a declared mailbox slot", p_tok)
-            ref = mail_ref(proc, msg)
-        else:
-            if tok.text not in cb.bpp.index:
-                raise cur.fail("a declared state or converted symbol")
-            cur.next()
-            ref = name_ref(tok.text)
-        coeff = 1
-        if cur.peek().text == "*":
-            cur.next()
-            coeff = cur.expect_number()
-        terms.append((ref, sign * coeff))
+            return [(cb.in_symbol[(proc, msg)], 1), (cb.out_symbol[(proc, msg)], -1)]
+        if cur.peek().text not in cb.bpp.index:
+            raise cur.fail("a declared state or converted symbol")
+        return [(cur.next().text, 1)]
 
-    parse_mult(1)
-    while cur.peek().text in ("+", "-"):
-        sign = 1 if cur.next().text == "+" else -1
-        parse_mult(sign)
-    cmp_tok = cur.peek()
-    if cmp_tok.text not in CMP_TOKENS:
-        raise cur.fail("a comparison operator")
-    cur.next()
-    bound = cur.expect_number()
-    return PropertyAtom(tuple(terms), CMP_TOKENS[cmp_tok.text], bound)
+    what = "a state, symbol, or mail(p, m) term"
+    formula = _parse_formula(cur, cb.bpp.actions, lambda: _parse_atom(cur, term, what))
+    if cur.peek().kind != "eof":
+        raise cur.fail("end of input")
+    return formula
 
 
 # ---------------------------------------------------------------------------

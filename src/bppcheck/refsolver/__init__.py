@@ -52,6 +52,11 @@ class RefsolverUnknown(Exception):
     """Raised when the engine cannot decide (unsupported shape or budget)."""
 
 
+class _Stop(RefsolverUnknown):
+    """The deadline or the step budget ran out: the whole solve stops, and
+    no choice point records it as one more undecided child."""
+
+
 class _Fail(Exception):
     pass
 
@@ -142,9 +147,9 @@ class _Engine:
     def charge(self, units: int = 1) -> None:
         self.steps += units
         if self.steps > self.budget:
-            raise RefsolverUnknown("step budget exhausted")
+            raise _Stop("step budget exhausted")
         if self.deadline is not None and time.perf_counter() >= self.deadline:
-            raise RefsolverUnknown("timeout")
+            raise _Stop("timeout")
 
     def statistics(self) -> dict[str, int]:
         return {
@@ -398,11 +403,12 @@ class _Engine:
         child is a copy of the parent ``(evars, lits, pending, subst)`` with
         the option as a goal or, for a ``var``, as its value. A failed child
         moves on to the next option; so does an undecided one, whose reason is
-        raised once no sibling answers sat. When every child failed, the
-        residual problem is memoized as failed if the options were complete
-        (all disjuncts, a boxed range); a probe window is not, and ends in
-        unknown. A child's items before lit_from / pend_from are at fixpoint
-        up to the variables in pinned; see _propagate.
+        raised once no sibling answers sat. The deadline and the step budget
+        are no such reason: they stop the whole search. When every child
+        failed, the residual problem is memoized as failed if the options
+        were complete (all disjuncts, a boxed range); a probe window is not,
+        and ends in unknown. A child's items before lit_from / pend_from are
+        at fixpoint up to the variables in pinned; see _propagate.
         """
         stack: list[list] = []
         point = None  # the choice point whose option is entered; None: the root
@@ -430,6 +436,7 @@ class _Engine:
                         try:
                             witness = omega_solve(lits, deadline=self.deadline)
                         except OmegaBudgetExceeded as exc:
+                            self.charge(0)  # past the deadline: stop, do not record
                             raise RefsolverUnknown(str(exc)) from None
                         if witness is None:
                             raise _Fail()
@@ -462,30 +469,28 @@ class _Engine:
                                   None, key, True, None])
             except _Fail:
                 pass
+            except _Stop:
+                raise
             except RefsolverUnknown as exc:
                 outcome = str(exc)
 
             # Enter the next option of the innermost choice point that has one.
-            # A point that is exhausted, or past the budget or the deadline,
-            # is popped and reports to the point below it.
+            # An exhausted point is popped and reports to the point below it.
             while True:
                 if not stack:
                     raise _Fail() if outcome is None else RefsolverUnknown(outcome)
                 point = stack[-1]
                 point[5] = point[5] or outcome
                 option = next(point[0], None)
-                try:
-                    if option is not None:
-                        self.charge()
-                        self.branches += 1
-                        break
-                    outcome = point[5]
-                    if outcome is None and not point[4]:
-                        outcome = "probe window exhausted"
-                    elif outcome is None:
-                        self.failed.add(point[3])
-                except RefsolverUnknown as exc:
-                    outcome = str(exc)
+                if option is not None:
+                    self.charge()
+                    self.branches += 1
+                    break
+                outcome = point[5]
+                if outcome is None and not point[4]:
+                    outcome = "probe window exhausted"
+                elif outcome is None:
+                    self.failed.add(point[3])
                 stack.pop()
 
     #: Probe width for quantified free variables bounded on one side only;

@@ -142,7 +142,7 @@ def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:
         raise SolverProtocolError(f"no verdict in solver output: {raw[:500]!r}")
 
     model = None
-    if status == "sat" and script.produce_models:
+    if status == "sat":
         model = parse_model(raw, script.declarations)
     reason, statistics = parse_info(raw)
     return SolverOutcome(status, model, wall_ms, reason, statistics)

@@ -21,29 +21,18 @@ class SmtScript(Record):
     for a child), not part of the script.
     """
 
-    __slots__ = __match_args__ = ("logic", "declarations", "text", "produce_models")
+    __slots__ = __match_args__ = ("logic", "declarations", "text")
 
-    def __init__(self, logic: str, declarations: tuple[str, ...], text: str, produce_models: bool):
+    def __init__(self, logic: str, declarations: tuple[str, ...], text: str):
         setfield(self, "logic", logic)
         setfield(self, "declarations", declarations)
         setfield(self, "text", text)
-        setfield(self, "produce_models", produce_models)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.declarations)
 
 
-def to_smtlib(
-    node: Node,
-    declarations: tuple[str, ...],
-    *,
-    produce_models: bool = True,
-    logic: str | None = None,
-) -> SmtScript:
+def to_smtlib(node: Node, declarations: tuple[str, ...]) -> SmtScript:
     """Serialize a formula with its declared integer constants.
 
-    Every free variable must be declared exactly once; the logic defaults to
+    Every free variable must be declared exactly once; the logic is
     quantifier-free linear integers unless a quantifier survives in the body.
     """
     seen: set[str] = set()
@@ -56,25 +45,15 @@ def to_smtlib(
     undeclared = free_vars(node) - seen
     if undeclared:
         raise IllFormedFormula(f"free variables not declared: {sorted(undeclared)}")
-    if logic is None:
-        logic = QUANTIFIED_LOGIC if has_quantifier(node) else QF_LOGIC
+    logic = QUANTIFIED_LOGIC if has_quantifier(node) else QF_LOGIC
 
-    lines = []
-    if produce_models:
-        lines.append("(set-option :produce-models true)")
-    lines.append(f"(set-logic {logic})")
+    lines = ["(set-option :produce-models true)", f"(set-logic {logic})"]
     for name in declarations:
         lines.append(f"(declare-const {name} Int)")
     lines.append(f"(assert {to_sexpr(node)})")
     lines.append("(check-sat)")
-    if produce_models:
-        lines.append("(get-model)")
+    lines.append("(get-model)")
     lines.append("(get-info :reason-unknown)")
     lines.append("(get-info :all-statistics)")
     text = "\n".join(lines) + "\n"
-    return SmtScript(
-        logic=logic,
-        declarations=tuple(declarations),
-        text=text,
-        produce_models=produce_models,
-    )
+    return SmtScript(logic=logic, declarations=tuple(declarations), text=text)

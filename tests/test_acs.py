@@ -8,7 +8,6 @@ from bppcheck.acs import (
     AcsPlace,
     AcsRule,
     Nop,
-    PropertyAtom,
     Recv,
     Send,
     Spawn,
@@ -16,17 +15,14 @@ from bppcheck.acs import (
     acs_successors,
     convert,
     convert_place,
-    lift_atom,
-    lift_formula,
-    mail_ref,
     mailbox_content,
-    name_ref,
 )
 from bppcheck.core import TAU, enabled_rules
 from bppcheck.ctl import Atom, Cmp, EF, LinearAtom, Not
 from bppcheck.ef import check_ef
-from bppcheck.errors import NameCollision, UnknownReference
+from bppcheck.errors import NameCollision
 from bppcheck.oracle import ExplorationBudget, explore, reachable_set
+from bppcheck.parsing import parse_property
 from bppcheck.smt import SolverConfig
 
 REF = SolverConfig((sys.executable, "-m", "bppcheck.refsolver"), 30.0)
@@ -145,32 +141,11 @@ class TestConvertPlace:
 
 
 class TestLift:
-    def test_state_counter(self, ping_pong):
-        cb = convert(ping_pong)
-        got = lift_atom(cb, [(name_ref("q0"), 1)], Cmp.GE, 2)
-        assert got == LinearAtom((("q0", 1),), Cmp.GE, 2)
-
-    def test_mailbox_term(self, ping_pong):
-        cb = convert(ping_pong)
-        got = lift_atom(cb, [(mail_ref("p", "m"), 1)], Cmp.GE, 2)
-        assert got == LinearAtom((("p_m_in", 1), ("p_m_out", -1)), Cmp.GE, 2)
-
-    def test_direct_in_out_names(self, ping_pong):
-        cb = convert(ping_pong)
-        got = lift_atom(cb, [(name_ref("p_m_in"), 1), (name_ref("p_m_out"), -1)], Cmp.GE, 0)
-        assert got.terms == (("p_m_in", 1), ("p_m_out", -1))
-
-    def test_unknown_reference(self, ping_pong):
-        cb = convert(ping_pong)
-        with pytest.raises(UnknownReference):
-            lift_atom(cb, [(name_ref("nope"), 1)], Cmp.GE, 0)
-        with pytest.raises(UnknownReference):
-            lift_atom(cb, [(mail_ref("p", "nope"), 1)], Cmp.GE, 0)
-
     def test_lift_formula_tree(self, ping_pong):
+        # A scaled mailbox term deep in the tree lifts to its in/out pair,
+        # both scaled, and the operators above it are kept.
         cb = convert(ping_pong)
-        tree = Not(EF(PropertyAtom(((mail_ref("p", "m"), 2),), Cmp.LE, 4)))
-        lifted = lift_formula(cb, tree)
+        lifted = parse_property("Neg(EF(mail(p, m) * 2 <= 4))", cb)
         assert lifted == Not(EF(Atom(LinearAtom((("p_m_in", 2), ("p_m_out", -2)), Cmp.LE, 4))))
 
 
@@ -180,14 +155,9 @@ class TestCaseStudyProperties:
         # piles two unconsumed messages into the mailbox.
         cb = convert(ping_pong)
         init = convert_place(cb, AcsPlace((1, 0), (0,)))
-        for terms in (
-            [(name_ref("q0"), 1)],
-            [(name_ref("q1"), 1)],
-            [(mail_ref("p", "m"), 1)],
-        ):
-            f = EF(Atom(lift_atom(cb, terms, Cmp.GE, 2)))
-            verdict = check_ef(cb.bpp, init, f, REF)
-            assert verdict.result == "not-holds", terms
+        for prop in ("EF(q0 >= 2)", "EF(q1 >= 2)", "EF(mail(p, m) >= 2)"):
+            verdict = check_ef(cb.bpp, init, parse_property(prop, cb), REF)
+            assert verdict.result == "not-holds", prop
 
     def test_safety_transfer_to_original_semantics(self, ping_pong):
         # The converted system refutes reachability, so the original

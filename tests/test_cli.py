@@ -86,7 +86,7 @@ class TestExitCodes:
     def test_mixed_formula_is_three(self, capsys):
         code, _, err = run(capsys, DATA / "mixed.bpp")
         assert code == 3
-        assert "bounded engine" in err
+        assert "no engine decides it exactly" in err
 
     def test_solver_not_found_is_four(self, capsys):
         code, _, err = run(capsys, DATA / "reach.bpp", "--solver", "no-such-solver-cmd")
@@ -225,17 +225,16 @@ class TestActorSystems:
 
 
 class TestModes:
-    def test_mode_ef_rejects_eg_formula(self, capsys):
-        code, _, err = run(capsys, DATA / "liveness.bpp", "--mode", "ef")
-        assert code == 3
-
+    # The formula class picks the engine; there is no flag to override it.
     def test_mode_eg_on_ef_formula_rejected(self, capsys):
         code, _, err = run(capsys, DATA / "reach.bpp", "--mode", "eg")
         assert code == 3
+        assert err.startswith("usage error: unrecognized arguments: --mode eg")
 
     def test_mode_eg_explicit(self, capsys):
-        code, out, _ = run(capsys, DATA / "liveness.bpp", "--mode", "eg", "-k", "4")
+        code, out, _ = run(capsys, DATA / "liveness.bpp", "-k", "4")
         assert code == 0
+        assert "engine: eg-bounded" in out
 
     def test_negative_k_rejected(self, capsys):
         code, _, err = run(capsys, DATA / "liveness.bpp", "-k", "-1")

@@ -1,8 +1,9 @@
 """Package layout: the bundled solver child loads only its own modules, a
-check loads only the engine it runs, and every demo runs against the
-package as laid out in this checkout."""
+check loads only the engine it runs, every demo runs against the package
+as laid out in this checkout, and the README lists the CLI's flags."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,3 +68,16 @@ def test_check_loads_only_its_engine(args, unused):
 def test_demo_runs(demo):
     proc = run_fresh(str(demo))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_flags_match_the_cli():
+    # The README's "Flags:" paragraph names each option in backticks
+    # (`-k N`, `--format text|json`); argparse's own --help is left out.
+    from bppcheck.cli import build_parser
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = text[text.index("\nFlags: "):].split("\n\n", 1)[0]
+    spans = re.findall(r"`(-[^`]*)`", paragraph)
+    documented = {span.split()[0] for span in spans}
+    options = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert documented == options - {"-h", "--help"}

@@ -2,6 +2,7 @@
 random box-bounded formulas are compared against brute-force enumeration,
 and classic integer-gap instances are pinned by hand."""
 
+import functools
 import itertools
 import random
 import time
@@ -15,6 +16,7 @@ from bppcheck.ctl import EG, And, ENext, desugar
 from bppcheck.eg import encode_eg
 from bppcheck.oracle import eval_bounded
 from bppcheck.parsing import parse_problem
+from bppcheck import refsolver
 from bppcheck.refsolver import _Engine, omega, solve_text
 from bppcheck.refsolver.omega import OmegaBudgetExceeded, omega_solve
 from bppcheck.sexpr import parse_all
@@ -350,6 +352,22 @@ class TestUndecidedChild:
         # Each of the 2 branches on c opens 2 on b; each of those opens the
         # 2 disjuncts, and the undecided one 33 probed values of a.
         assert pairs[":branches"] == str(2 * (1 + 2 * (1 + 2 + 33)))
+
+    def test_does_not_mask_a_spent_step_budget(self, monkeypatch):
+        # The first disjunct is undecided; the step budget then runs out in
+        # the second, ten variables in {0, 1, 2} whose weighted sum cannot
+        # reach 1000. The budget stops the whole solve, so the answer names
+        # it rather than the reason the undecided sibling left behind.
+        names = [f"v{i}" for i in range(10)]
+        box = "".join(f"(or (= {v} 0) (= {v} 1) (= {v} 2))" for v in names)
+        total = " ".join(f"(* {i + 1} {v})" for i, v in enumerate(names))
+        monkeypatch.setattr(refsolver, "_Engine", functools.partial(_Engine, step_budget=1000))
+        out = run(
+            "(declare-const a Int)" + "".join(f"(declare-const {v} Int)" for v in names)
+            + f"(assert (or {UNDECIDED} (and {box} (= (+ {total}) 1000))))"
+            "(check-sat)(get-info :reason-unknown)"
+        )
+        assert out == ["unknown", '(:reason-unknown "step budget exhausted")']
 
 
 class TestBranchOnValues:
