@@ -2,8 +2,8 @@
 
 A process system where S hands off to X and X keeps spawning Y tokens.
 We ask whether a configuration with exactly one Y is reachable, read the
-solver's firing counts out of the model, and replay them as a concrete
-firing sequence.
+firing counts out of the model the refinement loop accepted (the witness),
+and replay them as a concrete firing sequence.
 
 Run:  python demos/01_reachability.py
 """
@@ -33,13 +33,15 @@ def main() -> None:
     solver = resolve_solver()
     print(f"solver command: {' '.join(solver.command)}")
 
-    verdict, encoding, calls = check_ef_detailed(system, initial, wanted, solver)
+    verdict, encoding, rounds = check_ef_detailed(system, initial, wanted, solver)
     print(f"EF(Y == 1): {verdict.result}")
     print("solver model:")
     for name, value in verdict.witness.items():
         print(f"  ({name}, {value})")
 
-    counts = model_firing_counts(encoding.vars, calls[0].model)
+    print(f"refinement rounds: {len(rounds[0])}")
+
+    counts = model_firing_counts(encoding.vars, verdict.witness)
     sequence = realize_firing_counts(system, initial, counts)
     print(f"firing counts per rule: {counts}")
     print(f"one concrete interleaving: {sequence}")

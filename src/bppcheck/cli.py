@@ -66,7 +66,8 @@ def build_parser() -> _Parser:
                         "(default: z3 -in -smt2 when available, else the bundled solver, "
                         "which runs in process)")
     parser.add_argument("--timeout", type=float, default=60.0, metavar="SECS",
-                        help="budget per solver call in seconds (default 60): the "
+                        help="budget in seconds (default 60) per EF node, shared by "
+                        "all of its refinement rounds, or per bounded check: the "
                         "bundled solver stops itself at it, a solver command is "
                         "killed shortly after it")
     parser.add_argument("--emit-smt", metavar="PATH",

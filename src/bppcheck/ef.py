@@ -1,16 +1,21 @@
-"""Exact reachability checking via an existential Presburger encoding.
+"""Exact reachability checking by lazy siphon refinement.
 
-A marking is reachable iff there are firing counts y satisfying the flow
-equations plus a connectivity certificate: distance labels z that force
-every used rule's left symbol to be derivable from the initial marking.
-One solver call decides each EF node; a sat model is re-checked against
-the whole encoding by the independent evaluator. ``realize_firing_counts``
-reconstructs a concrete firing sequence from a model's y counts; the
-checker itself does not call it.
+Firing counts y of a BPP are realizable iff they satisfy the flow equations
+and every used rule has a left symbol derivable from the initially marked
+symbols through used rules (Esparza, Fundamenta Informaticae 31, 1997).
+Each EF node is a loop: solve the flow equations plus the body and, while
+the model's support is not derivable, add a cut that the model breaks and
+every run satisfies (``siphon_cut``), as Petrinizer does (CAV 2014). Every
+sat model is re-checked by the independent evaluator; only an accepted one
+becomes the witness. ``encode_reachability`` is the one-shot alternative
+with distance labels z (Verma, Seidl and Schwentick, CADE 2005).
+``realize_firing_counts`` replays a model's y counts; the checker does not
+call it.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable
 
 from .core import Bpp, Marking, fire
@@ -50,7 +55,8 @@ _CMP_TO_SMT = {"==": "=", "!=": "!=", ">=": ">=", "<=": "<=", ">": ">", "<": "<"
 
 class EfVars(Record):
     """Variable naming: x_<sym> reached count, y_<i+1> firing count per rule
-    (1-based, file order), z_<sym> derivation distance."""
+    (1-based, file order), z_<sym> derivation distance (one-shot encoding
+    only; the flow encoding has none)."""
 
     __slots__ = __match_args__ = ("x", "y", "z")
 
@@ -74,23 +80,13 @@ class ReachabilityEncoding(Record):
     def declarations(self) -> tuple[str, ...]:
         return self.vars.ordered()
 
-    def conjunction(self) -> Node:
-        return conj(self.constraints)
 
-
-def encode_reachability(bpp: Bpp, init: Marking) -> ReachabilityEncoding:
-    """Flow equations plus the connectivity block.
-
-    Flow, per symbol P:  init(P) + sum_r y_r*rhs_r(P) - sum_{lhs(r)=P} y_r = x_P.
-    Connectivity: z_P = 1 for initially marked P; a used rule needs a
-    derivable left symbol (y_r = 0 or z_lhs > 0); an unmarked symbol is
-    either underivable with all its producers unused, or one producing rule
-    justifies it at distance z_lhs + 1; finally x_P = 0 or z_P > 0.
-    """
+def encode_flow(bpp: Bpp, init: Marking) -> ReachabilityEncoding:
+    """The flow equations: nonnegative counts and, per symbol P,
+    init(P) + sum_r y_r*rhs_r(P) - sum_{lhs(r)=P} y_r = x_P."""
     bpp.check_marking(init)
     xs = {sym: f"x_{sym}" for sym in bpp.symbols}
     ys = {rule.rid: f"y_{rule.rid + 1}" for rule in bpp.rules}
-    zs = {sym: f"z_{sym}" for sym in bpp.symbols}
     constraints: list[Node] = []
 
     for sym in bpp.symbols:
@@ -108,6 +104,22 @@ def encode_reachability(bpp: Bpp, init: Marking) -> ReachabilityEncoding:
                 terms.append((ys[rule.rid], coeff))
         terms.append((xs[sym], -1))
         constraints.append(lin(terms, "=", -init[i]))
+
+    return ReachabilityEncoding(EfVars(xs, ys, {}), tuple(constraints))
+
+
+def encode_reachability(bpp: Bpp, init: Marking) -> ReachabilityEncoding:
+    """Flow equations plus the connectivity block: exact in one solver call.
+
+    Connectivity: z_P = 1 for initially marked P; a used rule needs a
+    derivable left symbol (y_r = 0 or z_lhs > 0); an unmarked symbol is
+    either underivable with all its producers unused, or one producing rule
+    justifies it at distance z_lhs + 1; finally x_P = 0 or z_P > 0.
+    """
+    flow = encode_flow(bpp, init)
+    xs, ys = flow.vars.x, flow.vars.y
+    zs = {sym: f"z_{sym}" for sym in bpp.symbols}
+    constraints = list(flow.constraints)
 
     for i, sym in enumerate(bpp.symbols):
         if init[i] > 0:
@@ -171,46 +183,101 @@ def atoms_to_node(psi: Formula, name_of: dict[str, str]) -> Node:
     raise MixedFormula(f"EF body must be propositional over atoms, got {psi!r}")
 
 
+def siphon_cut(bpp: Bpp, init: Marking, ys: dict[int, str], model: dict[str, int]) -> Node | None:
+    """None when the model's firing counts are realizable, else a cut that
+    the model breaks and every real run satisfies.
+
+    D is the closure of the initially marked symbols under the used rules
+    (y_r > 0 and lhs in D puts the rhs in D); the counts are realizable iff
+    every used rule has its left symbol in D. Otherwise let S = symbols - D:
+    S starts unmarked, so a run that fires a rule inside S (lhs in S) first
+    fires a feeder (lhs outside S, some rhs symbol in S). The model fires
+    no feeder, since its used rules with lhs in D only produce into D.
+    """
+    used = [rule for rule in bpp.rules if model[ys[rule.rid]] > 0]
+    derivable = {sym for sym, count in zip(bpp.symbols, init) if count > 0}
+    grown = True
+    while grown:
+        grown = False
+        for rule in used:
+            if rule.lhs in derivable and not derivable.issuperset(rule.rhs):
+                derivable.update(rule.rhs)
+                grown = True
+    if all(rule.lhs in derivable for rule in used):
+        return None
+    inside = [(ys[r.rid], 1) for r in bpp.rules if r.lhs not in derivable]
+    feeders = [
+        (ys[r.rid], 1)
+        for r in bpp.rules
+        if r.lhs in derivable and not derivable.issuperset(r.rhs)
+    ]
+    # The feeder disjunct goes first: the bundled solver tries disjuncts in
+    # order, and inside = 0 first sends it into deep, mostly futile branching.
+    no_inside = lin(inside, "=", 0)
+    return disj([lin(feeders, ">=", 1), no_inside]) if feeders else no_inside
+
+
 def check_ef_detailed(
     bpp: Bpp,
     init: Marking,
     f: Formula,
     config: SolverConfig,
     on_script: Callable[[int, SmtScript], None] | None = None,
-) -> tuple[Verdict, ReachabilityEncoding, list[SolverOutcome]]:
+) -> tuple[Verdict, ReachabilityEncoding, list[list[SolverOutcome]]]:
     """Decide an EF-class formula at the initial marking.
 
-    Atoms are evaluated directly on the initial marking; every EF node costs
-    one solver call on (reachability encoding AND body over x variables);
-    negation and conjunction combine the sub-results three-valued (unknown
-    from a solver timeout stays unknown unless the boolean context decides
-    regardless).
+    Atoms are evaluated directly on the initial marking. Every EF node is
+    one refinement loop over (flow equations AND body over x AND the cuts so
+    far); its rounds share ``config.timeout_s`` from its first round, each
+    round gets the time left, and a node whose time runs out between rounds
+    is unknown with reason ``timeout``. Negation and conjunction combine the
+    node results three-valued (unknown stays unknown unless the boolean
+    context decides regardless). Returns the verdict, the flow encoding and,
+    per EF node in evaluation order, the outcome of each round.
     """
     core = desugar(f)
     if classify(core) != FormulaClass.EF_CLASS:
         raise MixedFormula(
             "not an EF-class formula; EG/E<a> content belongs to the bounded engine"
         )
-    enc = encode_reachability(bpp, init)
-    outcomes: list[SolverOutcome] = []
+    flow = encode_flow(bpp, init)
+    nodes: list[list[SolverOutcome]] = []
+    witnesses: list[dict[str, int]] = []
+    reasons: list[str] = []
+    n_asserts = 0
 
     def solve_ef(psi: Formula) -> bool | None:
-        body = atoms_to_node(psi, enc.vars.x)
-        node = conj(list(enc.constraints) + [body])
-        script = to_smtlib(node, enc.declarations)
-        if on_script is not None:
-            on_script(len(outcomes), script)
-        outcome = run_solver(script, config)
-        # Never trust model printing: the bindings must satisfy every
-        # emitted constraint under the independent evaluator.
-        if outcome.status == "sat" and not eval_node(node, outcome.model):
-            raise SolverProtocolError("solver model does not satisfy the encoding")
-        outcomes.append(outcome)
-        if outcome.status == "sat":
-            return True
-        if outcome.status == "unsat":
-            return False
-        return None
+        nonlocal n_asserts
+        parts = list(flow.constraints) + [atoms_to_node(psi, flow.vars.x)]
+        rounds: list[SolverOutcome] = []
+        nodes.append(rounds)
+        deadline = time.perf_counter() + config.timeout_s
+        while True:
+            left = deadline - time.perf_counter()
+            if left <= 0:
+                reasons.append("timeout")
+                return None
+            node = conj(parts)
+            script = to_smtlib(node, flow.declarations)
+            if on_script is not None:
+                on_script(sum(map(len, nodes)), script)
+            outcome = run_solver(script, SolverConfig(config.command, left))
+            # Never trust model printing: the bindings must satisfy every
+            # emitted constraint under the independent evaluator.
+            if outcome.status == "sat" and not eval_node(node, outcome.model):
+                raise SolverProtocolError("solver model does not satisfy the encoding")
+            rounds.append(outcome)
+            n_asserts += len(parts)
+            if outcome.status == "unsat":
+                return False
+            if outcome.status != "sat":
+                reasons.append(outcome.reason_unknown or "unreported")
+                return None
+            cut = siphon_cut(bpp, init, flow.vars.y, outcome.model)
+            if cut is None:
+                witnesses.append(outcome.model)
+                return True
+            parts.append(cut)
 
     def ev(g: Formula) -> bool | None:
         if isinstance(g, Atom):
@@ -230,15 +297,19 @@ def check_ef_detailed(
         raise MixedFormula(f"unexpected node in EF-class formula: {g!r}")
 
     value = ev(core)
-    witness = next((o.model for o in outcomes if o.status == "sat"), None)
+    outcomes = [outcome for rounds in nodes for outcome in rounds]
     stats = {
-        "n_vars": len(enc.declarations),
-        "n_asserts": (len(enc.constraints) + 1) * max(1, len(outcomes)),
-        **solver_stats(outcomes, unknown=value is None),
+        "n_vars": len(flow.declarations),
+        "n_asserts": n_asserts,
+        "ef_rounds": len(outcomes),
+        **solver_stats(outcomes, unknown=False),
     }
+    if value is None:
+        stats["reason_unknown"] = reasons[0]
     result = "unknown" if value is None else ("holds" if value else "not-holds")
+    witness = witnesses[0] if witnesses else None
     verdict = Verdict(result=result, engine="ef", k=None, witness=witness, stats=stats)
-    return verdict, enc, outcomes
+    return verdict, flow, nodes
 
 
 def check_ef(

@@ -76,11 +76,11 @@ class TestCriterion1FigureRegression:
     def test_reachability_with_certified_witness(self):
         start = time.perf_counter()
         problem = parse_problem((DATA / "reach.bpp").read_text())
-        verdict, enc, results = check_ef_detailed(
+        verdict, enc, _ = check_ef_detailed(
             problem.bpp, problem.initial, problem.formula, SOLVER
         )
         assert verdict.result == "holds"
-        model = results[0].model
+        model = verdict.witness
 
         # Independent re-evaluation of the flow equation per symbol:
         # init(P) + sum_r y_r*rhs_r(P) - sum_{lhs(r)=P} y_r = x_P.
@@ -138,13 +138,13 @@ class TestCriterion3EfDifferential:
             init = random_marking(rng, bpp)
             psi = random_atom(rng, bpp)
             expected = check_ef_oracle(bpp, init, psi, budget)
-            verdict, enc, results = check_ef_detailed(bpp, init, EF(psi), SOLVER)
+            verdict, enc, _ = check_ef_detailed(bpp, init, EF(psi), SOLVER)
             assert verdict.result in ("holds", "not-holds"), (i, bpp)
             if expected.is_definite:
                 assert (verdict.result == "holds") == expected.value, (i, bpp, init, psi)
                 definite += 1
             if verdict.result == "holds":
-                model = results[0].model
+                model = verdict.witness
                 counts = model_firing_counts(enc.vars, model)
                 try:
                     sequence = realize_firing_counts(bpp, init, counts)

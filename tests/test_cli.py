@@ -259,6 +259,21 @@ class TestEmitAndDot:
         assert code == 1  # the tee always answers unsat
         assert emitted.read_bytes() == captured.read_bytes()
 
+    def test_emit_smt_writes_one_file_per_round(self, tmp_path, capsys):
+        # reach.bpp's first model fires X -> X Y without S -> X: one cut.
+        emitted = tmp_path / "q.smt2"
+        code, out, _ = run(
+            capsys, DATA / "reach.bpp", "--emit-smt", emitted, "--format", "json", "--stats"
+        )
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert stats["ef_rounds"] == stats["solver_calls"] == 2
+        assert stats["n_vars"] == 5
+        first, second = (tmp_path / f"q.{i}.smt2" for i in range(2))
+        assert not emitted.exists() and not (tmp_path / "q.2.smt2").exists()
+        assert "z_" not in first.read_text()
+        assert second.read_text().count("(or ") == first.read_text().count("(or ") + 1
+
     def test_dot_export(self, tmp_path, capsys):
         dot = tmp_path / "graph.dot"
         code, _, _ = run(capsys, DATA / "reach.bpp", "--dot", dot)

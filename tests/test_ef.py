@@ -1,28 +1,47 @@
 import random
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from bppcheck import ef
 from bppcheck.core import Bpp, Rule
 from bppcheck.ctl import And, Cmp, EF, EG, Not
 from bppcheck.ef import (
     atoms_to_node,
     check_ef,
     check_ef_detailed,
+    encode_flow,
     encode_reachability,
     expected_marking_from_counts,
     final_marking,
     model_firing_counts,
     reached_marking_from_model,
     realize_firing_counts,
+    siphon_cut,
 )
 from bppcheck.errors import BudgetExceeded, MixedFormula, SolverProtocolError
 from bppcheck.oracle import ExplorationBudget, check_ef_oracle
-from bppcheck.smt import SolverConfig, conj, eval_node, run_solver, to_smtlib
+from bppcheck.parsing import parse_problem
+from bppcheck.smt import SolverConfig, conj, disj, eval_node, lin, run_solver, to_smtlib
+from bppcheck.smt.runner import BUNDLED_COMMAND
 
 from .conftest import atom, random_atom, random_bpp, random_marking
 
 REF = SolverConfig((sys.executable, "-m", "bppcheck.refsolver"), 30.0)
+BUNDLED = SolverConfig(BUNDLED_COMMAND, 30.0)
+DATA = Path(__file__).parent / "data"
+
+
+def assert_witness_replays(bpp, init, psi, flow, witness) -> None:
+    counts = model_firing_counts(flow.vars, witness)
+    seq = realize_firing_counts(bpp, init, counts)
+    assert seq is not None, (bpp, init, counts)
+    final = final_marking(bpp, init, seq)
+    assert final == reached_marking_from_model(bpp, flow.vars, witness)
+    assert final == expected_marking_from_counts(bpp, init, counts)
+    assert psi.atom.evaluate(final, bpp)
 
 
 class TestEncoding:
@@ -41,12 +60,12 @@ class TestEncoding:
             "y_1": 1, "y_2": 1,
             "z_S": 1, "z_X": 2, "z_Y": 3,
         }
-        assert eval_node(enc.conjunction(), env) is True
+        assert eval_node(conj(enc.constraints), env) is True
 
     def test_ruleless_encoding_fixes_counts(self):
         bpp = Bpp(("X",), ())
         enc = encode_reachability(bpp, (1,))
-        script = to_smtlib(enc.conjunction(), enc.declarations)
+        script = to_smtlib(conj(enc.constraints), enc.declarations)
         outcome = run_solver(script, REF)
         assert outcome.status == "sat"
         assert outcome.model["x_X"] == 1
@@ -63,6 +82,14 @@ class TestEncoding:
         assert outcome.status == "sat"
         m = outcome.model
         assert m["x_X1"] + m["x_X2"] + m["x_X3"] == 1 + m["y_1"] + m["y_2"]
+
+    def test_one_shot_encoding_extends_the_flow_equations(self, grower):
+        flow = encode_flow(grower, (1, 0, 0))
+        enc = encode_reachability(grower, (1, 0, 0))
+        assert flow.declarations == ("x_S", "x_X", "x_Y", "y_1", "y_2")
+        assert flow.vars.z == {}
+        assert enc.constraints[: len(flow.constraints)] == flow.constraints
+        assert len(enc.constraints) > len(flow.constraints)
 
     def test_multi_symbol_initial_marking(self, triangle):
         # init X2=2: zero firings already give x_X2 = 2.
@@ -91,9 +118,12 @@ class TestCheckEf:
 
     def test_boolean_combination(self, grower):
         f = And(EF(atom({"Y": 1}, Cmp.GE, 3)), Not(EF(atom({"S": 1}, Cmp.GE, 2))))
-        verdict, _, results = check_ef_detailed(grower, (1, 0, 0), f, REF)
+        verdict, _, rounds = check_ef_detailed(grower, (1, 0, 0), f, REF)
         assert verdict.result == "holds"
-        assert len(results) == 2
+        # The first model for Y >= 3 fires X -> X Y but not S -> X; one cut
+        # later it is realizable. S >= 2 already fails the flow equations.
+        assert [len(node) for node in rounds] == [2, 1]
+        assert verdict.stats["ef_rounds"] == 3
 
     def test_atom_only_formula_needs_no_solver(self, grower):
         verdict, _, results = check_ef_detailed(grower, (1, 0, 0), atom({"S": 1}, Cmp.GE, 1), REF)
@@ -166,19 +196,104 @@ class TestDifferential:
             init = random_marking(rng, bpp)
             psi = random_atom(rng, bpp)
             expected = check_ef_oracle(bpp, init, psi, budget)
-            verdict, enc, results = check_ef_detailed(bpp, init, EF(psi), REF)
+            verdict, flow, _ = check_ef_detailed(bpp, init, EF(psi), REF)
             assert verdict.result in ("holds", "not-holds")
             if expected.is_definite:
                 got = verdict.result == "holds"
                 assert got == expected.value, (bpp, init, psi)
                 compared += 1
             if verdict.result == "holds":
-                model = results[0].model
-                counts = model_firing_counts(enc.vars, model)
-                seq = realize_firing_counts(bpp, init, counts)
-                assert seq is not None, (bpp, init, counts)
-                final = final_marking(bpp, init, seq)
-                assert final == reached_marking_from_model(bpp, enc.vars, model)
-                assert final == expected_marking_from_counts(bpp, init, counts)
-                assert psi.atom.evaluate(final, bpp)
+                assert_witness_replays(bpp, init, psi, flow, verdict.witness)
         assert compared >= 30
+
+    def test_lazy_loop_matches_the_one_shot_encoding(self):
+        # The criterion-3 generator: the refinement loop and one solve of
+        # the flow equations plus the connectivity block must agree.
+        rng = random.Random(8086)
+        refined = 0
+        for i in range(300):
+            bpp = random_bpp(rng, max_symbols=5, max_rules=8, max_rhs=3)
+            init = random_marking(rng, bpp)
+            psi = random_atom(rng, bpp)
+            verdict, _, (rounds,) = check_ef_detailed(bpp, init, EF(psi), BUNDLED)
+            refined += len(rounds) > 1
+            enc = encode_reachability(bpp, init)
+            node = conj(list(enc.constraints) + [atoms_to_node(psi, enc.vars.x)])
+            one_shot = run_solver(to_smtlib(node, enc.declarations), BUNDLED).status
+            assert one_shot in ("sat", "unsat"), (i, bpp)
+            want = "holds" if one_shot == "sat" else "not-holds"
+            assert verdict.result == want, (i, bpp, init, psi)
+        assert refined >= 5  # the cuts decide some of them
+
+
+class TestSiphonCut:
+    # S -> X, X -> X Y: a model that fires X -> X Y without S -> X uses a
+    # rule whose left symbol X is not derivable from the marked S.
+    def test_realizable_counts_need_no_cut(self, grower):
+        ys = encode_flow(grower, (1, 0, 0)).vars.y
+        assert siphon_cut(grower, (1, 0, 0), ys, {"y_1": 1, "y_2": 3}) is None
+        assert siphon_cut(grower, (1, 0, 0), ys, {"y_1": 0, "y_2": 0}) is None
+
+    def test_cut_puts_the_feeders_first(self, grower):
+        ys = encode_flow(grower, (1, 0, 0)).vars.y
+        model = {"y_1": 0, "y_2": 3}
+        cut = siphon_cut(grower, (1, 0, 0), ys, model)
+        # S = {X, Y}; inside: X -> X Y; feeder: S -> X.
+        assert cut == disj([lin([("y_1", 1)], ">=", 1), lin([("y_2", 1)], "=", 0)])
+        assert eval_node(cut, model) is False
+        assert eval_node(cut, {"y_1": 1, "y_2": 3}) is True
+
+    def test_no_feeder_gives_a_unit_cut(self):
+        # Y is never produced, so Y -> nil can only stay unused.
+        bpp = Bpp(("X", "Y"), (Rule(0, "Y", "a", ()),))
+        ys = encode_flow(bpp, (1, 0)).vars.y
+        assert siphon_cut(bpp, (1, 0), ys, {"y_1": 1}) == lin([("y_1", 1)], "=", 0)
+
+
+class TestRefinementDeadline:
+    def test_rounds_share_the_node_budget(self, monkeypatch):
+        # ring8_seed3 needs 5 rounds. Each round here takes over 0.4 s, so a
+        # 1 s budget runs out between rounds: the node answers unknown with
+        # reason timeout. The second EF node starts a budget of its own.
+        problem = parse_problem((DATA / "ring8_seed3.bpp").read_text())
+        calls: list[tuple[float, float]] = []
+
+        def slow(script, config):
+            calls.append((time.perf_counter(), config.timeout_s))
+            outcome = run_solver(script, config)
+            time.sleep(0.4)
+            return outcome
+
+        monkeypatch.setattr(ef, "run_solver", slow)
+        f = And(problem.formula, EF(atom({"P0": 1}, Cmp.GE, 1)))
+        verdict, _, rounds = check_ef_detailed(
+            problem.bpp, problem.initial, f, SolverConfig(BUNDLED_COMMAND, 1.0)
+        )
+        assert verdict.result == "unknown"
+        assert verdict.stats["reason_unknown"] == "timeout"
+        first, second = rounds
+        assert 2 <= len(first) < 5 and len(second) == 1
+        assert verdict.stats["ef_rounds"] == len(calls) == len(first) + 1
+        (t0, budget0), *rest = calls[: len(first)]
+        assert 0.95 < budget0 <= 1.0
+        for t, budget in rest:
+            assert budget < 1.0 - 0.4
+            assert abs(t + budget - (t0 + budget0)) < 0.05
+        assert calls[-1][1] > 0.95
+
+
+class TestHardInstances:
+    # Instances the one-shot encoding could not decide in 15 s with the
+    # bundled solver; ring n = 16 seed 3 was the one it decided quickly.
+    @pytest.mark.parametrize(
+        "name", ["ring8_seed3", "ring9_seed1", "dead4x4_seed0", "ring16_seed3"]
+    )
+    def test_decided_like_the_oracle(self, name):
+        problem = parse_problem((DATA / f"{name}.bpp").read_text())
+        bpp, init, psi = problem.bpp, problem.initial, problem.formula.sub
+        expected = check_ef_oracle(bpp, init, psi, ExplorationBudget(max_states=100_000))
+        assert expected.is_definite
+        verdict, flow, _ = check_ef_detailed(bpp, init, problem.formula, BUNDLED)
+        assert verdict.result == ("holds" if expected.value else "not-holds")
+        if verdict.result == "holds":
+            assert_witness_replays(bpp, init, psi, flow, verdict.witness)

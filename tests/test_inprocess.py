@@ -98,12 +98,12 @@ class TestTransport:
 
 
 class TestDeadline:
-    def test_ring_instance_stops_at_the_timeout(self, capsys):
-        # A reachable ring instance the solver cannot decide within seconds;
-        # nothing kills an in-process solve, so the solver must stop itself.
+    def test_deep_unrolling_stops_at_the_timeout(self, capsys):
+        # A bounded check the solver cannot finish within seconds; nothing
+        # kills an in-process solve, so the solver must stop itself.
         start = time.perf_counter()
         code, out = run_cli(
-            capsys, DATA / "ring8_seed3.bpp", "--timeout", "2", "--format", "json"
+            capsys, DATA / "liveness.bpp", "-k", "700", "--timeout", "2", "--format", "json"
         )
         elapsed = time.perf_counter() - start
         assert code == 2
