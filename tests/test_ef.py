@@ -1,7 +1,7 @@
 import random
 import sys
-import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -252,18 +252,20 @@ class TestSiphonCut:
 
 class TestRefinementDeadline:
     def test_rounds_share_the_node_budget(self, monkeypatch):
-        # ring8_seed3 needs 5 rounds. Each round here takes over 0.4 s, so a
-        # 1 s budget runs out between rounds: the node answers unknown with
-        # reason timeout. The second EF node starts a budget of its own.
+        # ring8_seed3 needs 5 rounds. A fake clock in ef advances 0.4 s per
+        # round, so a 1 s budget gives rounds 0.4 s apart with 1.0, 0.6 and
+        # 0.2 s left, then runs out between rounds: the node answers unknown
+        # with reason timeout. The second EF node starts a budget of its own.
         problem = parse_problem((DATA / "ring8_seed3.bpp").read_text())
-        calls: list[tuple[float, float]] = []
+        now = [100.0]
+        budgets: list[float] = []
 
         def slow(script, config):
-            calls.append((time.perf_counter(), config.timeout_s))
-            outcome = run_solver(script, config)
-            time.sleep(0.4)
-            return outcome
+            budgets.append(config.timeout_s)
+            now[0] += 0.4
+            return run_solver(script, BUNDLED)
 
+        monkeypatch.setattr(ef, "time", SimpleNamespace(perf_counter=lambda: now[0]))
         monkeypatch.setattr(ef, "run_solver", slow)
         f = And(problem.formula, EF(atom({"P0": 1}, Cmp.GE, 1)))
         verdict, _, rounds = check_ef_detailed(
@@ -272,14 +274,9 @@ class TestRefinementDeadline:
         assert verdict.result == "unknown"
         assert verdict.stats["reason_unknown"] == "timeout"
         first, second = rounds
-        assert 2 <= len(first) < 5 and len(second) == 1
-        assert verdict.stats["ef_rounds"] == len(calls) == len(first) + 1
-        (t0, budget0), *rest = calls[: len(first)]
-        assert 0.95 < budget0 <= 1.0
-        for t, budget in rest:
-            assert budget < 1.0 - 0.4
-            assert abs(t + budget - (t0 + budget0)) < 0.05
-        assert calls[-1][1] > 0.95
+        assert len(first) == 3 and len(second) == 1
+        assert verdict.stats["ef_rounds"] == 4
+        assert budgets == pytest.approx([1.0, 0.6, 0.2, 1.0])
 
 
 class TestHardInstances:

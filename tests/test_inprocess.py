@@ -100,14 +100,19 @@ class TestTransport:
 class TestDeadline:
     def test_deep_unrolling_stops_at_the_timeout(self, capsys):
         # A bounded check the solver cannot finish within seconds; nothing
-        # kills an in-process solve, so the solver must stop itself.
+        # kills an in-process solve, so the solver must stop itself. One
+        # solver call shows the encoder finished in time and the solver,
+        # not the encoder's own deadline check, gave up.
         start = time.perf_counter()
         code, out = run_cli(
-            capsys, DATA / "liveness.bpp", "-k", "700", "--timeout", "2", "--format", "json"
+            capsys, DATA / "liveness.bpp", "-k", "700", "--timeout", "2", "--format", "json",
+            "--stats",
         )
         elapsed = time.perf_counter() - start
         assert code == 2
-        assert json.loads(out)["stats"]["reason_unknown"] == "timeout"
+        stats = json.loads(out)["stats"]
+        assert stats["reason_unknown"] == "timeout"
+        assert stats["solver_calls"] == 1
         assert elapsed < 2.5
 
     def test_past_deadline_is_timeout(self):

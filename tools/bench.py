@@ -1,12 +1,12 @@
 """Write BENCH_<label>.json: the 30-instance EF family, one CLI run each.
 
-    python tools/bench.py --label lazy-ef [--src PATH] [--timeout 10]
+    python tools/bench.py --label lazy-ef [--src PATH]
 
-Run from anywhere; the output lands at the root of this checkout unless
-``--out`` says otherwise. The family is ring n in {6, 8, 10, 12, 16} and
-dead-generator 4x4, seeds 0-4, built by ``clibench/families.py``. Each
-instance is written as a problem file and checked by one
-``python -m bppcheck FILE --format json --stats --timeout T`` process, one
+Run from anywhere; the output lands at the root of this checkout. The
+family is ring n in {6, 8, 10, 12, 16} and dead-generator 4x4, seeds 0-4,
+built by ``clibench/families.py``. Each instance is written as a problem
+file and checked by one
+``python -m bppcheck FILE --format json --stats --timeout 10`` process, one
 at a time, with ``PYTHONPATH`` set to ``--src`` (default: this checkout's
 ``src``), so the same script measures another checkout's engine. A row
 holds the verdict, the reason for an unknown, the wall time from spawn to
@@ -34,6 +34,7 @@ from clibench.model import problem_text  # noqa: E402
 
 RING_SIZES = (6, 8, 10, 12, 16)
 SEEDS = range(5)
+TIMEOUT_S = 10
 REFERENCE_STATES = 100_000
 
 
@@ -55,14 +56,14 @@ def reference_answer(system, formula) -> str | None:
     return "holds" if reference.eval_ef_class(system, formula, answers) else "not-holds"
 
 
-def run_cli(problem: Path, src: Path, timeout: float) -> dict:
+def run_cli(problem: Path, src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("BPPCHECK_SOLVER", None)
     argv = [sys.executable, "-m", "bppcheck", str(problem), "--format", "json",
-            "--stats", "--timeout", str(timeout)]
+            "--stats", "--timeout", str(TIMEOUT_S)]
     start = time.perf_counter()
     proc = subprocess.run(argv, capture_output=True, text=True, env=env,
-                          timeout=2 * timeout + 30)
+                          timeout=2 * TIMEOUT_S + 30)
     row = {"exit": proc.returncode,
            "wall_ms": round((time.perf_counter() - start) * 1000.0, 1)}
     try:
@@ -80,8 +81,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--timeout", type=float, default=10.0)
-    parser.add_argument("--out", type=Path)
     opts = parser.parse_args(argv)
 
     rows = []
@@ -89,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, system, formula in family():
             problem = Path(tmp) / f"{name}.bpp"
             problem.write_text(problem_text(system, formula))
-            row = {"instance": name, **run_cli(problem, opts.src.resolve(), opts.timeout),
+            row = {"instance": name, **run_cli(problem, opts.src.resolve()),
                    "reference": reference_answer(system, formula)}
             rows.append(row)
             print(json.dumps(row), file=sys.stderr)
@@ -104,15 +103,14 @@ def main(argv: list[str] | None = None) -> int:
     }
     payload = {
         "label": opts.label,
-        "command": f"python tools/bench.py --label {opts.label} --timeout {opts.timeout:g}"
+        "command": f"python tools/bench.py --label {opts.label}"
                    + ("" if opts.src == ROOT / "src" else " --src <other checkout>/src"),
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "system": platform.system()},
         "summary": summary,
         "ef_family": rows,
     }
-    out = opts.out or ROOT / f"BENCH_{opts.label}.json"
-    out.write_text(json.dumps(payload, indent=1) + "\n")
+    (ROOT / f"BENCH_{opts.label}.json").write_text(json.dumps(payload, indent=1) + "\n")
     print(json.dumps(summary))
     return 0
 
