@@ -10,12 +10,7 @@ Run:  python demos/01_reachability.py
 
 from bppcheck.core import Bpp, Rule, TAU
 from bppcheck.ctl import Atom, Cmp, EF, LinearAtom
-from bppcheck.ef import (
-    check_ef_detailed,
-    final_marking,
-    model_firing_counts,
-    realize_firing_counts,
-)
+from bppcheck.ef import check_ef_detailed, model_firing_counts, realize_firing_counts
 from bppcheck.smt import resolve_solver
 
 
@@ -42,10 +37,10 @@ def main() -> None:
     print(f"refinement rounds: {len(rounds[0])}")
 
     counts = model_firing_counts(encoding.vars, verdict.witness)
-    sequence = realize_firing_counts(system, initial, counts)
+    sequence, reached = realize_firing_counts(system, initial, counts)
     print(f"firing counts per rule: {counts}")
     print(f"one concrete interleaving: {sequence}")
-    print(f"marking reached: {final_marking(system, initial, sequence)}")
+    print(f"marking reached: {reached}")
 
     # The same pipeline refutes unreachable targets: S never comes back.
     impossible = EF(Atom(LinearAtom((("S", 1),), Cmp.GE, 2)))

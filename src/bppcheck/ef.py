@@ -9,8 +9,9 @@ every run satisfies (``siphon_cut``), as Petrinizer does (CAV 2014). Every
 sat model is re-checked by the independent evaluator; only an accepted one
 becomes the witness. ``encode_reachability`` is the one-shot alternative
 with distance labels z (Verma, Seidl and Schwentick, CADE 2005).
-``realize_firing_counts`` replays a model's y counts; the checker does not
-call it.
+``realize_firing_counts`` turns realizable y counts into a firing sequence
+by the theorem's constructive proof, with the same derivability check; the
+checker does not call it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from .core import Bpp, Marking, fire
+from .core import Bpp, Marking, Rule, fire, rule_delta
 from .ctl import (
     And,
     Atom,
@@ -32,7 +33,7 @@ from .ctl import (
     desugar,
     eval_atomic,
 )
-from .errors import BudgetExceeded, MixedFormula, SolverProtocolError, UnknownSymbol
+from .errors import MixedFormula, SolverProtocolError, UnknownSymbol
 from .record import Record, setfield
 from .smt import (
     Node,
@@ -94,14 +95,9 @@ def encode_flow(bpp: Bpp, init: Marking) -> ReachabilityEncoding:
     for rule in bpp.rules:
         constraints.append(lin([(ys[rule.rid], 1)], ">=", 0))
 
+    deltas = [rule_delta(rule, bpp) for rule in bpp.rules]
     for i, sym in enumerate(bpp.symbols):
-        terms: list[tuple[str, int]] = []
-        for rule in bpp.rules:
-            coeff = sum(1 for s in rule.rhs if s == sym)
-            if rule.lhs == sym:
-                coeff -= 1
-            if coeff:
-                terms.append((ys[rule.rid], coeff))
+        terms = [(ys[rule.rid], deltas[rule.rid][i]) for rule in bpp.rules if deltas[rule.rid][i]]
         terms.append((xs[sym], -1))
         constraints.append(lin(terms, "=", -init[i]))
 
@@ -183,6 +179,20 @@ def atoms_to_node(psi: Formula, name_of: dict[str, str]) -> Node:
     raise MixedFormula(f"EF body must be propositional over atoms, got {psi!r}")
 
 
+def _derivable(bpp: Bpp, marking: Marking, used: list[Rule]) -> set[str]:
+    """The symbols marked in ``marking``, closed under the used rules: a used
+    rule whose left symbol is derivable makes its right symbols derivable."""
+    derivable = {sym for sym, count in zip(bpp.symbols, marking) if count > 0}
+    grown = True
+    while grown:
+        grown = False
+        for rule in used:
+            if rule.lhs in derivable and not derivable.issuperset(rule.rhs):
+                derivable.update(rule.rhs)
+                grown = True
+    return derivable
+
+
 def siphon_cut(bpp: Bpp, init: Marking, ys: dict[int, str], model: dict[str, int]) -> Node | None:
     """None when the model's firing counts are realizable, else a cut that
     the model breaks and every real run satisfies.
@@ -195,14 +205,7 @@ def siphon_cut(bpp: Bpp, init: Marking, ys: dict[int, str], model: dict[str, int
     no feeder, since its used rules with lhs in D only produce into D.
     """
     used = [rule for rule in bpp.rules if model[ys[rule.rid]] > 0]
-    derivable = {sym for sym, count in zip(bpp.symbols, init) if count > 0}
-    grown = True
-    while grown:
-        grown = False
-        for rule in used:
-            if rule.lhs in derivable and not derivable.issuperset(rule.rhs):
-                derivable.update(rule.rhs)
-                grown = True
+    derivable = _derivable(bpp, init, used)
     if all(rule.lhs in derivable for rule in used):
         return None
     inside = [(ys[r.rid], 1) for r in bpp.rules if r.lhs not in derivable]
@@ -329,17 +332,18 @@ def model_firing_counts(enc_vars: EfVars, model: dict[str, int]) -> dict[int, in
 
 
 def realize_firing_counts(
-    bpp: Bpp,
-    init: Marking,
-    counts: dict[int, int],
-    node_budget: int = 200_000,
-) -> list[int] | None:
-    """Find an interleaving that fires every rule its counted number of
-    times with all intermediate markings nonnegative.
+    bpp: Bpp, init: Marking, counts: dict[int, int]
+) -> tuple[list[int], Marking] | None:
+    """Fire every rule its counted number of times, with all intermediate
+    markings nonnegative.
 
-    Returns the rule-id sequence, or None when the counts are unrealizable.
-    Backtracking with failure memoization; raises BudgetExceeded when the
-    search outgrows the node budget.
+    Returns the rule-id sequence and the marking it reaches, or None when the
+    counts are unrealizable. This is the constructive proof of the
+    characterization above: firing never changes init + sum_r counts_r*delta_r,
+    so while the remaining counts are realizable, some enabled rule leaves
+    remaining counts whose used rules are all derivable from the marking after
+    it; fire the first such rule. Unrealizable counts run out of such rules.
+    Each step tries each rule once with one closure, so no search is needed.
     """
     bpp.check_marking(init)
     remaining = [0] * len(bpp.rules)
@@ -349,63 +353,20 @@ def realize_firing_counts(
         if not 0 <= rid < len(bpp.rules):
             raise ValueError(f"no rule with id {rid}")
         remaining[rid] = count
-    state = (init, tuple(remaining))
-    failed: set[tuple[Marking, tuple[int, ...]]] = set()
-    path: list[int] = []
-    # Explicit stack of (marking, remaining, next rule id to try).
-    stack: list[tuple[Marking, tuple[int, ...], int]] = [(state[0], state[1], 0)]
-    visited = 0
-
-    while stack:
-        marking, rem, next_rid = stack[-1]
-        if not any(rem):
-            return path
-        advanced = False
-        for rid in range(next_rid, len(bpp.rules)):
-            if rem[rid] == 0:
+    marking, sequence = init, []
+    while any(remaining):
+        for rule in bpp.rules:
+            if not remaining[rule.rid] or marking[bpp.index[rule.lhs]] < 1:
                 continue
-            if marking[bpp.index[bpp.rules[rid].lhs]] < 1:
-                continue
-            child_m = fire(marking, rid, bpp)
-            child_rem = rem[:rid] + (rem[rid] - 1,) + rem[rid + 1 :]
-            if (child_m, child_rem) in failed:
-                continue
-            visited += 1
-            if visited > node_budget:
-                raise BudgetExceeded(f"realization budget {node_budget} exhausted")
-            stack[-1] = (marking, rem, rid + 1)
-            stack.append((child_m, child_rem, 0))
-            path.append(rid)
-            advanced = True
-            break
-        if not advanced:
-            failed.add((marking, rem))
-            stack.pop()
-            if path:
-                path.pop()
-    return None
-
-
-def final_marking(bpp: Bpp, init: Marking, sequence: list[int]) -> Marking:
-    m = init
-    for rid in sequence:
-        m = fire(m, rid, bpp)
-    return m
-
-
-def reached_marking_from_model(bpp: Bpp, enc_vars: EfVars, model: dict[str, int]) -> Marking:
-    """The marking the model claims to reach (the x variables)."""
-    return tuple(model[enc_vars.x[sym]] for sym in bpp.symbols)
-
-
-def expected_marking_from_counts(bpp: Bpp, init: Marking, counts: dict[int, int]) -> Marking:
-    """init + sum of rule deltas, straight from the flow equations."""
-    out = list(init)
-    for rule in bpp.rules:
-        c = counts.get(rule.rid, 0)
-        if not c:
-            continue
-        out[bpp.index[rule.lhs]] -= c
-        for sym in rule.rhs:
-            out[bpp.index[sym]] += c
-    return tuple(out)
+            remaining[rule.rid] -= 1
+            after = fire(marking, rule.rid, bpp)
+            used = [r for r in bpp.rules if remaining[r.rid]]
+            derivable = _derivable(bpp, after, used)
+            if all(r.lhs in derivable for r in used):
+                marking = after
+                sequence.append(rule.rid)
+                break
+            remaining[rule.rid] += 1
+        else:
+            return None
+    return sequence, marking

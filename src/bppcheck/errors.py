@@ -50,10 +50,6 @@ class MixedFormula(BppCheckError):
     """The formula mixes EF with EG/E<a> and no engine decides it exactly."""
 
 
-class BudgetExceeded(BppCheckError):
-    """A backtracking search ran out of its node budget."""
-
-
 class EncodingTimeout(BppCheckError):
     """Encoding ran past the deadline of the check."""
 

@@ -1,12 +1,14 @@
 import random
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from bppcheck import ef
-from bppcheck.core import Bpp, Rule
+from bppcheck.core import Bpp, Rule, fire
 from bppcheck.ctl import And, Cmp, EF, EG, Not
 from bppcheck.ef import (
     atoms_to_node,
@@ -14,15 +16,12 @@ from bppcheck.ef import (
     check_ef_detailed,
     encode_flow,
     encode_reachability,
-    expected_marking_from_counts,
-    final_marking,
     model_firing_counts,
-    reached_marking_from_model,
     realize_firing_counts,
     siphon_cut,
 )
-from bppcheck.errors import BudgetExceeded, MixedFormula, SolverProtocolError
-from bppcheck.oracle import ExplorationBudget, check_ef_oracle
+from bppcheck.errors import MixedFormula, SolverProtocolError
+from bppcheck.oracle import ExplorationBudget, check_ef_oracle, explore
 from bppcheck.parsing import parse_problem
 from bppcheck.smt import SolverConfig, conj, disj, eval_node, lin, run_solver, to_smtlib
 from bppcheck.smt.runner import BUNDLED_COMMAND
@@ -34,14 +33,25 @@ BUNDLED = SolverConfig(BUNDLED_COMMAND, 30.0)
 DATA = Path(__file__).parent / "data"
 
 
+def assert_realizes(bpp, init, counts, replay) -> None:
+    """The sequence fires each rule exactly its count, every step enabled
+    (core.fire raises otherwise), and ends in the returned marking."""
+    seq, reached = replay
+    assert Counter(seq) == +Counter(counts), (counts, seq)
+    marking = init
+    for rid in seq:
+        marking = fire(marking, rid, bpp)
+    assert marking == reached
+
+
 def assert_witness_replays(bpp, init, psi, flow, witness) -> None:
     counts = model_firing_counts(flow.vars, witness)
-    seq = realize_firing_counts(bpp, init, counts)
-    assert seq is not None, (bpp, init, counts)
-    final = final_marking(bpp, init, seq)
-    assert final == reached_marking_from_model(bpp, flow.vars, witness)
-    assert final == expected_marking_from_counts(bpp, init, counts)
-    assert psi.atom.evaluate(final, bpp)
+    replay = realize_firing_counts(bpp, init, counts)
+    assert replay is not None, (bpp, init, counts)
+    assert_realizes(bpp, init, counts, replay)
+    _, reached = replay
+    assert reached == tuple(witness[flow.vars.x[sym]] for sym in bpp.symbols)
+    assert psi.atom.evaluate(reached, bpp)
 
 
 class TestEncoding:
@@ -157,33 +167,75 @@ class TestCheckEf:
 
 class TestRealize:
     def test_grower_sequence_forced(self, grower):
-        seq = realize_firing_counts(grower, (1, 0, 0), {0: 1, 1: 1})
-        assert seq == [0, 1]
-        assert final_marking(grower, (1, 0, 0), seq) == (0, 1, 1)
+        assert realize_firing_counts(grower, (1, 0, 0), {0: 1, 1: 1}) == ([0, 1], (0, 1, 1))
 
     def test_zero_counts_empty_sequence(self, triangle):
-        assert realize_firing_counts(triangle, (1, 0, 0), {}) == []
+        assert realize_firing_counts(triangle, (1, 0, 0), {}) == ([], (1, 0, 0))
 
     def test_triangle_two_rule_plan(self, triangle):
-        seq = realize_firing_counts(triangle, (1, 0, 0), {0: 1, 2: 1})
-        assert seq == [0, 2]
-        assert final_marking(triangle, (1, 0, 0), seq) == (1, 1, 0)
+        assert realize_firing_counts(triangle, (1, 0, 0), {0: 1, 2: 1}) == ([0, 2], (1, 1, 0))
 
     def test_backtracking_needed(self):
-        # Rule order tempts the search to kill X first; only X->X then
+        # Rule order tempts a greedy replay to kill X first; only X->X then
         # X->nil works.
         bpp = Bpp(("X",), (Rule(0, "X", "a", ()), Rule(1, "X", "a", ("X",))))
-        seq = realize_firing_counts(bpp, (1,), {0: 1, 1: 1})
-        assert seq == [1, 0]
+        assert realize_firing_counts(bpp, (1,), {0: 1, 1: 1}) == ([1, 0], (0,))
 
     def test_unrealizable(self):
         bpp = Bpp(("X", "Y"), (Rule(0, "Y", "a", ()),))
         assert realize_firing_counts(bpp, (1, 0), {0: 1}) is None
 
-    def test_budget(self):
-        bpp = Bpp(("X",), (Rule(0, "X", "a", ("X",)),))
-        with pytest.raises(BudgetExceeded):
-            realize_firing_counts(bpp, (1,), {0: 10_000}, node_budget=100)
+    def test_bad_counts_rejected(self, triangle):
+        with pytest.raises(ValueError, match="negative"):
+            realize_firing_counts(triangle, (1, 0, 0), {0: -1})
+        with pytest.raises(ValueError, match="no rule with id 3"):
+            realize_firing_counts(triangle, (1, 0, 0), {3: 1})
+
+    def test_self_loops_need_no_search(self):
+        # The replay must not search: six self-loops fired 8 times each leave
+        # 9^6 remaining-count vectors, and the unfireable Y -> nil makes
+        # every one of them a dead end.
+        loops = tuple(Rule(i, f"X{i}", "a", (f"X{i}",)) for i in range(6))
+        symbols = tuple(f"X{i}" for i in range(6))
+        counts = {i: 8 for i in range(6)}
+        start = time.perf_counter()
+        with_y = Bpp(symbols + ("Y",), loops + (Rule(6, "Y", "a", ()),))
+        assert realize_firing_counts(with_y, (1,) * 6 + (0,), {**counts, 6: 1}) is None
+        replay = realize_firing_counts(Bpp(symbols, loops), (1,) * 6, counts)
+        assert replay == ([i for i in range(6) for _ in range(8)], (1,) * 6)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestRealizeDifferential:
+    def test_against_oracle_exploration(self):
+        # Explore (marking, remaining counts) states until every count is
+        # spent: realizable exactly when the oracle reaches such a state.
+        rng = random.Random(99)
+        budget = ExplorationBudget(max_states=20_000)
+        realizable = unrealizable = 0
+        for i in range(500):
+            bpp = random_bpp(rng, max_symbols=5, max_rules=8, max_rhs=3)
+            init = random_marking(rng, bpp)
+            counts = {rule.rid: rng.randint(0, 3) for rule in bpp.rules}
+
+            def succ(state):
+                marking, rem = state
+                for rid, left in enumerate(rem):
+                    if left and marking[bpp.index[bpp.rules[rid].lhs]]:
+                        yield fire(marking, rid, bpp), rem[:rid] + (left - 1,) + rem[rid + 1:]
+
+            start = (init, tuple(counts.values()))
+            seen, complete = explore(start, succ, budget, lambda state: not any(state[1]))
+            found = not any(next(reversed(seen))[1])
+            replay = realize_firing_counts(bpp, init, counts)
+            if found:
+                assert replay is not None, (i, bpp, init, counts)
+                assert_realizes(bpp, init, counts, replay)
+                realizable += 1
+            elif complete:  # else the state cap cut the exploration short: skip
+                assert replay is None, (i, bpp, init, counts)
+                unrealizable += 1
+        assert realizable >= 200 and unrealizable >= 200, (realizable, unrealizable)
 
 
 class TestDifferential:

@@ -11,7 +11,8 @@ at a time, with ``PYTHONPATH`` set to ``--src`` (default: this checkout's
 ``src``), so the same script measures another checkout's engine. A row
 holds the verdict, the reason for an unknown, the wall time from spawn to
 exit, the EF round count and the answer of the benchmark's explicit-state
-reference (null past its state budget). Standard library only.
+reference (null past its state budget). Exits 1 when a decided verdict
+disagrees with the reference, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     (ROOT / f"BENCH_{opts.label}.json").write_text(json.dumps(payload, indent=1) + "\n")
     print(json.dumps(summary))
-    return 0
+    return 1 if summary["disagreements"] else 0
 
 
 if __name__ == "__main__":
