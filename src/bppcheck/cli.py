@@ -35,6 +35,10 @@ class _UsageError(Exception):
     pass
 
 
+class _NotUtf8(Exception):
+    """An input file that does not decode as UTF-8: a parse error."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract says 3
         raise _UsageError(message)
@@ -91,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as err:
+    except (ParseError, _NotUtf8) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except MixedFormula as err:
@@ -153,7 +157,10 @@ def _dispatch(opts) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise _NotUtf8(f"{path}: not UTF-8 ({err.reason})") from None
 
 
 def _run_problem(path: str, opts) -> Report:

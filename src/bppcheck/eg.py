@@ -45,9 +45,10 @@ class VarAllocator:
     """Fresh state-variable names: u<j>_<sym> for path positions (later
     blocks get a _b<serial> suffix), s<serial>_<sym> for step targets.
 
-    With a deadline (a ``time.perf_counter()`` value), allocating a block
-    past it raises EncodingTimeout: nested blocks multiply, so this is where
-    an encoding that cannot finish in time is stopped."""
+    With a deadline (a ``time.perf_counter()`` value), ``check_deadline``
+    raises EncodingTimeout once it has passed. The encoder calls it for
+    each block, target state and path step, so neither nesting nor a
+    large k runs far past the deadline."""
 
     def __init__(self, deadline: float | None = None):
         self.used: set[str] = set()
@@ -71,12 +72,12 @@ class VarAllocator:
         return name
 
     def path_block(self, k: int, symbols: Sequence[str]) -> list[State]:
-        self.check_deadline()
         self._eg_serial += 1
         suffix = "" if self._eg_serial == 1 else f"_b{self._eg_serial}"
         block: list[State] = []
         flat: list[str] = []
         for j in range(k + 1):
+            self.check_deadline()
             names = tuple(self._claim(f"u{j}_{sym}{suffix}") for sym in symbols)
             block.append(names)
             flat.extend(names)
@@ -130,10 +131,13 @@ def trans_constraint(s: State, t: State, action: str, bpp: Bpp) -> Node:
     )
 
 
-def path_constraint(u: Sequence[State], bpp: Bpp) -> Node:
-    """k chained unlabeled steps (labels are ignored along paths)."""
+def path_constraint(u: Sequence[State], bpp: Bpp, alloc: VarAllocator | None = None) -> Node:
+    """k chained unlabeled steps (labels are ignored along paths); with an
+    allocator, its deadline is checked at each step."""
     steps = []
     for j in range(1, len(u)):
+        if alloc is not None:
+            alloc.check_deadline()
         steps.append(
             disj(
                 conj([_enabled(u[j - 1], rule, bpp), t_minus(u[j - 1], u[j], rule, bpp)])
@@ -176,9 +180,11 @@ def trans(f: Formula, s: State, k: int, bpp: Bpp, alloc: VarAllocator) -> Node:
         return exists([n for n in t], body)
     if isinstance(f, EG):
         u = alloc.path_block(k, bpp.symbols)
-        parts: list[Node] = [path_constraint(u, bpp)]
+        parts: list[Node] = [path_constraint(u, bpp, alloc)]
         parts.extend(_component_eq(s[i], u[0][i], 0) for i in range(bpp.n))
-        parts.extend(trans(f.sub, u[j], k, bpp, alloc) for j in range(k + 1))
+        for j in range(k + 1):
+            alloc.check_deadline()
+            parts.append(trans(f.sub, u[j], k, bpp, alloc))
         flat = [name for state in u for name in state]
         return exists(flat, conj(parts))
     raise MixedFormula(f"bounded engine cannot compile {f!r}")
@@ -232,8 +238,9 @@ def encode_eg(
 ) -> EgEncoding:
     """Compile a desugared EF-free formula at the concrete initial marking.
 
-    Raises EncodingTimeout when a block is allocated, or the script is
-    done, past the deadline (a ``time.perf_counter()`` value)."""
+    Raises EncodingTimeout when a block, a target state or a path step is
+    made, or the script is done, past the deadline (a
+    ``time.perf_counter()`` value)."""
     bpp.check_marking(init)
     if k < 0:
         raise ValueError("k must be >= 0")

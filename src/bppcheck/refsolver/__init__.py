@@ -12,34 +12,18 @@ seconds). Since nothing kills a solve in process, the engine stops itself:
 at a deadline (reason ``timeout``), at its step budget, and at
 ``RECURSION_LIMIT`` or an exhausted memory (unknown, never a traceback).
 
-Decision strategy: negation normal form, then a backtracking search that
-eagerly substitutes pinned variables, splices positive existential blocks
-and hands conjunctions of literals to the Omega test. Propagation is
-incremental: each search level looks again only at the goals its branch
-added and at those that mention a variable pinned since they were last
-looked at (the watched-literal idea of Chaff, Moskewicz et al., DAC 2001).
-The search is one loop over a stack of choice points: one child per live
-disjunct of a disjunction, or per value of a variable when only quantified
-goals are left; an exhausted complete choice memoizes the residual problem
-as failed. Quantified subformulas once ground, and goals whose unpinned
-variables occur nowhere else, are decided by one memoized sub-solve,
-``_sub_solve``, keyed on the goal and the values of its pinned variables.
-The failure-memo key, the branch choice and the detached-goal check still
-scan every goal once per level.
-It is a generic engine: it knows nothing about where its input formulas
-came from.
+This module reads the script into negation normal form; ``search.py``
+decides it, and the Omega test (``omega.py``) is loaded by the first leaf
+of the search that hands it literals.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from collections import Counter
 
-from .omega import OmegaBudgetExceeded, omega_solve
 from ..sexpr import parse_all, render
-
-DEFAULT_STEP_BUDGET = 20_000_000
+from .search import RefsolverUnknown, _Engine, _mk_lit
 
 #: Python stack depth allowed while a script is read and solved. The search
 #: and the Omega test are loops; the formula builder recurses once per nesting
@@ -48,37 +32,12 @@ DEFAULT_STEP_BUDGET = 20_000_000
 RECURSION_LIMIT = 20_000
 
 
-class RefsolverUnknown(Exception):
-    """Raised when the engine cannot decide (unsupported shape or budget)."""
+def omega_solve(lits, deadline=None):
+    """The Omega test, imported at the first call. The search looks this
+    name up here at each leaf, so a caller may wrap it here."""
+    from .omega import omega_solve as solve
 
-
-class _Stop(RefsolverUnknown):
-    """The deadline or the step budget ran out: the whole solve stops, and
-    no choice point records it as one more undecided child."""
-
-
-class _Fail(Exception):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# Formula representation: immutable tuples built once at parse time.
-#   ('true',) ('false',)
-#   ('ge', coeffs, const)   sum + const >= 0      coeffs: tuple[(var, c), ...]
-#   ('eq', coeffs, const)   sum + const == 0
-#   ('and', children) ('or', children)
-#   ('ex', names, body)     exists names. body
-#   ('notex', names, body)  NOT exists names. body   (body stored positive)
-# ---------------------------------------------------------------------------
-
-
-def _mk_lit(kind: str, coeffs: dict[str, int], const: int):
-    items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-    if not items:
-        if kind == "eq":
-            return ("true",) if const == 0 else ("false",)
-        return ("true",) if const >= 0 else ("false",)
-    return (kind, items, const)
+    return solve(lits, deadline=deadline)
 
 
 def _mk_junction(kind: str, children):
@@ -97,453 +56,6 @@ def _mk_junction(kind: str, children):
     if not out:
         return unit
     return out[0] if len(out) == 1 else (kind, tuple(out))
-
-
-class _FreeVars:
-    """Free-variable sets cached by node identity (nodes are built once)."""
-
-    def __init__(self):
-        self.cache: dict[int, frozenset[str]] = {}
-
-    def of(self, node) -> frozenset[str]:
-        got = self.cache.get(id(node))
-        if got is not None:
-            return got
-        kind = node[0]
-        if kind in ("true", "false"):
-            out = frozenset()
-        elif kind in ("ge", "eq"):
-            out = frozenset(v for v, _ in node[1])
-        elif kind in ("and", "or"):
-            acc: set[str] = set()
-            for ch in node[1]:
-                acc |= self.of(ch)
-            out = frozenset(acc)
-        else:  # ex / notex
-            out = self.of(node[2]) - frozenset(node[1])
-        self.cache[id(node)] = out
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Search
-# ---------------------------------------------------------------------------
-
-
-class _Engine:
-    def __init__(self, step_budget: int = DEFAULT_STEP_BUDGET, deadline: float | None = None):
-        self.steps = 0
-        self.budget = step_budget
-        self.deadline = deadline
-        self.frees = _FreeVars()
-        self.sub_memo: dict[tuple, dict[str, int] | None] = {}
-        self.failed: set[tuple[int, ...]] = set()
-        self.entry_ids: dict[tuple, int] = {}  # failure-memo entries, interned
-        self.rounds = 0
-        self.branches = 0
-        self.omega_calls = 0
-        self.memo_hits = 0
-
-    def charge(self, units: int = 1) -> None:
-        self.steps += units
-        if self.steps > self.budget:
-            raise _Stop("step budget exhausted")
-        if self.deadline is not None and time.perf_counter() >= self.deadline:
-            raise _Stop("timeout")
-
-    def statistics(self) -> dict[str, int]:
-        return {
-            "steps": self.steps,
-            "propagate-rounds": self.rounds,
-            "branches": self.branches,
-            "omega-calls": self.omega_calls,
-            "failed-memo-hits": self.memo_hits,
-        }
-
-    # -- literal reduction --------------------------------------------------
-
-    def _reduce_lit(self, node, subst):
-        kind, items, const = node
-        coeffs: dict[str, int] = {}
-        for v, c in items:
-            val = subst.get(v)
-            if val is None:
-                coeffs[v] = coeffs.get(v, 0) + c
-            else:
-                const += c * val
-        return _mk_lit(kind, coeffs, const)
-
-    def _peek(self, node, subst):
-        """Tri-state evaluation under a partial assignment: True/False/None."""
-        kind = node[0]
-        if kind == "true":
-            return True
-        if kind == "false":
-            return False
-        if kind in ("ge", "eq"):
-            red = self._reduce_lit(node, subst)
-            if red == ("true",):
-                return True
-            if red == ("false",):
-                return False
-            return None
-        if kind == "and":
-            saw_none = False
-            for ch in node[1]:
-                r = self._peek(ch, subst)
-                if r is False:
-                    return False
-                if r is None:
-                    saw_none = True
-            return None if saw_none else True
-        if kind == "or":
-            live = self._live(node, subst)
-            return True if live is None else (None if live else False)
-        # Quantified: only decidable when ground.
-        if self.frees.of(node) <= subst.keys():
-            found = self._sub_solve(node, list(node[1]), node[2], subst) is not None
-            return found if kind == "ex" else not found
-        return None
-
-    def _live(self, node, subst):
-        """The disjuncts of an 'or' not yet false, or None once one is true."""
-        live = []
-        for ch in node[1]:
-            r = self._peek(ch, subst)
-            if r is True:
-                return None
-            if r is None:
-                live.append(ch)
-        return live
-
-    def _pinned(self, node, subst) -> tuple:
-        """The node's pinned free variables with their values, sorted."""
-        return tuple(sorted((v, subst[v]) for v in self.frees.of(node) if v in subst))
-
-    def _sub_solve(self, node, evars: list[str], goal, subst):
-        """Witness for exists(evars) over goal, with the node's pinned free
-        variables at their values; memoized on (node, pinned frees). Ground
-        quantified nodes have every free variable pinned and detached goals
-        at least one unpinned, so their keys never meet."""
-        key = (id(node), self._pinned(node, subst))
-        if key not in self.sub_memo:
-            self.sub_memo[key] = self.solve_exists(evars, [goal], dict(key[1]))
-        return self.sub_memo[key]
-
-    # -- main search ---------------------------------------------------------
-
-    def solve_exists(self, evars: list[str], goal_nodes: list, outer: dict[str, int]):
-        """Witness for exists(evars) over the conjunction of goals, or None.
-
-        outer maps every free variable of the goals (other than evars) to a
-        concrete integer.
-        """
-        subst = dict(outer)
-        lits: list = []
-        pending: list = []  # 'or' / 'notex' / non-ground 'ex'... nodes
-
-        try:
-            for node in goal_nodes:
-                self._push_into(node, evars, lits, pending, subst)
-            return self._search(evars, lits, pending, subst)
-        except _Fail:
-            return None
-
-    def _propagate(self, evars, lits, pending, subst, lit_from, pend_from, pinned) -> None:
-        """Pin forced variables and simplify until nothing changes.
-
-        Incremental: lits[:lit_from] and pending[:pend_from] were at fixpoint
-        before the variables in ``pinned`` were assigned. A round reduces or
-        peeks only the items appended since the last round (the caller's
-        push, spliced disjuncts) and the items that mention a variable pinned
-        since they were last looked at, which is the watched-literal idea
-        with per-round sets of pinned variables as the watch lists. Items
-        keep their order, so the search branches as a full rescan would.
-        """
-        lit_fresh = set(pinned)  # pins some literal has not been reduced by
-        node_fresh = set(pinned)  # pins no pending pass has seen yet
-        new_nodes = {id(node) for node in pending[pend_from:]}
-        while True:
-            self.charge()
-            self.rounds += 1
-            pins: set[str] = set()
-
-            if lit_fresh or lit_from < len(lits):
-                kept: list = []
-                for i, lit in enumerate(lits):
-                    if i < lit_from and (not lit_fresh or lit_fresh.isdisjoint(dict(lit[1]))):
-                        kept.append(lit)
-                        continue
-                    red = self._reduce_lit(lit, subst)
-                    if red == ("true",):
-                        continue
-                    if red == ("false",):
-                        raise _Fail()
-                    kind, items, const = red
-                    if kind == "eq" and len(items) == 1:
-                        v, c = items[0]
-                        if const % c != 0:
-                            raise _Fail()
-                        subst[v] = -const // c
-                        pins.add(v)
-                        lit_fresh.add(v)
-                        continue
-                    kept.append(red)
-                lits[:] = kept
-            lit_from = len(lits)
-            node_fresh |= pins
-
-            spliced = False
-            next_new: set[int] = set()
-            if node_fresh or new_nodes:
-                kept = []
-                for node in pending:
-                    if id(node) not in new_nodes and (
-                        not node_fresh or node_fresh.isdisjoint(self.frees.of(node))
-                    ):
-                        kept.append(node)
-                        continue
-                    if node[0] != "or":
-                        result = self._peek(node, subst)
-                        if result is False:
-                            raise _Fail()
-                        if result is None:
-                            kept.append(node)
-                        continue
-                    live = self._live(node, subst)
-                    if live is None:
-                        continue
-                    if not live:
-                        raise _Fail()
-                    if len(live) == 1:
-                        # Forced disjunct: splice it as a direct goal.
-                        mark = len(kept)
-                        self._push_into(live[0], evars, lits, kept, subst)
-                        next_new.update(id(n) for n in kept[mark:])
-                        spliced = True
-                        continue
-                    kept.append(node)
-                pending[:] = kept
-
-            if not pins and not spliced:
-                if len(pending) > 1 or (pending and lits):
-                    self._resolve_detached(lits, pending, subst)
-                return
-            lit_fresh = pins
-            node_fresh = set()
-            new_nodes = next_new
-
-    def _resolve_detached(self, lits, pending, subst) -> None:
-        """Decide pending goals whose unpinned variables occur nowhere else.
-
-        Such a goal is an independent existential subproblem: solve it once,
-        merge its witness, and drop it. Memoized on (goal, pinned frees), this
-        is what keeps per-position witness goals from exploding the search.
-        One pass counts in how many items each unpinned variable occurs; a
-        goal is detached when each of its unpinned variables counts once.
-        Resolving it pins only variables no other item mentions, so every
-        other goal stays as it was and the pass goes on in order. It stops
-        while a single goal and no literal would be left, which the search
-        branches on instead.
-        """
-        unpinned = [self.frees.of(node).difference(subst) for node in pending]
-        occurs = Counter(v for lit in lits for v, _ in lit[1])
-        for mine in unpinned:
-            occurs.update(mine)
-        kept: list = []
-        left = len(pending)
-        for node, mine in zip(pending, unpinned):
-            if not mine or not (left > 1 or lits) or any(occurs[v] > 1 for v in mine):
-                kept.append(node)
-                continue
-            witness = self._sub_solve(node, sorted(mine), node, subst)
-            if witness is None:
-                raise _Fail()
-            for v in mine:
-                subst[v] = witness.get(v, 0)
-            left -= 1
-        pending[:] = kept
-
-    def _push_into(self, node, evars, lits, pending, subst) -> None:
-        """Add a goal: literals to lits, other non-trivial nodes to pending."""
-        if node[0] in ("ge", "eq"):
-            node = self._reduce_lit(node, subst)
-        kind = node[0]
-        if kind == "true":
-            return
-        if kind == "false":
-            raise _Fail()
-        if kind == "and":
-            for ch in node[1]:
-                self._push_into(ch, evars, lits, pending, subst)
-            return
-        if kind == "ex":
-            evars.extend(node[1])
-            self._push_into(node[2], evars, lits, pending, subst)
-            return
-        (lits if kind in ("ge", "eq") else pending).append(node)
-
-    def _residual_key(self, lits, pending, subst) -> tuple[int, ...]:
-        """The residual problem as the sorted ids of its distinct entries:
-        each literal, and each pending goal with the values of its pinned
-        free variables. An entry gets its id the first time the engine sees
-        it, so the failure memo stores small int tuples, not the goals."""
-        ids = self.entry_ids
-        entries = {ids.setdefault(lit, len(ids)) for lit in lits}
-        for node in pending:
-            entries.add(ids.setdefault((id(node), self._pinned(node, subst)), len(ids)))
-        return tuple(sorted(entries))
-
-    def _search(self, evars, lits, pending, subst):
-        """Depth-first search, one loop over a stack of choice points.
-
-        A node is propagated, then decided: Omega on a pure conjunction, else
-        it pushes a choice point ``[options, parent, var, key, complete,
-        undecided]``. Each option is charged and counted as a branch, then its
-        child is a copy of the parent ``(evars, lits, pending, subst)`` with
-        the option as a goal or, for a ``var``, as its value. A failed child
-        moves on to the next option; so does an undecided one, whose reason is
-        raised once no sibling answers sat. The deadline and the step budget
-        are no such reason: they stop the whole search. When every child
-        failed, the residual problem is memoized as failed if the options
-        were complete (all disjuncts, a boxed range); a probe window is not,
-        and ends in unknown. A child's items before lit_from / pend_from are
-        at fixpoint up to the variables in pinned; see _propagate.
-        """
-        stack: list[list] = []
-        point = None  # the choice point whose option is entered; None: the root
-        lit_from = pend_from = 0
-        pinned = ()
-        while True:
-            outcome = None  # why the node was undecided; None when it failed
-            try:
-                if point is not None:
-                    (p_evars, p_lits, p_pending, p_subst), var = point[1], point[2]
-                    evars, lits, pending, subst = list(p_evars), list(p_lits), list(p_pending), dict(p_subst)
-                    lit_from, pend_from = len(p_lits), len(p_pending)
-                    if var is None:
-                        pinned = ()
-                        self._push_into(option, evars, lits, pending, subst)
-                    else:
-                        subst[var] = option
-                        pinned = (var,)
-                self._propagate(evars, lits, pending, subst, lit_from, pend_from, pinned)
-
-                if not pending:
-                    witness = {}
-                    if lits:
-                        self.omega_calls += 1
-                        try:
-                            witness = omega_solve(lits, deadline=self.deadline)
-                        except OmegaBudgetExceeded as exc:
-                            self.charge(0)  # past the deadline: stop, do not record
-                            raise RefsolverUnknown(str(exc)) from None
-                        if witness is None:
-                            raise _Fail()
-                    return {**{v: subst.get(v, 0) for v in evars}, **witness}
-
-                key = self._residual_key(lits, pending, subst)
-                if key in self.failed:
-                    self.memo_hits += 1
-                    raise _Fail()
-
-                # Branch on the disjunction with the fewest unpinned variables:
-                # the most-determined goal first, which follows chained
-                # equalities in the order they pin each other instead of
-                # guessing ahead.
-                branch = None
-                branch_unpinned = None
-                for node in pending:
-                    if node[0] != "or":
-                        continue
-                    unpinned = sum(1 for v in self.frees.of(node) if v not in subst)
-                    if branch is None or unpinned < branch_unpinned:
-                        branch, branch_unpinned = node, unpinned
-                        if unpinned == 0:
-                            break
-                if branch is None:
-                    stack.append(self._branch_on_values(evars, lits, pending, subst, key))
-                else:
-                    rest = [node for node in pending if node is not branch]
-                    stack.append([iter(self._live(branch, subst)), (evars, lits, rest, subst),
-                                  None, key, True, None])
-            except _Fail:
-                pass
-            except _Stop:
-                raise
-            except RefsolverUnknown as exc:
-                outcome = str(exc)
-
-            # Enter the next option of the innermost choice point that has one.
-            # An exhausted point is popped and reports to the point below it.
-            while True:
-                if not stack:
-                    raise _Fail() if outcome is None else RefsolverUnknown(outcome)
-                point = stack[-1]
-                point[5] = point[5] or outcome
-                option = next(point[0], None)
-                if option is not None:
-                    self.charge()
-                    self.branches += 1
-                    break
-                outcome = point[5]
-                if outcome is None and not point[4]:
-                    outcome = "probe window exhausted"
-                elif outcome is None:
-                    self.failed.add(point[3])
-                stack.pop()
-
-    #: Probe width for quantified free variables bounded on one side only;
-    #: finding a witness inside the window is sound, exhausting it is not,
-    #: so the half-bounded case ends in unknown instead of unsat.
-    PROBE_WIDTH = 32
-
-    def _branch_on_values(self, evars, lits, pending, subst, key):
-        """Last resort for quantified goals with unpinned free variables: a
-        choice point over the values of a variable the current literals box
-        into a finite interval (complete), or over a probe window when only
-        one side is bounded (sat only). Anything else stays undecided."""
-        candidates: set[str] = set()
-        for node in pending:
-            candidates |= self.frees.of(node).difference(subst)
-        boxed = None
-        half = None
-        for var in sorted(candidates):
-            lo = None
-            hi = None
-            for kind, items, const in lits:
-                if kind != "ge" or len(items) != 1 or items[0][0] != var:
-                    continue
-                c = items[0][1]
-                if c > 0:  # c*v + const >= 0  ->  v >= ceil(-const/c)
-                    bound = (-const + c - 1) // c
-                    lo = bound if lo is None else max(lo, bound)
-                else:  # c < 0: v <= floor(const / -c)
-                    bound = const // (-c)
-                    hi = bound if hi is None else min(hi, bound)
-            if lo is not None and hi is not None:
-                if hi < lo:
-                    raise _Fail()
-                if boxed is None or hi - lo < boxed[2] - boxed[1]:
-                    boxed = (var, lo, hi)
-            elif half is None:
-                if lo is not None:
-                    half = (var, lo, lo + self.PROBE_WIDTH)
-                elif hi is not None:
-                    half = (var, hi - self.PROBE_WIDTH, hi)
-                else:
-                    half = (var, -self.PROBE_WIDTH // 2, self.PROBE_WIDTH // 2)
-
-        if boxed is None and half is None:
-            raise RefsolverUnknown("non-ground quantified subformula")
-        var, lo, hi = boxed or half
-
-        return [iter(range(lo, hi + 1)), (evars, lits, pending, subst), var, key, boxed is not None, None]
-
-
-# ---------------------------------------------------------------------------
-# SMT-LIB2 front end
-# ---------------------------------------------------------------------------
 
 
 class _Script:
@@ -798,24 +310,20 @@ def _emit_info(script: _Script, flag: str) -> None:
     """Answer get-info about the last check-sat: :reason-unknown and
     :all-statistics (steps, propagate rounds, branches, Omega calls, failed
     memo hits, and :time in seconds)."""
-    if flag == ":reason-unknown":
-        if script.last_status != "unknown":
-            script.outputs.append('(error "the last check-sat did not return unknown")')
-            return
-        reason = script.last_reason.replace('"', '""')
-        script.outputs.append(f'(:reason-unknown "{reason}")')
-        return
-    if flag == ":all-statistics":
-        if script.last_stats is None:
-            script.outputs.append('(error "no check-sat to report on")')
-            return
-        pairs = " ".join(
+    if flag == ":reason-unknown" and script.last_status != "unknown":
+        out = '(error "the last check-sat did not return unknown")'
+    elif flag == ":reason-unknown":
+        out = '(:reason-unknown "{}")'.format(script.last_reason.replace('"', '""'))
+    elif flag == ":all-statistics" and script.last_stats is None:
+        out = '(error "no check-sat to report on")'
+    elif flag == ":all-statistics":
+        out = "(" + " ".join(
             f":{key} {value:.6f}" if isinstance(value, float) else f":{key} {value}"
             for key, value in script.last_stats.items()
-        )
-        script.outputs.append(f"({pairs})")
-        return
-    script.outputs.append("unsupported")
+        ) + ")"
+    else:
+        out = "unsupported"
+    script.outputs.append(out)
 
 
 def _emit_model(script: _Script) -> None:

@@ -2,48 +2,25 @@
 
 from __future__ import annotations
 
+import re
+
 from .errors import SolverProtocolError
 
 Sexpr = "str | list"
 
 
+#: One token: a parenthesis, a "string" with "" escapes (running to the end
+#: of the text when unterminated), a |symbol|, a lone | (an unterminated
+#: symbol), a ; comment, or an atom. Whitespace matches nothing and is skipped.
+_TOKEN = re.compile(r'[()]|"(?:[^"]*"")*[^"]*"?|\|[^|]*\||\||;[^\n]*|[^ \t\r\n();"|]+')
+
+
 def tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        j += 2
-                        continue
-                    break
-                j += 1
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SolverProtocolError("unterminated |symbol|")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in ' \t\r\n();"|':
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    tokens = _TOKEN.findall(text)
+    if "|" in text and "|" in tokens:
+        raise SolverProtocolError("unterminated |symbol|")
+    if ";" in text:
+        tokens = [tok for tok in tokens if tok[0] != ";"]
     return tokens
 
 

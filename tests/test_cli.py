@@ -141,6 +141,37 @@ class TestExitCodes:
             assert "nested at most 100 operators deep" in err
 
 
+class TestNotUtf8:
+    """A file that does not decode as UTF-8 is a parse error (exit 3) with a
+    one-line message, on each path that reads input files."""
+
+    @pytest.fixture
+    def bad(self, tmp_path) -> Path:
+        path = tmp_path / "bad.bpp"
+        path.write_bytes(b"\xff\xfe")
+        return path
+
+    def run_cli(self, *args) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        return subprocess.run([sys.executable, "-m", "bppcheck", *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def assert_parse_error(self, proc, bad):
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert f"parse error: {bad}: not UTF-8" in proc.stderr
+
+    def test_single_problem(self, bad):
+        self.assert_parse_error(self.run_cli(bad), bad)
+
+    def test_actor_pair(self, bad):
+        self.assert_parse_error(self.run_cli(DATA / "pingpong.acs", bad, "--acs"), bad)
+        self.assert_parse_error(self.run_cli(bad, DATA / "q0_twice.prop", "--acs"), bad)
+
+    def test_batch_worker(self, bad):
+        self.assert_parse_error(self.run_cli(DATA / "reach.bpp", bad, "--jobs", "2"), bad)
+
+
 class TestNestingLimit:
     """Formulas exactly at the parser's nesting limit check end to end."""
 

@@ -22,7 +22,7 @@ from bppcheck.errors import SolverProtocolError
 from bppcheck.parsing import parse_problem
 from bppcheck.refsolver import solve_text
 from bppcheck.refsolver.omega import OmegaBudgetExceeded, omega_solve
-from bppcheck.sexpr import parse_all
+from bppcheck.sexpr import parse_all, tokenize
 from bppcheck.smt.runner import BUNDLED_COMMAND, SolverConfig
 
 from .conftest import pipe_driver, random_atom, random_bpp, random_marking
@@ -98,15 +98,21 @@ class TestTransport:
 
 
 class TestDeadline:
-    def test_deep_unrolling_stops_at_the_timeout(self, capsys):
-        # A bounded check the solver cannot finish within seconds; nothing
-        # kills an in-process solve, so the solver must stop itself. One
-        # solver call shows the encoder finished in time and the solver,
+    def test_deep_unrolling_stops_at_the_timeout(self, capsys, tmp_path):
+        # A bounded check the solver cannot finish within seconds: avoiding
+        # Z = 3 at every one of 100 steps splits each position into Z < 3
+        # and Z > 3, and the search tries tens of thousands of such paths.
+        # Nothing kills an in-process solve, so the solver must stop itself.
+        # One solver call shows the encoder finished in time and the solver,
         # not the encoder's own deadline check, gave up.
+        problem = tmp_path / "avoid.bpp"
+        problem.write_text(
+            (DATA / "liveness.bpp").read_text(encoding="utf-8").split("formula")[0]
+            + "formula\nEG(Neg(Z == 3))\n"
+        )
         start = time.perf_counter()
         code, out = run_cli(
-            capsys, DATA / "liveness.bpp", "-k", "700", "--timeout", "2", "--format", "json",
-            "--stats",
+            capsys, problem, "-k", "100", "--timeout", "2", "--format", "json", "--stats",
         )
         elapsed = time.perf_counter() - start
         assert code == 2
@@ -114,6 +120,22 @@ class TestDeadline:
         assert stats["reason_unknown"] == "timeout"
         assert stats["solver_calls"] == 1
         assert elapsed < 2.5
+
+    def test_long_unrolling_stops_the_encoder(self, capsys):
+        # At k = 100,000 the path block alone has 300,003 names; the encoder
+        # checks the deadline at every step, so it gives up close to it and
+        # never starts the solver.
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys, ROOT / "demos" / "inputs" / "liveness.bpp", "-k", "100000",
+            "--timeout", "0.5", "--format", "json", "--stats",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        stats = json.loads(out)["stats"]
+        assert stats["reason_unknown"] == "timeout"
+        assert stats["solver_calls"] == 0
+        assert elapsed < 1.5
 
     def test_past_deadline_is_timeout(self):
         text = (
@@ -159,6 +181,23 @@ class TestDepth:
             parse_all("(a (b)")
         with pytest.raises(SolverProtocolError, match="unexpected '\\)'"):
             parse_all("(a) b)")
+
+    @pytest.mark.parametrize("text, tokens", [
+        ('(assert (> x 0))', ["(", "assert", "(", ">", "x", "0", ")", ")"]),
+        ('(echo "a (b) c")', ["(", "echo", '"a (b) c"', ")"]),
+        ('"say ""hi""" x', ['"say ""hi"""', "x"]),
+        ("(|a b| |;|)", ["(", "|a b|", "|;|", ")"]),
+        ("a ; note (|\nb;c\n", ["a", "b"]),
+        ('(x "open (', ["(", "x", '"open (']),
+        ("\tx\x0cy\r\n", ["x\x0cy"]),
+    ], ids=["atoms", "string", "escaped-quote", "bar-symbol", "comment",
+            "unterminated-string", "whitespace"])
+    def test_tokens(self, text, tokens):
+        assert tokenize(text) == tokens
+
+    def test_unterminated_bar_symbol(self):
+        with pytest.raises(SolverProtocolError, match="unterminated \\|symbol\\|"):
+            tokenize("(a |b c)")
 
     def test_deep_script_in_process(self):
         limit = sys.getrecursionlimit()

@@ -19,6 +19,7 @@ from bppcheck.parsing import parse_problem
 from bppcheck import refsolver
 from bppcheck.refsolver import _Engine, omega, solve_text
 from bppcheck.refsolver.omega import OmegaBudgetExceeded, omega_solve
+from bppcheck.refsolver.search import _FreeVars
 from bppcheck.sexpr import parse_all
 
 from .conftest import pipe_driver, random_atom, random_marking
@@ -493,6 +494,27 @@ def _reductions(monkeypatch, k: int) -> int:
     return count
 
 
+def _visits(monkeypatch, k: int) -> int:
+    """Goal visits the engine makes on the liveness demo at bound k: each
+    literal reduced, node peeked and free-variable set looked up."""
+    problem = parse_problem(LIVENESS.read_text(encoding="utf-8"))
+    text = encode_eg(problem.bpp, problem.initial, problem.formula, k).script.text
+    count = 0
+
+    def counting(method):
+        def visit(*args):
+            nonlocal count
+            count += 1
+            return method(*args)
+        return visit
+
+    for cls, name in ((_Engine, "_reduce_lit"), (_Engine, "_peek"), (_FreeVars, "of")):
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    assert solve_text(text).startswith("sat\n")
+    monkeypatch.undo()
+    return count
+
+
 class TestIncrementalPropagation:
     def test_reductions_grow_linearly_with_k(self, monkeypatch):
         # Propagation revisits only what a branch added or pinned, so
@@ -500,6 +522,16 @@ class TestIncrementalPropagation:
         # per search level quadruples it.
         at_100 = _reductions(monkeypatch, 100)
         at_200 = _reductions(monkeypatch, 200)
+        assert at_200 <= 2.5 * at_100, (at_100, at_200)
+
+    def test_visits_per_level_stay_flat(self, monkeypatch):
+        # The path doubles from k = 100 to k = 200, and so do the search
+        # levels. A level that looks only at the goals its pins touch keeps
+        # the total visits at about twice; a level that scans every pending
+        # goal for the memo key, the branch choice or the detached check
+        # makes them grow about 3.6 times.
+        at_100 = _visits(monkeypatch, 100)
+        at_200 = _visits(monkeypatch, 200)
         assert at_200 <= 2.5 * at_100, (at_100, at_200)
 
     def test_eg_unrollings_vs_bounded_oracle(self):

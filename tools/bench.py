@@ -1,18 +1,27 @@
-"""Write BENCH_<label>.json: the 30-instance EF family, one CLI run each.
+"""Write BENCH_<label>.json: the 30-instance EF family and the bounded
+liveness series, one CLI run per row.
 
     python tools/bench.py --label lazy-ef [--src PATH]
 
-Run from anywhere; the output lands at the root of this checkout. The
-family is ring n in {6, 8, 10, 12, 16} and dead-generator 4x4, seeds 0-4,
-built by ``clibench/families.py``. Each instance is written as a problem
-file and checked by one
-``python -m bppcheck FILE --format json --stats --timeout 10`` process, one
+Run from anywhere; the output lands at the root of this checkout. Every
+check is one ``python -m bppcheck FILE --format json --stats`` process, one
 at a time, with ``PYTHONPATH`` set to ``--src`` (default: this checkout's
-``src``), so the same script measures another checkout's engine. A row
-holds the verdict, the reason for an unknown, the wall time from spawn to
-exit, the EF round count and the answer of the benchmark's explicit-state
-reference (null past its state budget). Exits 1 when a decided verdict
-disagrees with the reference, else 0. Standard library only.
+``src``), so the same script measures another checkout's engine.
+
+The EF family is ring n in {6, 8, 10, 12, 16} and dead-generator 4x4, seeds
+0-4, built by ``clibench/families.py``, each written as a problem file and
+checked with ``--timeout 10``. A row holds the verdict, the reason for an
+unknown, the wall time from spawn to exit, the EF round count and the answer
+of the benchmark's explicit-state reference (null past its state budget).
+
+The liveness series checks ``demos/inputs/liveness.bpp`` at k = 50, 100,
+200 and 400, three runs each. A row holds the verdict, the median wall time
+and the median ``time_ms`` the CLI reports, and the bundled solver's
+branches and steps. Its ``EG`` holds at every k: the path from the initial
+marking repeats a covering segment forever.
+
+Exits 1 when a decided EF verdict disagrees with the reference or a
+liveness row does not hold, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -37,6 +47,9 @@ RING_SIZES = (6, 8, 10, 12, 16)
 SEEDS = range(5)
 TIMEOUT_S = 10
 REFERENCE_STATES = 100_000
+LIVENESS = ROOT / "demos" / "inputs" / "liveness.bpp"
+LIVENESS_KS = (50, 100, 200, 400)
+LIVENESS_RUNS = 3
 
 
 def family() -> list[tuple[str, object, tuple]]:
@@ -57,25 +70,48 @@ def reference_answer(system, formula) -> str | None:
     return "holds" if reference.eval_ef_class(system, formula, answers) else "not-holds"
 
 
-def run_cli(problem: Path, src: Path) -> dict:
+def spawn(src: Path, *args: str) -> tuple[dict, dict | None]:
+    """One CLI run: its exit code and wall time, and its JSON report."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("BPPCHECK_SOLVER", None)
-    argv = [sys.executable, "-m", "bppcheck", str(problem), "--format", "json",
-            "--stats", "--timeout", str(TIMEOUT_S)]
+    argv = [sys.executable, "-m", "bppcheck", *args, "--format", "json", "--stats",
+            "--timeout", str(TIMEOUT_S)]
     start = time.perf_counter()
     proc = subprocess.run(argv, capture_output=True, text=True, env=env,
                           timeout=2 * TIMEOUT_S + 30)
     row = {"exit": proc.returncode,
            "wall_ms": round((time.perf_counter() - start) * 1000.0, 1)}
     try:
-        report = json.loads(proc.stdout)
+        return row, json.loads(proc.stdout)
     except ValueError:
+        return row, None
+
+
+def run_cli(problem: Path, src: Path) -> dict:
+    row, report = spawn(src, str(problem))
+    if report is None:
         return {**row, "result": "error", "reason": None, "ef_rounds": None}
     stats = report["stats"]
     # A one-shot engine reports no ef_rounds: its one call per EF node is one round.
     rounds = stats.get("ef_rounds", stats.get("solver_calls"))
     return {**row, "result": report["result"], "reason": stats.get("reason_unknown"),
             "ef_rounds": rounds}
+
+
+def liveness_row(k: int, src: Path) -> dict:
+    runs = [spawn(src, str(LIVENESS), "-k", str(k)) for _ in range(LIVENESS_RUNS)]
+    row, report = runs[-1]
+    if report is None:
+        return {"k": k, **row, "result": "error"}
+    stats = report["stats"]
+    return {
+        "k": k,
+        "result": report["result"],
+        "wall_ms": round(statistics.median(r["wall_ms"] for r, _ in runs), 1),
+        "time_ms": round(statistics.median(rep["time_ms"] for _, rep in runs if rep), 1),
+        "solver_branches": stats.get("solver_branches"),
+        "solver_steps": stats.get("solver_steps"),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,6 +129,10 @@ def main(argv: list[str] | None = None) -> int:
                    "reference": reference_answer(system, formula)}
             rows.append(row)
             print(json.dumps(row), file=sys.stderr)
+    liveness = []
+    for k in LIVENESS_KS:
+        liveness.append(liveness_row(k, opts.src.resolve()))
+        print(json.dumps(liveness[-1]), file=sys.stderr)
 
     decided = [r for r in rows if r["result"] in ("holds", "not-holds")]
     summary = {
@@ -101,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         "disagreements": sum(1 for r in decided if r["reference"] not in (None, r["result"])),
         "max_decided_wall_ms": max((r["wall_ms"] for r in decided), default=None),
         "unknown_reasons": sorted({r["reason"] or "none" for r in rows if r not in decided}),
+        "liveness_not_holding": [r["k"] for r in liveness if r["result"] != "holds"],
     }
     payload = {
         "label": opts.label,
@@ -110,10 +151,11 @@ def main(argv: list[str] | None = None) -> int:
                     "system": platform.system()},
         "summary": summary,
         "ef_family": rows,
+        "liveness": liveness,
     }
     (ROOT / f"BENCH_{opts.label}.json").write_text(json.dumps(payload, indent=1) + "\n")
     print(json.dumps(summary))
-    return 1 if summary["disagreements"] else 0
+    return 1 if summary["disagreements"] or summary["liveness_not_holding"] else 0
 
 
 if __name__ == "__main__":
