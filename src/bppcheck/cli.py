@@ -236,6 +236,9 @@ def render_report(report: Report, fmt: str, stats: bool = False) -> str:
     lines = [f"result: {verdict.result}", f"engine: {verdict.engine}"]
     if verdict.engine == "eg-bounded":
         lines.append(f"k: {verdict.k}")
+        lines.append(f"bound: {verdict.stats['bound']}")
+        if "lasso" in verdict.stats:
+            lines.append(f"lasso: {verdict.stats['lasso']}")
     lines.append(f"time_ms: {report.total_ms:.1f}")
     if "reason_unknown" in verdict.stats:
         lines.append(f"reason_unknown: {verdict.stats['reason_unknown']}")
@@ -243,7 +246,10 @@ def render_report(report: Report, fmt: str, stats: bool = False) -> str:
         for name, value in verdict.witness.items():
             lines.append(f"({name}, {value})")
     if stats:
-        parts = " ".join(f"{key}={value}" for key, value in verdict.stats.items())
+        parts = " ".join(
+            f"{key}={json.dumps(value, separators=(',', ':')) if isinstance(value, list) else value}"
+            for key, value in verdict.stats.items()
+        )
         lines.append(f"stats: {parts}")
         if verdict.result == "not-holds":
             for script in report.scripts:

@@ -8,6 +8,16 @@ by nesting; each nested block unrolls k fresh steps). Existential blocks
 reachable from the root through conjunctions are lowered to declared
 constants so solver models expose them; blocks under a negation stay
 quantified.
+
+A top-level ``EG φ`` or ``¬EG φ`` (``AF``) whose body has no EG or EF is
+first tried on a window of ``WINDOW`` steps that asks for a lasso: a
+position i < WINDOW with u_i ≤ u_WINDOW in every component, where the drift
+d = u_WINDOW − u_i moves no atom of φ (in negation normal form) towards
+false. BPP firing is monotone, so the segment from u_i fires again from
+u_WINDOW forever (u_t = u_{t−L} + d), φ holds at every position, and EG φ
+holds at every bound. ``check_eg`` pumps the window's model to k steps and
+replays it concretely before reporting it; any window that does not
+decide falls back to the k-step unrolling.
 """
 
 from __future__ import annotations
@@ -15,9 +25,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from .core import Bpp, Marking, Rule, rule_delta
-from .ctl import And, Atom, EG, ENext, Formula, Not, contains_ef, desugar
-from .errors import EncodingTimeout, MixedFormula, UnknownSymbol
+from .core import Bpp, Marking, Rule, rule_delta, successors
+from .ctl import EF, And, Atom, EG, ENext, Formula, Not, contains_ef, desugar, walk
+from .errors import EncodingTimeout, MixedFormula, SolverProtocolError, UnknownSymbol
 from .smt import (
     FALSE,
     TRUE,
@@ -26,9 +36,11 @@ from .smt import (
     Node,
     SmtScript,
     SolverConfig,
+    SolverOutcome,
     Verdict,
     conj,
     disj,
+    eval_node,
     exists,
     lin,
     neg,
@@ -39,6 +51,10 @@ from .smt import (
 
 #: One symbolic marking: a solver variable or a concrete count per symbol.
 State = tuple["str | int", ...]
+
+#: Steps of the lasso window. With no lasso the solver may try every rule
+#: path of the window, so its cost grows like (rules ** WINDOW).
+WINDOW = 4
 
 
 class VarAllocator:
@@ -255,6 +271,194 @@ def encode_eg(
     return EgEncoding(script=script, alloc=alloc, declared=declared)
 
 
+def _lasso_body(core: Formula) -> Formula | None:
+    """The body φ of a desugared ``EG φ`` or ``¬EG φ`` with no EG or EF in
+    φ, the shape the lasso window decides; None for any other formula."""
+    top = core.sub if isinstance(core, Not) else core
+    if isinstance(top, EG) and not any(isinstance(g, (EG, EF)) for g in walk(top.sub)):
+        return top.sub
+    return None
+
+
+#: The sign a drift must have on an atom's linear form so that adding it
+#: keeps the atom true: the form grows for >= and >, shrinks for <= and <,
+#: and stays put for == and !=.
+_DRIFT_SIGN = {">=": ">=", ">": ">=", "<=": "<=", "<": "<=", "==": "=", "!=": "="}
+_FLIPPED = {">=": "<=", "<=": ">=", "=": "="}
+
+
+def _drift_signs(f: Formula, positive: bool, bpp: Bpp, out: dict) -> None:
+    """Collect (terms, sign) for every atom of f in negation normal form,
+    the enabledness atom u[lhs] >= 1 of each rule an E<a> can take
+    included (u[lhs] <= 0 under a negation, so no rule becomes enabled)."""
+    if isinstance(f, Atom):
+        sign = _DRIFT_SIGN[f.atom.cmp.value]
+        out[(f.atom.terms, sign if positive else _FLIPPED[sign])] = None
+    elif isinstance(f, Not):
+        _drift_signs(f.sub, not positive, bpp, out)
+    elif isinstance(f, And):
+        _drift_signs(f.left, positive, bpp, out)
+        _drift_signs(f.right, positive, bpp, out)
+    elif isinstance(f, ENext):
+        for rule in bpp.rules:
+            if rule.action == f.action:
+                out[(((rule.lhs, 1),), ">=" if positive else "<=")] = None
+        _drift_signs(f.sub, positive, bpp, out)
+
+
+def _encode_window(
+    bpp: Bpp, init: Marking, body: Formula, deadline: float
+) -> tuple[EgEncoding, list[State], list[Node]]:
+    """The lasso window script for EG body: a WINDOW-step path from init
+    with body at every position, and the disjunction over i < WINDOW of
+    the lasso conditions, which are also returned one per i. Only bounds
+    k > WINDOW use it, so E<a> compiles as at any k >= 1."""
+    alloc = VarAllocator(deadline)
+    u = alloc.path_block(WINDOW, bpp.symbols)
+    parts: list[Node] = [path_constraint(u, bpp, alloc)]
+    parts.extend(_component_eq(init[c], u[0][c], 0) for c in range(bpp.n))
+    for state in u:
+        alloc.check_deadline()
+        parts.append(trans(body, state, WINDOW, bpp, alloc))
+    # Every component may only grow: d >= 0. An atom sign on a single
+    # symbol that says the same thing is the same key, so it is kept once.
+    signs: dict = {(((sym, 1),), ">="): None for sym in bpp.symbols}
+    _drift_signs(body, True, bpp, signs)
+    lassos = []
+    for i in range(WINDOW):
+        drifts = []
+        for terms, sign in signs:
+            diff: list[tuple[str, int]] = []
+            for sym, c in terms:  # trans has checked every symbol
+                diff += [(u[WINDOW][bpp.index[sym]], c), (u[i][bpp.index[sym]], -c)]
+            drifts.append(lin(diff, sign, 0))
+        lassos.append(conj(drifts))
+    parts.append(disj(lassos))
+    flat = [name for state in u for name in state]
+    node, declared = hoist_positive_exists(exists(flat, conj(parts)))
+    script = to_smtlib(node, declared)
+    return EgEncoding(script=script, alloc=alloc, declared=declared), u, lassos
+
+
+def _holds(f: Formula, m: Marking, bpp: Bpp, memo: dict) -> bool:
+    """Explicit truth of an EG- and EF-free core formula (atoms, Not, And,
+    E<a>) at a marking, at any bound k >= 1, where E<a> looks at the
+    a-successors. The memo, keyed on (id(f), m), keeps nested E<a> from
+    visiting a marking once per path to it."""
+    key = (id(f), m)
+    if key in memo:
+        return memo[key]
+    if isinstance(f, Atom):
+        value = f.atom.evaluate(m, bpp)
+    elif isinstance(f, Not):
+        value = not _holds(f.sub, m, bpp, memo)
+    elif isinstance(f, And):
+        value = _holds(f.left, m, bpp, memo) and _holds(f.right, m, bpp, memo)
+    else:
+        value = any(
+            _holds(f.sub, t, bpp, memo) for a, t in successors(m, bpp) if a == f.action
+        )
+    memo[key] = value
+    return value
+
+
+def _pump(
+    bpp: Bpp, init: Marking, body: Formula, window: list[Marking], start: int, k: int,
+    deadline: float,
+) -> list[Marking]:
+    """Pump the lasso window[start:] to a k-step path and replay it.
+
+    Past the window, u_t = u_{t-L} + d with L = WINDOW - start and
+    d = window[WINDOW] - window[start]. Every position must satisfy body
+    and every step must fire one enabled rule; a path that does not is an
+    engine bug (SolverProtocolError). Raises EncodingTimeout past the
+    deadline, which is checked at every step."""
+    loop = WINDOW - start
+    drift = tuple(b - a for a, b in zip(window[start], window[WINDOW]))
+    moves = [(bpp.index[rule.lhs], rule_delta(rule, bpp)) for rule in bpp.rules]
+    if window[0] != tuple(init):
+        raise SolverProtocolError("lasso path does not start at the initial marking")
+    path = [window[0]]
+    memo: dict = {}
+    for j in range(k + 1):
+        if time.perf_counter() >= deadline:
+            raise EncodingTimeout("pumping the lasso ran past the deadline")
+        m = path[j]
+        if not _holds(body, m, bpp, memo):
+            raise SolverProtocolError(f"lasso path fails the EG body at position {j}")
+        if j == k:
+            break
+        if j < WINDOW:
+            nxt = window[j + 1]
+        else:
+            nxt = tuple(a + b for a, b in zip(path[j + 1 - loop], drift))
+        if not any(
+            m[lhs] >= 1 and all(a + b == c for a, b, c in zip(m, delta, nxt))
+            for lhs, delta in moves
+        ):
+            raise SolverProtocolError(f"lasso path step {j} fires no rule")
+        path.append(nxt)
+    return path
+
+
+def _eg_stats(enc: EgEncoding, outcomes: list[SolverOutcome], result: str, bound) -> dict:
+    stats = {
+        "n_vars": len(enc.declared) + enc.path_vars_quantified,
+        "n_asserts": 1,  # the whole window or unrolling is one assertion
+        **solver_stats(outcomes, unknown=False),
+        "path_vars_declared": enc.path_vars_declared,
+        "path_vars_total": enc.path_vars_total,
+        "target_vars": enc.target_vars_total,
+        "bound": bound,
+    }
+    if result == "unknown":
+        # The last call decided the verdict: a window that gave up only
+        # handed over to the unrolling.
+        stats["reason_unknown"] = outcomes[-1].reason_unknown or "unreported"
+    return stats
+
+
+def _try_window(
+    bpp: Bpp,
+    init: Marking,
+    body: Formula,
+    k: int,
+    result: str,
+    command: tuple[str, ...],
+    deadline: float,
+    outcomes: list[SolverOutcome],
+    on_script: Callable[[int, SmtScript], None] | None,
+) -> Verdict | None:
+    """Decide EG body at every bound by a pumpable lasso within WINDOW
+    steps: the verdict a lasso gives (``result``), with the pumped k-step
+    path as witness, or None when the window does not decide. The window
+    gets half of the time left, so the unrolling it falls back to is not
+    starved."""
+    now = time.perf_counter()
+    window_deadline = now + (deadline - now) / 2
+    try:
+        enc, u, lassos = _encode_window(bpp, init, body, window_deadline)
+    except EncodingTimeout:
+        return None
+    if on_script is not None:
+        on_script(len(outcomes), enc.script)
+    outcome = run_solver(enc.script, SolverConfig(command, window_deadline - time.perf_counter()))
+    outcomes.append(outcome)
+    if outcome.status != "sat":
+        return None
+    model = outcome.model
+    start = next((i for i, lasso in enumerate(lassos) if eval_node(lasso, model)), None)
+    if start is None:
+        raise SolverProtocolError("lasso window model closes no lasso")
+    window = [tuple(model[name] for name in state) for state in u]
+    path = _pump(bpp, init, body, window, start, k, deadline)
+    witness = {
+        f"u{j}_{sym}": m[c] for j, m in enumerate(path) for c, sym in enumerate(bpp.symbols)
+    }
+    stats = {**_eg_stats(enc, outcomes, result, "unbounded"), "lasso": [start, WINDOW]}
+    return Verdict(result=result, engine="eg-bounded", k=k, witness=witness, stats=stats)
+
+
 def check_eg(
     bpp: Bpp,
     init: Marking,
@@ -266,27 +470,37 @@ def check_eg(
     """Bounded verdict: sat means the formula holds under the k-step
     semantics at the initial marking, unsat means it does not.
 
-    Encoding and solving share the config's timeout: an encoding that runs
-    past it gives unknown (reason ``timeout``) without starting the solver,
-    and the solver gets what is left."""
+    A top-level EG or AF with an EG- and EF-free body and k > WINDOW is
+    first tried on the lasso window; a lasso decides it at every bound
+    (``stats["bound"]`` is ``"unbounded"`` and ``stats["lasso"]`` gives the
+    positions [i, WINDOW]). Otherwise, or when the window does not decide,
+    the k-step unrolling decides at bound k (``stats["bound"]`` is k).
+
+    Encoding and solving share the config's timeout: an encoding, pumping
+    or replay that runs past it gives unknown (reason ``timeout``) without
+    starting another solver call, and each call gets what is left."""
     deadline = time.perf_counter() + config.timeout_s
+    outcomes: list[SolverOutcome] = []
+    core = desugar(f)
+    body = _lasso_body(core) if k > WINDOW else None
     try:
+        if body is not None:
+            bpp.check_marking(init)
+            lasso_result = "not-holds" if isinstance(core, Not) else "holds"  # AF or EG
+            verdict = _try_window(bpp, init, body, k, lasso_result, config.command, deadline,
+                                  outcomes, on_script)
+            if verdict is not None:
+                return verdict
         enc = encode_eg(bpp, init, f, k, deadline)
     except EncodingTimeout:
-        stats = {**solver_stats([], unknown=False), "reason_unknown": "timeout"}
+        stats = {**solver_stats(outcomes, unknown=False), "bound": k, "reason_unknown": "timeout"}
         return Verdict(result="unknown", engine="eg-bounded", k=k, stats=stats)
     if on_script is not None:
-        on_script(0, enc.script)
+        on_script(len(outcomes), enc.script)
     left = SolverConfig(config.command, deadline - time.perf_counter())
     outcome = run_solver(enc.script, left)
+    outcomes.append(outcome)
     result = {"sat": "holds", "unsat": "not-holds"}.get(outcome.status, "unknown")
-    stats = {
-        "n_vars": len(enc.declared) + enc.path_vars_quantified,
-        "n_asserts": 1,  # the whole unrolling is one assertion
-        **solver_stats([outcome], unknown=result == "unknown"),
-        "path_vars_declared": enc.path_vars_declared,
-        "path_vars_total": enc.path_vars_total,
-        "target_vars": enc.target_vars_total,
-    }
     witness = outcome.model if outcome.status == "sat" else None
-    return Verdict(result=result, engine="eg-bounded", k=k, witness=witness, stats=stats)
+    return Verdict(result=result, engine="eg-bounded", k=k, witness=witness,
+                   stats=_eg_stats(enc, outcomes, result, k))

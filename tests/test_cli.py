@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -211,6 +212,17 @@ class TestTextReport:
         assert "engine: eg-bounded" in out
         assert "k: 5" in out
 
+    def test_lasso_report_says_unbounded(self, capsys):
+        # The liveness demo has a lasso within the 4-step window, so the
+        # default -k 10 is decided at every bound; -k 3 is within the window.
+        code, out, _ = run(capsys, DATA / "liveness.bpp")
+        assert code == 0
+        assert re.search(r"\nk: 10\nbound: unbounded\nlasso: \[[0-3], 4\]\n", out), out
+        code, out, _ = run(capsys, DATA / "liveness.bpp", "-k", "3")
+        assert code == 0
+        assert "\nk: 3\nbound: 3\n" in out
+        assert "lasso" not in out
+
     def test_stats_flag(self, capsys):
         code, out, _ = run(capsys, DATA / "unreach.bpp", "--stats")
         assert code == 1
@@ -239,6 +251,18 @@ class TestJsonReport:
         payload = json.loads(out)
         assert payload["engine"] == "eg-bounded"
         assert payload["k"] == 3
+        assert payload["stats"]["bound"] == 3
+
+    def test_eg_json_lasso(self, capsys):
+        code, out, _ = run(capsys, DATA / "liveness.bpp", "--format", "json", "-k", "50")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k"] == 50
+        assert payload["stats"]["bound"] == "unbounded"
+        assert payload["stats"]["lasso"][1] == 4
+        assert payload["stats"]["solver_calls"] == 1
+        # The witness is the window's path pumped to k steps.
+        assert {f"u{j}_X" for j in range(51)} <= payload["witness"].keys()
 
 
 class TestActorSystems:
@@ -304,6 +328,26 @@ class TestEmitAndDot:
         assert not emitted.exists() and not (tmp_path / "q.2.smt2").exists()
         assert "z_" not in first.read_text()
         assert second.read_text().count("(or ") == first.read_text().count("(or ") + 1
+
+    def test_emit_smt_writes_the_window_then_the_unrolling(self, tmp_path, capsys):
+        # Every X or Y firing adds a token and only Z -> X keeps the count,
+        # so no path keeps X + Y + Z <= 3 for long: the window finds no
+        # lasso and the unrolling refutes the bound.
+        problem = tmp_path / "bounded.bpp"
+        problem.write_text(
+            (DATA / "liveness.bpp").read_text().split("formula")[0]
+            + "formula\nEG(X + Y + Z <= 3)\n"
+        )
+        emitted = tmp_path / "q.smt2"
+        code, out, _ = run(capsys, problem, "--emit-smt", emitted, "--format", "json")
+        assert code == 1
+        stats = json.loads(out)["stats"]
+        assert stats["solver_calls"] == 2
+        assert stats["bound"] == 10
+        window, unrolling = ((tmp_path / f"q.{i}.smt2").read_text() for i in range(2))
+        assert not emitted.exists() and not (tmp_path / "q.2.smt2").exists()
+        assert "u4_X" in window and "u5_X" not in window
+        assert "u10_X" in unrolling
 
     def test_dot_export(self, tmp_path, capsys):
         dot = tmp_path / "graph.dot"

@@ -1,12 +1,14 @@
 import random
 import re
 import sys
+import time
 
 import pytest
 
-from bppcheck.core import Bpp, Rule, rule_delta
-from bppcheck.ctl import AF, EF, EG, And, ANext, Cmp, ENext, Imp, Not, Or, desugar
+from bppcheck.core import Bpp, Rule, enabled_rules, fire, rule_delta
+from bppcheck.ctl import AF, EF, EG, And, ANext, Cmp, ENext, Imp, Not, Or, desugar, walk
 from bppcheck.eg import (
+    WINDOW,
     VarAllocator,
     check_eg,
     encode_eg,
@@ -278,3 +280,122 @@ class TestDifferential:
                 compared += 1
         assert compared >= 45
         assert unknowns <= 3
+
+
+class _Unrolling(Exception):
+    """Raised from ``on_script`` when check_eg hands over to the unrolling."""
+
+
+def _stop_at_unrolling(index, script):
+    if index > 0:
+        raise _Unrolling
+
+
+def assert_witness_replays(bpp, init, body, witness, k):
+    """The witness path u0..uk, replayed with ``core``, starts at init,
+    each step fires one enabled rule and body holds at every position."""
+    path = [tuple(witness[f"u{j}_{sym}"] for sym in bpp.symbols) for j in range(k + 1)]
+    assert path[0] == init
+    for j in range(k):
+        assert any(
+            fire(path[j], rid, bpp) == path[j + 1] for rid in enabled_rules(path[j], bpp)
+        ), j
+    for m in path:
+        assert eval_bounded(body, m, k, bpp).value is True, m
+
+
+class TestLassoWindow:
+    """A top-level EG or AF whose body has no EG is first tried on a
+    WINDOW-step lasso; a lasso decides it at every bound above WINDOW."""
+
+    N_INSTANCES = 300
+
+    def test_window_verdicts_match_the_bounded_oracle(self):
+        rng = random.Random(4711)
+        budget = ExplorationBudget(max_states=30_000)
+        start = time.perf_counter()
+        by_window = compared = 0
+        for i in range(self.N_INSTANCES):
+            bpp = random_bpp(rng, max_symbols=4, max_rules=5, max_rhs=2)
+            init = random_marking(rng, bpp)
+            k = rng.randint(WINDOW + 1, 25)
+            body = random_eg_formula(rng, bpp, rng.randint(1, 3))
+            while any(isinstance(g, (EG, AF)) for g in walk(body)):
+                body = random_eg_formula(rng, bpp, rng.randint(1, 3))
+            f = rng.choice((EG, AF))(body)
+            try:
+                verdict = check_eg(bpp, init, f, k, REF, on_script=_stop_at_unrolling)
+            except _Unrolling:
+                continue
+            by_window += 1
+            assert verdict.stats["bound"] == "unbounded"
+            lasso_start, lasso_end = verdict.stats["lasso"]
+            assert 0 <= lasso_start < lasso_end == WINDOW
+            # The witness is a path of EG body, or for AF body one of
+            # EG not body, which refutes it.
+            if isinstance(f, EG):
+                assert verdict.result == "holds"
+                path_body = desugar(body)
+            else:
+                assert verdict.result == "not-holds"
+                path_body = Not(desugar(body))
+            assert_witness_replays(bpp, init, path_body, verdict.witness, k)
+            # The verdict holds at k, and being unbounded, at 3k too.
+            for bound in (k, 3 * k):
+                expected = eval_bounded(desugar(f), init, bound, bpp, budget)
+                if expected.is_definite:
+                    assert (verdict.result == "holds") == expected.value, (i, bound, f)
+                    compared += 1
+        elapsed = time.perf_counter() - start
+        assert by_window >= 60, by_window
+        assert compared >= by_window * 1.8, (compared, by_window)
+        assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+    def test_shapes_the_window_leaves_to_the_unrolling(self, triangle):
+        body = atom({"X1": 1, "X2": 1, "X3": 1}, Cmp.GE, 1)
+        scripts = []
+        for f, k in (
+            (EG(body), WINDOW),  # k within the window
+            (And(body, EG(body)), 10),  # not a top-level EG
+            (EG(AF(body)), 10),  # EG in the body
+        ):
+            scripts.clear()
+            verdict = check_eg(triangle, (1, 0, 0), f, k, REF,
+                               on_script=lambda _, script: scripts.append(script))
+            assert verdict.stats["bound"] == k
+            assert len(scripts) == verdict.stats["solver_calls"] == 1
+            assert scripts[0] == encode_eg(triangle, (1, 0, 0), f, k).script
+
+    def test_no_lasso_falls_back_to_the_unrolling(self):
+        # X -> Y -> nil: every path dies after two steps, so the window is
+        # unsat and the unrolling refutes EG at k = 10.
+        bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("Y",)), Rule(1, "Y", "a", ())))
+        always = atom({"X": 1, "Y": 1}, Cmp.GE, 0)
+        scripts = []
+        verdict = check_eg(bpp, (1, 0), EG(always), 10, REF,
+                           on_script=lambda _, script: scripts.append(script))
+        assert verdict.result == "not-holds"
+        assert verdict.stats["bound"] == 10
+        assert "lasso" not in verdict.stats
+        assert verdict.stats["solver_calls"] == len(scripts) == 2
+        assert scripts[1] == encode_eg(bpp, (1, 0), EG(always), 10).script
+
+    def test_negated_next_needs_a_constant_enabledness(self):
+        # X -a-> X, Y and Y -b-> Y: AX(b, false) holds at X alone, and a
+        # lasso that grows Y would enable the b-rule. The only path keeps
+        # firing the a-rule, which grows Y, so EG fails past one step.
+        bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("X", "Y")), Rule(1, "Y", "b", ("Y",))))
+        no_b = Not(ENext("b", atom({"X": 1}, Cmp.GE, 0)))
+        verdict = check_eg(bpp, (1, 0), EG(no_b), 10, REF)
+        assert verdict.result == "not-holds"
+        assert verdict.stats["bound"] == 10
+        assert eval_bounded(desugar(EG(no_b)), (1, 0), 10, bpp).value is False
+
+    def test_an_atom_the_drift_would_break(self):
+        # X -> X, Y grows Y at every step: a lasso exists for Y >= 0 but
+        # not for Y <= 3, which fails after four steps.
+        bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("X", "Y")),))
+        grows = check_eg(bpp, (1, 0), EG(atom({"Y": 1}, Cmp.GE, 0)), 10, REF)
+        assert (grows.result, grows.stats["bound"]) == ("holds", "unbounded")
+        capped = check_eg(bpp, (1, 0), EG(atom({"Y": 1}, Cmp.LE, 3)), 10, REF)
+        assert (capped.result, capped.stats["bound"]) == ("not-holds", 10)

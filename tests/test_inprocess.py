@@ -42,6 +42,19 @@ def run_cli(capsys, *args) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
+def unrolled_liveness(tmp_path, eg: str) -> Path:
+    """The liveness demo's system with the formula Conj(X >= 1, eg). The
+    conjunction keeps the check off the lasso window, which takes only a
+    top-level EG or AF; X >= 1 holds initially and folds to the conjunct
+    (>= 0 0), so the unrolled script is otherwise the bare EG's."""
+    problem = tmp_path / "liveness.bpp"
+    problem.write_text(
+        (DATA / "liveness.bpp").read_text(encoding="utf-8").split("formula")[0]
+        + f"formula\nConj(X >= 1, {eg})\n"
+    )
+    return problem
+
+
 def demo_scripts() -> list[str]:
     texts = []
     for path in DEMO_INPUTS:
@@ -105,11 +118,7 @@ class TestDeadline:
         # Nothing kills an in-process solve, so the solver must stop itself.
         # One solver call shows the encoder finished in time and the solver,
         # not the encoder's own deadline check, gave up.
-        problem = tmp_path / "avoid.bpp"
-        problem.write_text(
-            (DATA / "liveness.bpp").read_text(encoding="utf-8").split("formula")[0]
-            + "formula\nEG(Neg(Z == 3))\n"
-        )
+        problem = unrolled_liveness(tmp_path, "EG(Neg(Z == 3))")
         start = time.perf_counter()
         code, out = run_cli(
             capsys, problem, "-k", "100", "--timeout", "2", "--format", "json", "--stats",
@@ -121,13 +130,14 @@ class TestDeadline:
         assert stats["solver_calls"] == 1
         assert elapsed < 2.5
 
-    def test_long_unrolling_stops_the_encoder(self, capsys):
+    def test_long_unrolling_stops_the_encoder(self, capsys, tmp_path):
         # At k = 100,000 the path block alone has 300,003 names; the encoder
         # checks the deadline at every step, so it gives up close to it and
         # never starts the solver.
+        problem = unrolled_liveness(tmp_path, "EG(EX(a, Y + Z >= 2))")
         start = time.perf_counter()
         code, out = run_cli(
-            capsys, ROOT / "demos" / "inputs" / "liveness.bpp", "-k", "100000",
+            capsys, problem, "-k", "100000",
             "--timeout", "0.5", "--format", "json", "--stats",
         )
         elapsed = time.perf_counter() - start
@@ -135,6 +145,22 @@ class TestDeadline:
         stats = json.loads(out)["stats"]
         assert stats["reason_unknown"] == "timeout"
         assert stats["solver_calls"] == 0
+        assert elapsed < 1.5
+
+    def test_long_lasso_stops_at_the_timeout(self, capsys):
+        # The window finds the liveness demo's lasso at once; pumping it to
+        # ten million steps and replaying them checks the deadline at every
+        # step, so the check ends as unknown close to it.
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys, ROOT / "demos" / "inputs" / "liveness.bpp", "-k", "10000000",
+            "--timeout", "0.5", "--format", "json", "--stats",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        stats = json.loads(out)["stats"]
+        assert stats["reason_unknown"] == "timeout"
+        assert stats["solver_calls"] == 1
         assert elapsed < 1.5
 
     def test_past_deadline_is_timeout(self):
@@ -154,15 +180,17 @@ class TestDeadline:
 
 
 class TestDepth:
-    def test_deep_unrolling_holds(self, capsys, monkeypatch):
+    def test_deep_unrolling_holds(self, capsys, monkeypatch, tmp_path):
         # The search and the Omega test are loops, so the thousand-odd
         # branches of this bound need no stack per level: it holds under
         # Python's default limit of 1,000. The raised limit serves the formula
         # builder and nested sub-solves only.
         monkeypatch.setattr(refsolver, "RECURSION_LIMIT", 1_000)
-        code, out = run_cli(capsys, ROOT / "demos" / "inputs" / "liveness.bpp", "-k", "700")
+        problem = unrolled_liveness(tmp_path, "EG(EX(a, Y + Z >= 2))")
+        code, out = run_cli(capsys, problem, "-k", "700")
         assert code == 0, out
         assert "result: holds" in out
+        assert "bound: 700" in out
 
     DEEP = 100_000
     DEEP_SCRIPT = (

@@ -15,10 +15,11 @@ unknown, the wall time from spawn to exit, the EF round count and the answer
 of the benchmark's explicit-state reference (null past its state budget).
 
 The liveness series checks ``demos/inputs/liveness.bpp`` at k = 50, 100,
-200 and 400, three runs each. A row holds the verdict, the median wall time
-and the median ``time_ms`` the CLI reports, and the bundled solver's
-branches and steps. Its ``EG`` holds at every k: the path from the initial
-marking repeats a covering segment forever.
+200 and 400, three runs each. A row holds the verdict, the bound it was
+decided at (``unbounded`` for a lasso), the median wall time and the median
+``time_ms`` the CLI reports, and the bundled solver's branches and steps.
+Its ``EG`` holds at every k: the path from the initial marking repeats a
+covering segment forever.
 
 Exits 1 when a decided EF verdict disagrees with the reference or a
 liveness row does not hold, else 0. Standard library only.
@@ -107,6 +108,7 @@ def liveness_row(k: int, src: Path) -> dict:
     return {
         "k": k,
         "result": report["result"],
+        "bound": stats.get("bound"),
         "wall_ms": round(statistics.median(r["wall_ms"] for r, _ in runs), 1),
         "time_ms": round(statistics.median(rep["time_ms"] for _, rep in runs if rep), 1),
         "solver_branches": stats.get("solver_branches"),
