@@ -181,10 +181,6 @@ def _run_acs(system_path: str, property_path: str, opts) -> Report:
 def _check(bpp, init, formula, opts) -> Report:
     config = resolve_solver(opts.solver, timeout_s=opts.timeout)
     scripts: list[SmtScript] = []
-
-    def capture(index: int, script: SmtScript) -> None:
-        scripts.append(script)
-
     # The formula class picks the engine; only that engine is imported.
     cls = classify(desugar(formula))
     if cls == FormulaClass.MIXED:
@@ -193,12 +189,12 @@ def _check(bpp, init, formula, opts) -> Report:
         from .ef import check_ef
 
         start = time.perf_counter()
-        verdict = check_ef(bpp, init, formula, config, on_script=capture)
+        verdict = check_ef(bpp, init, formula, config, on_script=scripts.append)
     else:
         from .eg import check_eg
 
         start = time.perf_counter()
-        verdict = check_eg(bpp, init, formula, opts.k, config, on_script=capture)
+        verdict = check_eg(bpp, init, formula, opts.k, config, on_script=scripts.append)
     total_ms = (time.perf_counter() - start) * 1000.0
 
     if opts.dot:

@@ -84,7 +84,11 @@ class ReachabilityEncoding(Record):
 
 def encode_flow(bpp: Bpp, init: Marking) -> ReachabilityEncoding:
     """The flow equations: nonnegative counts and, per symbol P,
-    init(P) + sum_r y_r*rhs_r(P) - sum_{lhs(r)=P} y_r = x_P."""
+    init(P) + sum_r y_r*rhs_r(P) - sum_{lhs(r)=P} y_r = x_P.
+
+    A rule whose left symbol is not derivable from the initial marking under
+    all rules never fires, so its count is pinned: y_r = 0 (the static
+    siphon)."""
     bpp.check_marking(init)
     xs = {sym: f"x_{sym}" for sym in bpp.symbols}
     ys = {rule.rid: f"y_{rule.rid + 1}" for rule in bpp.rules}
@@ -92,8 +96,9 @@ def encode_flow(bpp: Bpp, init: Marking) -> ReachabilityEncoding:
 
     for sym in bpp.symbols:
         constraints.append(lin([(xs[sym], 1)], ">=", 0))
+    live = _derivable(bpp, init, bpp.rules)
     for rule in bpp.rules:
-        constraints.append(lin([(ys[rule.rid], 1)], ">=", 0))
+        constraints.append(lin([(ys[rule.rid], 1)], ">=" if rule.lhs in live else "=", 0))
 
     deltas = [rule_delta(rule, bpp) for rule in bpp.rules]
     for i, sym in enumerate(bpp.symbols):
@@ -208,7 +213,7 @@ def siphon_cut(bpp: Bpp, init: Marking, ys: dict[int, str], model: dict[str, int
     derivable = _derivable(bpp, init, used)
     if all(rule.lhs in derivable for rule in used):
         return None
-    inside = [(ys[r.rid], 1) for r in bpp.rules if r.lhs not in derivable]
+    inside = [ys[r.rid] for r in bpp.rules if r.lhs not in derivable]
     feeders = [
         (ys[r.rid], 1)
         for r in bpp.rules
@@ -216,7 +221,9 @@ def siphon_cut(bpp: Bpp, init: Marking, ys: dict[int, str], model: dict[str, int
     ]
     # The feeder disjunct goes first: the bundled solver tries disjuncts in
     # order, and inside = 0 first sends it into deep, mostly futile branching.
-    no_inside = lin(inside, "=", 0)
+    # inside = 0 is one y_r = 0 per rule, which the bundled solver pins; a
+    # zero sum would go to the Omega test.
+    no_inside = conj(lin([(y, 1)], "=", 0) for y in inside)
     return disj([lin(feeders, ">=", 1), no_inside]) if feeders else no_inside
 
 
@@ -225,7 +232,7 @@ def check_ef_detailed(
     init: Marking,
     f: Formula,
     config: SolverConfig,
-    on_script: Callable[[int, SmtScript], None] | None = None,
+    on_script: Callable[[SmtScript], None] | None = None,
 ) -> tuple[Verdict, ReachabilityEncoding, list[list[SolverOutcome]]]:
     """Decide an EF-class formula at the initial marking.
 
@@ -263,7 +270,7 @@ def check_ef_detailed(
             node = conj(parts)
             script = to_smtlib(node, flow.declarations)
             if on_script is not None:
-                on_script(sum(map(len, nodes)), script)
+                on_script(script)
             outcome = run_solver(script, SolverConfig(config.command, left))
             # Never trust model printing: the bindings must satisfy every
             # emitted constraint under the independent evaluator.
@@ -320,7 +327,7 @@ def check_ef(
     init: Marking,
     f: Formula,
     config: SolverConfig,
-    on_script: Callable[[int, SmtScript], None] | None = None,
+    on_script: Callable[[SmtScript], None] | None = None,
 ) -> Verdict:
     verdict, _, _ = check_ef_detailed(bpp, init, f, config, on_script)
     return verdict

@@ -10,14 +10,15 @@ constants so solver models expose them; blocks under a negation stay
 quantified.
 
 A top-level ``EG φ`` or ``¬EG φ`` (``AF``) whose body has no EG or EF is
-first tried on a window of ``WINDOW`` steps that asks for a lasso: a
-position i < WINDOW with u_i ≤ u_WINDOW in every component, where the drift
-d = u_WINDOW − u_i moves no atom of φ (in negation normal form) towards
-false. BPP firing is monotone, so the segment from u_i fires again from
-u_WINDOW forever (u_t = u_{t−L} + d), φ holds at every position, and EG φ
-holds at every bound. ``check_eg`` pumps the window's model to k steps and
-replays it concretely before reporting it; any window that does not
-decide falls back to the k-step unrolling.
+first tried on a window: the EG block of ``WINDOW`` steps, conjoined with a
+lasso, a position i < WINDOW with u_i ≤ u_WINDOW in every component, where
+the drift d = u_WINDOW − u_i moves no atom of φ (in negation normal form)
+towards false. BPP firing is monotone, so the segment from u_i fires again
+from u_WINDOW forever (u_t = u_{t−L} + d), φ holds at every position, and
+EG φ holds at every bound. ``check_eg`` pumps the window's model to k steps
+and replays it concretely before reporting it; any window that does not
+decide falls back to the k-step unrolling. Both scripts are hoisted and
+serialized by one finisher and solved by one step of ``check_eg``.
 """
 
 from __future__ import annotations
@@ -249,6 +250,14 @@ class EgEncoding:
         return sum(len(block) for block in self.alloc.target_blocks)
 
 
+def _finish(node: Node, alloc: VarAllocator) -> EgEncoding:
+    """Hoist, serialize and check the deadline once the script is done."""
+    body, declared = hoist_positive_exists(node)
+    script = to_smtlib(body, declared)
+    alloc.check_deadline()
+    return EgEncoding(script=script, alloc=alloc, declared=declared)
+
+
 def encode_eg(
     bpp: Bpp, init: Marking, f: Formula, k: int, deadline: float | None = None
 ) -> EgEncoding:
@@ -264,11 +273,7 @@ def encode_eg(
     if contains_ef(core):
         raise MixedFormula("EF belongs to the reachability engine")
     alloc = VarAllocator(deadline)
-    node = trans(core, tuple(init), k, bpp, alloc)
-    body, declared = hoist_positive_exists(node)
-    script = to_smtlib(body, declared)
-    alloc.check_deadline()
-    return EgEncoding(script=script, alloc=alloc, declared=declared)
+    return _finish(trans(core, tuple(init), k, bpp, alloc), alloc)
 
 
 def _lasso_body(core: Formula) -> Formula | None:
@@ -309,17 +314,14 @@ def _drift_signs(f: Formula, positive: bool, bpp: Bpp, out: dict) -> None:
 def _encode_window(
     bpp: Bpp, init: Marking, body: Formula, deadline: float
 ) -> tuple[EgEncoding, list[State], list[Node]]:
-    """The lasso window script for EG body: a WINDOW-step path from init
-    with body at every position, and the disjunction over i < WINDOW of
-    the lasso conditions, which are also returned one per i. Only bounds
+    """The lasso window script for EG body: the EG block of WINDOW steps
+    from init, and the disjunction over i < WINDOW of the lasso conditions,
+    which are also returned one per i with the block's states. Only bounds
     k > WINDOW use it, so E<a> compiles as at any k >= 1."""
     alloc = VarAllocator(deadline)
-    u = alloc.path_block(WINDOW, bpp.symbols)
-    parts: list[Node] = [path_constraint(u, bpp, alloc)]
-    parts.extend(_component_eq(init[c], u[0][c], 0) for c in range(bpp.n))
-    for state in u:
-        alloc.check_deadline()
-        parts.append(trans(body, state, WINDOW, bpp, alloc))
+    block = trans(EG(body), tuple(init), WINDOW, bpp, alloc)
+    flat = alloc.path_blocks[0]
+    u = [tuple(flat[j * bpp.n : (j + 1) * bpp.n]) for j in range(WINDOW + 1)]
     # Every component may only grow: d >= 0. An atom sign on a single
     # symbol that says the same thing is the same key, so it is kept once.
     signs: dict = {(((sym, 1),), ">="): None for sym in bpp.symbols}
@@ -333,11 +335,7 @@ def _encode_window(
                 diff += [(u[WINDOW][bpp.index[sym]], c), (u[i][bpp.index[sym]], -c)]
             drifts.append(lin(diff, sign, 0))
         lassos.append(conj(drifts))
-    parts.append(disj(lassos))
-    flat = [name for state in u for name in state]
-    node, declared = hoist_positive_exists(exists(flat, conj(parts)))
-    script = to_smtlib(node, declared)
-    return EgEncoding(script=script, alloc=alloc, declared=declared), u, lassos
+    return _finish(conj([block, disj(lassos)]), alloc), u, lassos
 
 
 def _holds(f: Formula, m: Marking, bpp: Bpp, memo: dict) -> bool:
@@ -418,54 +416,13 @@ def _eg_stats(enc: EgEncoding, outcomes: list[SolverOutcome], result: str, bound
     return stats
 
 
-def _try_window(
-    bpp: Bpp,
-    init: Marking,
-    body: Formula,
-    k: int,
-    result: str,
-    command: tuple[str, ...],
-    deadline: float,
-    outcomes: list[SolverOutcome],
-    on_script: Callable[[int, SmtScript], None] | None,
-) -> Verdict | None:
-    """Decide EG body at every bound by a pumpable lasso within WINDOW
-    steps: the verdict a lasso gives (``result``), with the pumped k-step
-    path as witness, or None when the window does not decide. The window
-    gets half of the time left, so the unrolling it falls back to is not
-    starved."""
-    now = time.perf_counter()
-    window_deadline = now + (deadline - now) / 2
-    try:
-        enc, u, lassos = _encode_window(bpp, init, body, window_deadline)
-    except EncodingTimeout:
-        return None
-    if on_script is not None:
-        on_script(len(outcomes), enc.script)
-    outcome = run_solver(enc.script, SolverConfig(command, window_deadline - time.perf_counter()))
-    outcomes.append(outcome)
-    if outcome.status != "sat":
-        return None
-    model = outcome.model
-    start = next((i for i, lasso in enumerate(lassos) if eval_node(lasso, model)), None)
-    if start is None:
-        raise SolverProtocolError("lasso window model closes no lasso")
-    window = [tuple(model[name] for name in state) for state in u]
-    path = _pump(bpp, init, body, window, start, k, deadline)
-    witness = {
-        f"u{j}_{sym}": m[c] for j, m in enumerate(path) for c, sym in enumerate(bpp.symbols)
-    }
-    stats = {**_eg_stats(enc, outcomes, result, "unbounded"), "lasso": [start, WINDOW]}
-    return Verdict(result=result, engine="eg-bounded", k=k, witness=witness, stats=stats)
-
-
 def check_eg(
     bpp: Bpp,
     init: Marking,
     f: Formula,
     k: int,
     config: SolverConfig,
-    on_script: Callable[[int, SmtScript], None] | None = None,
+    on_script: Callable[[SmtScript], None] | None = None,
 ) -> Verdict:
     """Bounded verdict: sat means the formula holds under the k-step
     semantics at the initial marking, unsat means it does not.
@@ -473,33 +430,55 @@ def check_eg(
     A top-level EG or AF with an EG- and EF-free body and k > WINDOW is
     first tried on the lasso window; a lasso decides it at every bound
     (``stats["bound"]`` is ``"unbounded"`` and ``stats["lasso"]`` gives the
-    positions [i, WINDOW]). Otherwise, or when the window does not decide,
-    the k-step unrolling decides at bound k (``stats["bound"]`` is k).
+    positions [i, WINDOW]), with the pumped k-step path as witness.
+    Otherwise, or when the window does not decide, the k-step unrolling
+    decides at bound k (``stats["bound"]`` is k).
 
     Encoding and solving share the config's timeout: an encoding, pumping
     or replay that runs past it gives unknown (reason ``timeout``) without
-    starting another solver call, and each call gets what is left."""
+    starting another solver call, and each call gets what is left. The
+    window gets half of the time left, so the unrolling it falls back to
+    is not starved."""
     deadline = time.perf_counter() + config.timeout_s
     outcomes: list[SolverOutcome] = []
+
+    def solve(enc: EgEncoding, until: float) -> SolverOutcome:
+        if on_script is not None:
+            on_script(enc.script)
+        left = SolverConfig(config.command, until - time.perf_counter())
+        outcomes.append(run_solver(enc.script, left))
+        return outcomes[-1]
+
     core = desugar(f)
     body = _lasso_body(core) if k > WINDOW else None
     try:
         if body is not None:
             bpp.check_marking(init)
-            lasso_result = "not-holds" if isinstance(core, Not) else "holds"  # AF or EG
-            verdict = _try_window(bpp, init, body, k, lasso_result, config.command, deadline,
-                                  outcomes, on_script)
-            if verdict is not None:
-                return verdict
+            now = time.perf_counter()
+            until = now + (deadline - now) / 2
+            try:
+                enc, u, lassos = _encode_window(bpp, init, body, until)
+            except EncodingTimeout:
+                model = None
+            else:
+                model = solve(enc, until).model  # a model comes with sat only
+            if model is not None:
+                start = next((i for i, lasso in enumerate(lassos) if eval_node(lasso, model)), None)
+                if start is None:
+                    raise SolverProtocolError("lasso window model closes no lasso")
+                window = [tuple(model[name] for name in state) for state in u]
+                path = _pump(bpp, init, body, window, start, k, deadline)
+                witness = {f"u{j}_{sym}": m[c] for j, m in enumerate(path)
+                           for c, sym in enumerate(bpp.symbols)}
+                result = "not-holds" if isinstance(core, Not) else "holds"  # AF or EG
+                stats = {**_eg_stats(enc, outcomes, result, "unbounded"), "lasso": [start, WINDOW]}
+                return Verdict(result=result, engine="eg-bounded", k=k, witness=witness,
+                               stats=stats)
         enc = encode_eg(bpp, init, f, k, deadline)
     except EncodingTimeout:
         stats = {**solver_stats(outcomes, unknown=False), "bound": k, "reason_unknown": "timeout"}
         return Verdict(result="unknown", engine="eg-bounded", k=k, stats=stats)
-    if on_script is not None:
-        on_script(len(outcomes), enc.script)
-    left = SolverConfig(config.command, deadline - time.perf_counter())
-    outcome = run_solver(enc.script, left)
-    outcomes.append(outcome)
+    outcome = solve(enc, deadline)
     result = {"sat": "holds", "unsat": "not-holds"}.get(outcome.status, "unknown")
     witness = outcome.model if outcome.status == "sat" else None
     return Verdict(result=result, engine="eg-bounded", k=k, witness=witness,

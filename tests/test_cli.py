@@ -32,6 +32,14 @@ class TestExitCodes:
         assert code == 1
         assert "result: not-holds" in out
 
+    def test_dead_generator_is_refuted(self, capsys):
+        # Dead-generator 4x4 seed 2: a siphon cut that asserted its inside
+        # rules as one zero sum sent the bundled solver to the Omega test,
+        # which ran out of budget.
+        code, out, _ = run(capsys, DATA / "dead4x4_seed2.bpp", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["result"] == "not-holds"
+
     def test_unknown_is_two(self, capsys):
         fake = f"{sys.executable} -c \"print('unknown')\""
         code, out, _ = run(capsys, DATA / "reach.bpp", "--solver", fake)

@@ -101,6 +101,16 @@ class TestEncoding:
         assert enc.constraints[: len(flow.constraints)] == flow.constraints
         assert len(enc.constraints) > len(flow.constraints)
 
+    def test_flow_pins_only_statically_dead_rules(self):
+        # X -> Y and Y -> X can fire from X; Z is never marked, so Z -> Z, Y
+        # never fires and its count is pinned to 0.
+        bpp = Bpp(("X", "Y", "Z"), (Rule(0, "X", "a", ("Y",)), Rule(1, "Y", "a", ("X",)),
+                                    Rule(2, "Z", "a", ("Z", "Y"))))
+        flow = encode_flow(bpp, (1, 0, 0))
+        assert flow.constraints[3:6] == (
+            lin([("y_1", 1)], ">=", 0), lin([("y_2", 1)], ">=", 0), lin([("y_3", 1)], "=", 0)
+        )
+
     def test_multi_symbol_initial_marking(self, triangle):
         # init X2=2: zero firings already give x_X2 = 2.
         enc = encode_reachability(triangle, (0, 2, 0))
@@ -295,6 +305,15 @@ class TestSiphonCut:
         assert eval_node(cut, model) is False
         assert eval_node(cut, {"y_1": 1, "y_2": 3}) is True
 
+    def test_inside_is_one_unit_equality_per_rule(self):
+        # S -> X feeds the cycle X -> Y, Y -> X, which the model fires alone.
+        bpp = Bpp(("S", "X", "Y"), (Rule(0, "S", "a", ("X",)), Rule(1, "X", "a", ("Y",)),
+                                    Rule(2, "Y", "a", ("X",))))
+        ys = encode_flow(bpp, (1, 0, 0)).vars.y
+        cut = siphon_cut(bpp, (1, 0, 0), ys, {"y_1": 0, "y_2": 2, "y_3": 2})
+        no_inside = conj([lin([("y_2", 1)], "=", 0), lin([("y_3", 1)], "=", 0)])
+        assert cut == disj([lin([("y_1", 1)], ">=", 1), no_inside])
+
     def test_no_feeder_gives_a_unit_cut(self):
         # Y is never produced, so Y -> nil can only stay unused.
         bpp = Bpp(("X", "Y"), (Rule(0, "Y", "a", ()),))
@@ -346,3 +365,12 @@ class TestHardInstances:
         assert verdict.result == ("holds" if expected.value else "not-holds")
         if verdict.result == "holds":
             assert_witness_replays(bpp, init, psi, flow, verdict.witness)
+
+    def test_static_siphon_refutes_the_dead_generator_at_once(self):
+        # Dead-generator 8x8 seed 2: no D symbol is derivable from L0, so the
+        # flow equations pin every D rule and round 1 is unsat by propagation.
+        problem = parse_problem((DATA / "dead8x8_seed2.bpp").read_text())
+        verdict = check_ef(problem.bpp, problem.initial, problem.formula, BUNDLED)
+        assert verdict.result == "not-holds"
+        assert verdict.stats["ef_rounds"] == 1
+        assert verdict.stats["solver_omega_calls"] == 0

@@ -286,9 +286,16 @@ class _Unrolling(Exception):
     """Raised from ``on_script`` when check_eg hands over to the unrolling."""
 
 
-def _stop_at_unrolling(index, script):
-    if index > 0:
-        raise _Unrolling
+def _stop_at_unrolling():
+    """An ``on_script`` that lets the first (window) script through."""
+    seen = []
+
+    def on_script(script):
+        if seen:
+            raise _Unrolling
+        seen.append(script)
+
+    return on_script
 
 
 def assert_witness_replays(bpp, init, body, witness, k):
@@ -324,7 +331,7 @@ class TestLassoWindow:
                 body = random_eg_formula(rng, bpp, rng.randint(1, 3))
             f = rng.choice((EG, AF))(body)
             try:
-                verdict = check_eg(bpp, init, f, k, REF, on_script=_stop_at_unrolling)
+                verdict = check_eg(bpp, init, f, k, REF, on_script=_stop_at_unrolling())
             except _Unrolling:
                 continue
             by_window += 1
@@ -361,7 +368,7 @@ class TestLassoWindow:
         ):
             scripts.clear()
             verdict = check_eg(triangle, (1, 0, 0), f, k, REF,
-                               on_script=lambda _, script: scripts.append(script))
+                               on_script=scripts.append)
             assert verdict.stats["bound"] == k
             assert len(scripts) == verdict.stats["solver_calls"] == 1
             assert scripts[0] == encode_eg(triangle, (1, 0, 0), f, k).script
@@ -373,7 +380,7 @@ class TestLassoWindow:
         always = atom({"X": 1, "Y": 1}, Cmp.GE, 0)
         scripts = []
         verdict = check_eg(bpp, (1, 0), EG(always), 10, REF,
-                           on_script=lambda _, script: scripts.append(script))
+                           on_script=scripts.append)
         assert verdict.result == "not-holds"
         assert verdict.stats["bound"] == 10
         assert "lasso" not in verdict.stats

@@ -62,7 +62,7 @@ def demo_scripts() -> list[str]:
         if classify(desugar(problem.formula)) == FormulaClass.EF_CLASS:
             check_ef_detailed(
                 problem.bpp, problem.initial, problem.formula, BUNDLED,
-                on_script=lambda _, script: texts.append(script.text),
+                on_script=lambda script: texts.append(script.text),
             )
         else:
             texts.append(encode_eg(problem.bpp, problem.initial, problem.formula, 10).script.text)
@@ -78,7 +78,7 @@ def random_scripts(count: int) -> list[str]:
         if len(texts) % 2 == 0:
             check_ef_detailed(
                 bpp, init, EF(random_atom(rng, bpp)), BUNDLED,
-                on_script=lambda _, script: texts.append(script.text),
+                on_script=lambda script: texts.append(script.text),
             )
         else:
             body = random_atom(rng, bpp)

@@ -13,6 +13,9 @@ The EF family is ring n in {6, 8, 10, 12, 16} and dead-generator 4x4, seeds
 checked with ``--timeout 10``. A row holds the verdict, the reason for an
 unknown, the wall time from spawn to exit, the EF round count and the answer
 of the benchmark's explicit-state reference (null past its state budget).
+The scaled EF rows are built and checked the same way from ring n in
+{24, 32, 48, 64} and dead-generator 6x6 and 8x8, seeds 0-4; the family
+saturates (every row decided in well under a second), these do not.
 
 The liveness series checks ``demos/inputs/liveness.bpp`` at k = 50, 100,
 200 and 400, three runs each. A row holds the verdict, the bound it was
@@ -21,8 +24,8 @@ decided at (``unbounded`` for a lasso), the median wall time and the median
 Its ``EG`` holds at every k: the path from the initial marking repeats a
 covering segment forever.
 
-Exits 1 when a decided EF verdict disagrees with the reference or a
-liveness row does not hold, else 0. Standard library only.
+Exits 1 when a decided EF verdict (family or scaled) disagrees with the
+reference or a liveness row does not hold, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from clibench import families, reference  # noqa: E402
 from clibench.model import problem_text  # noqa: E402
 
 RING_SIZES = (6, 8, 10, 12, 16)
+SCALED_RING_SIZES = (24, 32, 48, 64)
+SCALED_DEAD_SIZES = (6, 8)
 SEEDS = range(5)
 TIMEOUT_S = 10
 REFERENCE_STATES = 100_000
@@ -53,13 +58,14 @@ LIVENESS_KS = (50, 100, 200, 400)
 LIVENESS_RUNS = 3
 
 
-def family() -> list[tuple[str, object, tuple]]:
+def instances(ring_sizes, dead_sizes) -> list[tuple[str, object, tuple]]:
     out = []
-    for n in RING_SIZES:
+    for n in ring_sizes:
         for seed in SEEDS:
             out.append((f"ring-n{n}-s{seed}", *families.ring_instance(n, seed)))
-    for seed in SEEDS:
-        out.append((f"dead-4x4-s{seed}", *families.dead_generator_instance(4, 4, seed)))
+    for d in dead_sizes:
+        for seed in SEEDS:
+            out.append((f"dead-{d}x{d}-s{seed}", *families.dead_generator_instance(d, d, seed)))
     return out
 
 
@@ -99,6 +105,27 @@ def run_cli(problem: Path, src: Path) -> dict:
             "ef_rounds": rounds}
 
 
+def ef_row(name: str, system, formula, tmp: str, src: Path) -> dict:
+    problem = Path(tmp) / f"{name}.bpp"
+    problem.write_text(problem_text(system, formula))
+    row = {"instance": name, **run_cli(problem, src),
+           "reference": reference_answer(system, formula)}
+    print(json.dumps(row), file=sys.stderr)
+    return row
+
+
+def summarize(rows: list[dict]) -> dict:
+    decided = [r for r in rows if r["result"] in ("holds", "not-holds")]
+    return {
+        "instances": len(rows),
+        "decided": len(decided),
+        "disagreements": sum(1 for r in decided if r["reference"] not in (None, r["result"])),
+        "max_decided_wall_ms": max((r["wall_ms"] for r in decided), default=None),
+        "unknown_reasons": sorted({r["reason"] or "none" for r in rows if r not in decided}),
+        "undecided": {r["instance"]: r["ef_rounds"] for r in rows if r not in decided},
+    }
+
+
 def liveness_row(k: int, src: Path) -> dict:
     runs = [spawn(src, str(LIVENESS), "-k", str(k)) for _ in range(LIVENESS_RUNS)]
     row, report = runs[-1]
@@ -122,28 +149,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     opts = parser.parse_args(argv)
 
-    rows = []
+    start = time.perf_counter()
+    src = opts.src.resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, system, formula in family():
-            problem = Path(tmp) / f"{name}.bpp"
-            problem.write_text(problem_text(system, formula))
-            row = {"instance": name, **run_cli(problem, opts.src.resolve()),
-                   "reference": reference_answer(system, formula)}
-            rows.append(row)
-            print(json.dumps(row), file=sys.stderr)
+        rows = [ef_row(*case, tmp, src) for case in instances(RING_SIZES, (4,))]
+        scaled = [ef_row(*case, tmp, src)
+                  for case in instances(SCALED_RING_SIZES, SCALED_DEAD_SIZES)]
     liveness = []
     for k in LIVENESS_KS:
-        liveness.append(liveness_row(k, opts.src.resolve()))
+        liveness.append(liveness_row(k, src))
         print(json.dumps(liveness[-1]), file=sys.stderr)
 
-    decided = [r for r in rows if r["result"] in ("holds", "not-holds")]
     summary = {
-        "instances": len(rows),
-        "decided": len(decided),
-        "disagreements": sum(1 for r in decided if r["reference"] not in (None, r["result"])),
-        "max_decided_wall_ms": max((r["wall_ms"] for r in decided), default=None),
-        "unknown_reasons": sorted({r["reason"] or "none" for r in rows if r not in decided}),
+        **summarize(rows),
+        "scaled": summarize(scaled),
         "liveness_not_holding": [r["k"] for r in liveness if r["result"] != "holds"],
+        "run_s": round(time.perf_counter() - start, 1),
     }
     payload = {
         "label": opts.label,
@@ -153,11 +174,13 @@ def main(argv: list[str] | None = None) -> int:
                     "system": platform.system()},
         "summary": summary,
         "ef_family": rows,
+        "ef_scaled": scaled,
         "liveness": liveness,
     }
     (ROOT / f"BENCH_{opts.label}.json").write_text(json.dumps(payload, indent=1) + "\n")
     print(json.dumps(summary))
-    return 1 if summary["disagreements"] or summary["liveness_not_holding"] else 0
+    failed = summary["disagreements"] or summary["scaled"]["disagreements"]
+    return 1 if failed or summary["liveness_not_holding"] else 0
 
 
 if __name__ == "__main__":
