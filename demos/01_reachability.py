@@ -10,7 +10,7 @@ Run:  python demos/01_reachability.py
 
 from bppcheck.core import Bpp, Rule, TAU
 from bppcheck.ctl import Atom, Cmp, EF, LinearAtom
-from bppcheck.ef import check_ef_detailed, model_firing_counts, realize_firing_counts
+from bppcheck.ef import check_ef_detailed, realize_firing_counts
 from bppcheck.smt import resolve_solver
 
 
@@ -36,7 +36,7 @@ def main() -> None:
 
     print(f"refinement rounds: {len(rounds[0])}")
 
-    counts = model_firing_counts(encoding.vars, verdict.witness)
+    counts = {rid: verdict.witness[y] for rid, y in encoding.vars.y.items()}
     sequence, reached = realize_firing_counts(system, initial, counts)
     print(f"firing counts per rule: {counts}")
     print(f"one concrete interleaving: {sequence}")

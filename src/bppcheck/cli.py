@@ -31,6 +31,10 @@ EXIT_USAGE = 3
 EXIT_ENVIRONMENT = 4
 
 
+def _exit_code(verdict: Verdict) -> int:
+    return {"holds": EXIT_HOLDS, "not-holds": EXIT_NOT_HOLDS}.get(verdict.result, EXIT_UNKNOWN)
+
+
 class _UsageError(Exception):
     pass
 
@@ -125,12 +129,12 @@ def _dispatch(opts) -> int:
             raise _UsageError("--acs takes exactly two files: system and property")
         report = _run_acs(opts.inputs[0], opts.inputs[1], opts)
         print(render_report(report, opts.format, stats=opts.stats))
-        return report.verdict.exit_code()
+        return _exit_code(report.verdict)
 
     if len(opts.inputs) == 1:
         report = _run_problem(opts.inputs[0], opts)
         print(render_report(report, opts.format, stats=opts.stats))
-        return report.verdict.exit_code()
+        return _exit_code(report.verdict)
 
     # Batch mode: independent checks on worker processes, since the bundled
     # solver runs in the checking process and holds the GIL while it solves.
@@ -152,7 +156,7 @@ def _dispatch(opts) -> int:
     for path, report in zip(opts.inputs, reports):
         print(f"== {path} ==")
         print(render_report(report, opts.format, stats=opts.stats))
-        code = max(code, report.verdict.exit_code())
+        code = max(code, _exit_code(report.verdict))
     return code
 
 

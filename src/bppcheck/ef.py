@@ -213,7 +213,7 @@ def siphon_cut(bpp: Bpp, init: Marking, ys: dict[int, str], model: dict[str, int
     derivable = _derivable(bpp, init, used)
     if all(rule.lhs in derivable for rule in used):
         return None
-    inside = [ys[r.rid] for r in bpp.rules if r.lhs not in derivable]
+    inside = [(ys[r.rid], 1) for r in bpp.rules if r.lhs not in derivable]
     feeders = [
         (ys[r.rid], 1)
         for r in bpp.rules
@@ -221,9 +221,7 @@ def siphon_cut(bpp: Bpp, init: Marking, ys: dict[int, str], model: dict[str, int
     ]
     # The feeder disjunct goes first: the bundled solver tries disjuncts in
     # order, and inside = 0 first sends it into deep, mostly futile branching.
-    # inside = 0 is one y_r = 0 per rule, which the bundled solver pins; a
-    # zero sum would go to the Omega test.
-    no_inside = conj(lin([(y, 1)], "=", 0) for y in inside)
+    no_inside = lin(inside, "=", 0)
     return disj([lin(feeders, ">=", 1), no_inside]) if feeders else no_inside
 
 
@@ -312,7 +310,7 @@ def check_ef_detailed(
         "n_vars": len(flow.declarations),
         "n_asserts": n_asserts,
         "ef_rounds": len(outcomes),
-        **solver_stats(outcomes, unknown=False),
+        **solver_stats(outcomes),
     }
     if value is None:
         stats["reason_unknown"] = reasons[0]
@@ -331,11 +329,6 @@ def check_ef(
 ) -> Verdict:
     verdict, _, _ = check_ef_detailed(bpp, init, f, config, on_script)
     return verdict
-
-
-def model_firing_counts(enc_vars: EfVars, model: dict[str, int]) -> dict[int, int]:
-    """Pull the per-rule firing counts out of a solver model."""
-    return {rid: model[name] for rid, name in enc_vars.y.items()}
 
 
 def realize_firing_counts(

@@ -4,10 +4,11 @@ The compiler recurses over the formula: atoms substitute the state vector,
 E<a> allocates one fresh target state constrained by a labeled transition
 step, EG allocates a block of k+1 path states chained by unlabeled steps
 and asserts the body at every position (the step budget k is not consumed
-by nesting; each nested block unrolls k fresh steps). Existential blocks
-reachable from the root through conjunctions are lowered to declared
-constants so solver models expose them; blocks under a negation stay
-quantified.
+by nesting; each nested block unrolls k fresh steps). The script is built
+in one pass: a block reached from the root through conjunctions and the
+bodies of such blocks is declared as constants when it is made, so solver
+models expose it; a block under a negation is wrapped in ``exists`` where
+it is made.
 
 A top-level ``EG φ`` or ``¬EG φ`` (``AF``) whose body has no EG or EF is
 first tried on a window: the EG block of ``WINDOW`` steps, conjoined with a
@@ -17,8 +18,8 @@ towards false. BPP firing is monotone, so the segment from u_i fires again
 from u_WINDOW forever (u_t = u_{t−L} + d), φ holds at every position, and
 EG φ holds at every bound. ``check_eg`` pumps the window's model to k steps
 and replays it concretely before reporting it; any window that does not
-decide falls back to the k-step unrolling. Both scripts are hoisted and
-serialized by one finisher and solved by one step of ``check_eg``.
+decide falls back to the k-step unrolling. Both scripts are serialized by
+one finisher and solved by one step of ``check_eg``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .errors import EncodingTimeout, MixedFormula, SolverProtocolError, UnknownS
 from .smt import (
     FALSE,
     TRUE,
-    AndF,
-    Exists,
     Node,
     SmtScript,
     SolverConfig,
@@ -59,8 +58,13 @@ WINDOW = 4
 
 
 class VarAllocator:
-    """Fresh state-variable names: u<j>_<sym> for path positions (later
-    blocks get a _b<serial> suffix), s<serial>_<sym> for step targets.
+    """Fresh state-variable names, and the ones the script declares.
+
+    Path position j of the first EG block is u<j>_<sym>, of the n-th block
+    u<j>b<n>_<sym>; the n-th step target is s<n>_<sym>. The text before the
+    first ``_`` names the state and every symbol starts with a letter, so
+    no two names collide. ``declared`` collects, in the order they are
+    made, the blocks that the script declares as constants.
 
     With a deadline (a ``time.perf_counter()`` value), ``check_deadline``
     raises EncodingTimeout once it has passed. The encoder calls it for
@@ -68,7 +72,7 @@ class VarAllocator:
     large k runs far past the deadline."""
 
     def __init__(self, deadline: float | None = None):
-        self.used: set[str] = set()
+        self.declared: list[str] = []
         self.path_blocks: list[list[str]] = []
         self.target_blocks: list[list[str]] = []
         self.deadline = deadline
@@ -79,34 +83,25 @@ class VarAllocator:
         if self.deadline is not None and time.perf_counter() >= self.deadline:
             raise EncodingTimeout("encoding ran past the deadline")
 
-    def _claim(self, base: str) -> str:
-        name = base
-        bump = 1
-        while name in self.used:
-            bump += 1
-            name = f"{base}_{bump}"
-        self.used.add(name)
-        return name
-
-    def path_block(self, k: int, symbols: Sequence[str]) -> list[State]:
+    def path_block(self, k: int, symbols: Sequence[str], declare: bool) -> list[State]:
         self._eg_serial += 1
-        suffix = "" if self._eg_serial == 1 else f"_b{self._eg_serial}"
+        tag = "" if self._eg_serial == 1 else f"b{self._eg_serial}"
         block: list[State] = []
-        flat: list[str] = []
         for j in range(k + 1):
             self.check_deadline()
-            names = tuple(self._claim(f"u{j}_{sym}{suffix}") for sym in symbols)
-            block.append(names)
-            flat.extend(names)
-        self.path_blocks.append(flat)
+            block.append(tuple(f"u{j}{tag}_{sym}" for sym in symbols))
+        self.path_blocks.append([name for state in block for name in state])
+        if declare:
+            self.declared.extend(self.path_blocks[-1])
         return block
 
-    def target_state(self, symbols: Sequence[str]) -> State:
+    def target_state(self, symbols: Sequence[str], declare: bool) -> State:
         self.check_deadline()
-        serial = self._ex_serial
+        names = tuple(f"s{self._ex_serial}_{sym}" for sym in symbols)
         self._ex_serial += 1
-        names = tuple(self._claim(f"s{serial}_{sym}") for sym in symbols)
         self.target_blocks.append(list(names))
+        if declare:
+            self.declared.extend(names)
         return names
 
 
@@ -138,13 +133,14 @@ def _enabled(s: State, rule: Rule, bpp: Bpp) -> Node:
     return lin([(comp, 1)], ">=", 1)
 
 
-def trans_constraint(s: State, t: State, action: str, bpp: Bpp) -> Node:
-    """One labeled step: disjunction over the rules carrying the action;
-    an action labeling no rule yields the empty disjunction (false)."""
+def trans_constraint(s: State, t: State, action: str | None, bpp: Bpp) -> Node:
+    """One step: disjunction over the rules carrying the action, or over
+    all rules for None; an action labeling no rule yields the empty
+    disjunction (false)."""
     return disj(
         conj([_enabled(s, rule, bpp), t_minus(s, t, rule, bpp)])
         for rule in bpp.rules
-        if rule.action == action
+        if action is None or rule.action == action
     )
 
 
@@ -155,12 +151,7 @@ def path_constraint(u: Sequence[State], bpp: Bpp, alloc: VarAllocator | None = N
     for j in range(1, len(u)):
         if alloc is not None:
             alloc.check_deadline()
-        steps.append(
-            disj(
-                conj([_enabled(u[j - 1], rule, bpp), t_minus(u[j - 1], u[j], rule, bpp)])
-                for rule in bpp.rules
-            )
-        )
+        steps.append(trans_constraint(u[j - 1], u[j], None, bpp))
     return conj(steps)
 
 
@@ -179,48 +170,34 @@ def _atom_at(f: Atom, s: State, bpp: Bpp) -> Node:
     return lin(terms, op, bound)
 
 
-def trans(f: Formula, s: State, k: int, bpp: Bpp, alloc: VarAllocator) -> Node:
-    """Structural compilation of a core EF-free formula at state s."""
+def trans(f: Formula, s: State, k: int, bpp: Bpp, alloc: VarAllocator, top: bool = True) -> Node:
+    """Structural compilation of a core EF-free formula at state s.
+
+    ``top`` says that no negation lies between the root and f. A block made
+    with it is declared in ``alloc.declared`` and its constraints are
+    returned bare; under a negation the block is wrapped in ``exists``."""
     if isinstance(f, Atom):
         return _atom_at(f, s, bpp)
     if isinstance(f, Not):
-        return neg(trans(f.sub, s, k, bpp, alloc))
+        return neg(trans(f.sub, s, k, bpp, alloc, False))
     if isinstance(f, And):
-        return conj([trans(f.left, s, k, bpp, alloc), trans(f.right, s, k, bpp, alloc)])
+        return conj([trans(g, s, k, bpp, alloc, top) for g in (f.left, f.right)])
     if isinstance(f, ENext):
         if k < 1:
             return FALSE
-        t = alloc.target_state(bpp.symbols)
-        body = conj(
-            [trans_constraint(s, t, f.action, bpp), trans(f.sub, t, k, bpp, alloc)]
-        )
-        return exists([n for n in t], body)
+        t = alloc.target_state(bpp.symbols, top)
+        body = conj([trans_constraint(s, t, f.action, bpp), trans(f.sub, t, k, bpp, alloc, top)])
+        return body if top else exists(t, body)
     if isinstance(f, EG):
-        u = alloc.path_block(k, bpp.symbols)
+        u = alloc.path_block(k, bpp.symbols, top)
         parts: list[Node] = [path_constraint(u, bpp, alloc)]
         parts.extend(_component_eq(s[i], u[0][i], 0) for i in range(bpp.n))
         for j in range(k + 1):
             alloc.check_deadline()
-            parts.append(trans(f.sub, u[j], k, bpp, alloc))
-        flat = [name for state in u for name in state]
-        return exists(flat, conj(parts))
+            parts.append(trans(f.sub, u[j], k, bpp, alloc, top))
+        body = conj(parts)
+        return body if top else exists([name for state in u for name in state], body)
     raise MixedFormula(f"bounded engine cannot compile {f!r}")
-
-
-def hoist_positive_exists(node: Node) -> tuple[Node, tuple[str, ...]]:
-    """Lower existential blocks reachable through conjunctions from the root
-    into declarations. Names are globally fresh, so this is sound."""
-    declared: list[str] = []
-
-    def walk(n: Node) -> Node:
-        if isinstance(n, Exists):
-            declared.extend(n.names)
-            return walk(n.body)
-        if isinstance(n, AndF):
-            return conj([walk(item) for item in n.items])
-        return n
-
-    return walk(node), tuple(declared)
 
 
 class EgEncoding:
@@ -238,8 +215,7 @@ class EgEncoding:
 
     @property
     def path_vars_quantified(self) -> int:
-        declared = set(self.declared)
-        return sum(1 for block in self.alloc.path_blocks for v in block if v not in declared)
+        return self.path_vars_total - self.path_vars_declared
 
     @property
     def path_vars_total(self) -> int:
@@ -251,9 +227,9 @@ class EgEncoding:
 
 
 def _finish(node: Node, alloc: VarAllocator) -> EgEncoding:
-    """Hoist, serialize and check the deadline once the script is done."""
-    body, declared = hoist_positive_exists(node)
-    script = to_smtlib(body, declared)
+    """Serialize and check the deadline once the script is done."""
+    declared = tuple(alloc.declared)
+    script = to_smtlib(node, declared)
     alloc.check_deadline()
     return EgEncoding(script=script, alloc=alloc, declared=declared)
 
@@ -403,7 +379,7 @@ def _eg_stats(enc: EgEncoding, outcomes: list[SolverOutcome], result: str, bound
     stats = {
         "n_vars": len(enc.declared) + enc.path_vars_quantified,
         "n_asserts": 1,  # the whole window or unrolling is one assertion
-        **solver_stats(outcomes, unknown=False),
+        **solver_stats(outcomes),
         "path_vars_declared": enc.path_vars_declared,
         "path_vars_total": enc.path_vars_total,
         "target_vars": enc.target_vars_total,
@@ -476,7 +452,7 @@ def check_eg(
                                stats=stats)
         enc = encode_eg(bpp, init, f, k, deadline)
     except EncodingTimeout:
-        stats = {**solver_stats(outcomes, unknown=False), "bound": k, "reason_unknown": "timeout"}
+        stats = {**solver_stats(outcomes), "bound": k, "reason_unknown": "timeout"}
         return Verdict(result="unknown", engine="eg-bounded", k=k, stats=stats)
     outcome = solve(enc, deadline)
     result = {"sat": "holds", "unsat": "not-holds"}.get(outcome.status, "unknown")

@@ -87,9 +87,6 @@ class Verdict(Record):
         setfield(self, "witness", witness)
         setfield(self, "stats", {} if stats is None else stats)
 
-    def exit_code(self) -> int:
-        return {"holds": 0, "not-holds": 1}.get(self.result, 2)
-
 
 def default_solver_command() -> tuple[str, ...]:
     if shutil.which("z3"):
@@ -168,14 +165,13 @@ def _spawn(script: SmtScript, config: SolverConfig) -> tuple[str, int | None]:
     return proc.stdout.decode(errors="replace"), proc.returncode
 
 
-def solver_stats(outcomes: list[SolverOutcome], unknown: bool) -> dict[str, int | float | str]:
+def solver_stats(outcomes: list[SolverOutcome]) -> dict[str, int | float | str]:
     """The solver's share of ``Verdict.stats`` over one check's calls.
 
     ``solver_ms`` sums the solving times the solver reports and
     ``solver_wall_ms`` the calls' wall times (the whole call in process for
     the bundled solver, spawn to exit for a child); the integer statistics are
-    summed as ``solver_<name>``. An unknown verdict carries the first
-    reason a call gave, as ``reason_unknown``.
+    summed as ``solver_<name>``.
     """
     stats: dict[str, int | float | str] = {
         "solver_ms": sum(o.solve_ms for o in outcomes),
@@ -187,10 +183,6 @@ def solver_stats(outcomes: list[SolverOutcome], unknown: bool) -> dict[str, int 
             if isinstance(value, int):
                 key = "solver_" + name.replace("-", "_")
                 stats[key] = stats.get(key, 0) + value
-    if unknown:
-        stats["reason_unknown"] = next(
-            (o.reason_unknown for o in outcomes if o.reason_unknown), "unreported"
-        )
     return stats
 
 

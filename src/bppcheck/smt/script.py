@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import re
 from ..errors import IllFormedFormula
 from ..record import Record, setfield
-from .terms import Node, free_vars, has_quantifier, to_sexpr
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from .terms import _NAME_RE, Node, free_vars, has_quantifier, to_sexpr
 
 QF_LOGIC = "QF_LIA"
 QUANTIFIED_LOGIC = "LIA"

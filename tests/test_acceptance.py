@@ -16,7 +16,7 @@ import pytest
 from bppcheck.acs import acs_successors, convert, convert_place, mailbox_content
 from bppcheck.core import Bpp, Rule
 from bppcheck.ctl import AF, Atom, Cmp, EF, EG, ENext, And, Imp, LinearAtom, desugar
-from bppcheck.ef import check_ef_detailed, model_firing_counts, realize_firing_counts
+from bppcheck.ef import check_ef_detailed, realize_firing_counts
 from bppcheck.eg import check_eg, encode_eg
 from bppcheck.errors import ParseError
 from bppcheck.oracle import (
@@ -88,7 +88,7 @@ class TestCriterion1FigureRegression:
                     total -= y
             assert total == model[enc.vars.x[sym]], sym
 
-        counts = model_firing_counts(enc.vars, model)
+        counts = {rid: model[y] for rid, y in enc.vars.y.items()}
         sequence, final = realize_firing_counts(problem.bpp, problem.initial, counts)
         assert sequence == [0, 1]
         assert final == (0, 1, 1)
@@ -138,7 +138,7 @@ class TestCriterion3EfDifferential:
                 definite += 1
             if verdict.result == "holds":
                 model = verdict.witness
-                counts = model_firing_counts(enc.vars, model)
+                counts = {rid: model[y] for rid, y in enc.vars.y.items()}
                 replay = realize_firing_counts(bpp, init, counts)
                 assert replay is not None, (i, bpp, init, counts)
                 sequence, final = replay

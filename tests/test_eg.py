@@ -19,7 +19,7 @@ from bppcheck.eg import (
 )
 from bppcheck.errors import MixedFormula
 from bppcheck.oracle import ExplorationBudget, eval_bounded
-from bppcheck.smt import FALSE, TRUE, OrF, SolverConfig, eval_node
+from bppcheck.smt import FALSE, TRUE, Exists, NotF, OrF, SolverConfig, eval_node, has_quantifier
 
 from .conftest import atom, random_atom, random_bpp, random_marking
 
@@ -120,6 +120,38 @@ class TestTrans:
         with pytest.raises(MixedFormula):
             encode_eg(triangle, (1, 0, 0), EF(atom({"X1": 1}, Cmp.GE, 1)), 2)
 
+    def test_top_block_is_declared_where_made(self, triangle):
+        alloc = VarAllocator()
+        node = trans(EG(atom({"X1": 1}, Cmp.GE, 0)), (1, 0, 0), 2, triangle, alloc)
+        assert alloc.declared == alloc.path_blocks[0]
+        assert alloc.declared[:3] == ["u0_X1", "u0_X2", "u0_X3"]
+        assert not has_quantifier(node)
+
+    def test_negated_block_is_quantified_where_made(self, triangle):
+        alloc = VarAllocator()
+        node = trans(Not(EG(atom({"X1": 1}, Cmp.GE, 0))), (1, 0, 0), 2, triangle, alloc)
+        assert alloc.declared == []
+        assert isinstance(node, NotF) and isinstance(node.sub, Exists)
+        assert list(node.sub.names) == alloc.path_blocks[0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_names_stay_distinct_when_a_symbol_looks_like_a_block(self, k):
+        # X_b2 reads like X with a block suffix: path position j of the
+        # first block is u<j>_X_b2, of the second u<j>b2_X.
+        bpp = Bpp(("X", "X_b2"), (Rule(0, "X", "a", ("X_b2",)), Rule(1, "X_b2", "a", ("X",)),
+                                  Rule(2, "X_b2", "b", ())))
+        init = (1, 0)
+        f = And(EG(atom({"X": 1}, Cmp.LE, 1)), EG(AF(atom({"X": 1}, Cmp.GE, 1))))
+        enc = encode_eg(bpp, init, f, k)
+        names = [n for block in enc.alloc.path_blocks + enc.alloc.target_blocks for n in block]
+        assert len(set(names)) == len(names)
+        assert len(set(enc.declared)) == len(enc.declared)
+        assert {"u0_X_b2", "u0b2_X"} <= set(enc.declared)
+        expected = eval_bounded(desugar(f), init, k, bpp)
+        assert expected.is_definite
+        verdict = check_eg(bpp, init, f, k, REF)
+        assert verdict.result == ("holds" if expected.value else "not-holds")
+
 
 class TestCheckEg:
     def test_self_loop_keeps_invariant(self):
@@ -207,8 +239,9 @@ class TestVariableCountLaw:
         assert counts[7] / counts[3] == pytest.approx(4.0)  # (8/4)^2
 
     def test_logic_selection(self, triangle):
-        # Hoisting leaves the flat shape quantifier-free; the nested shape
-        # keeps inner blocks under negation, so quantifiers survive.
+        # Blocks outside any negation are declared, so the flat shape is
+        # quantifier-free; the nested shape keeps inner blocks under
+        # negation, so quantifiers survive.
         flat = encode_eg(triangle, (1, 0, 0), EG(atom({"X1": 1}, Cmp.GE, 0)), 3)
         assert flat.script.logic == "QF_LIA"
         nested = encode_eg(triangle, (1, 0, 0), EG(AF(atom({"X1": 1}, Cmp.GE, 2))), 3)

@@ -187,13 +187,12 @@ class TestSolverInfo:
     def test_verdict_stats_sum_calls(self):
         script = to_smtlib(self.NEEDS_OMEGA, ("x", "y"))
         outcomes = [run_solver(script, config()) for _ in range(2)]
-        stats = solver_stats(outcomes, unknown=False)
+        stats = solver_stats(outcomes)
         assert stats["solver_calls"] == 2
         assert stats["solver_ms"] == sum(o.solve_ms for o in outcomes)
         assert stats["solver_wall_ms"] == sum(o.wall_ms for o in outcomes)
         assert stats["solver_omega_calls"] == 2
         assert "reason_unknown" not in stats
-        assert solver_stats([], unknown=True)["reason_unknown"] == "unreported"
 
 
 class TestParseModel:

@@ -11,8 +11,11 @@ at a time, with ``PYTHONPATH`` set to ``--src`` (default: this checkout's
 The EF family is ring n in {6, 8, 10, 12, 16} and dead-generator 4x4, seeds
 0-4, built by ``clibench/families.py``, each written as a problem file and
 checked with ``--timeout 10``. A row holds the verdict, the reason for an
-unknown, the wall time from spawn to exit, the EF round count and the answer
-of the benchmark's explicit-state reference (null past its state budget).
+unknown, the wall time from spawn to exit, the ``time_ms`` the CLI reports,
+the EF round count, the bundled solver's branches, the script bytes (the
+summed size of the run's ``--emit-smt`` files, written to a temporary
+directory) and the answer of the benchmark's explicit-state reference (null
+past its state budget).
 The scaled EF rows are built and checked the same way from ring n in
 {24, 32, 48, 64} and dead-generator 6x6 and 8x8, seeds 0-4; the family
 saturates (every row decided in well under a second), these do not.
@@ -95,14 +98,17 @@ def spawn(src: Path, *args: str) -> tuple[dict, dict | None]:
 
 
 def run_cli(problem: Path, src: Path) -> dict:
-    row, report = spawn(src, str(problem))
+    with tempfile.TemporaryDirectory() as scripts:
+        row, report = spawn(src, str(problem), "--emit-smt", str(Path(scripts) / "round.smt2"))
+        script_bytes = sum(path.stat().st_size for path in Path(scripts).iterdir())
     if report is None:
         return {**row, "result": "error", "reason": None, "ef_rounds": None}
     stats = report["stats"]
     # A one-shot engine reports no ef_rounds: its one call per EF node is one round.
     rounds = stats.get("ef_rounds", stats.get("solver_calls"))
     return {**row, "result": report["result"], "reason": stats.get("reason_unknown"),
-            "ef_rounds": rounds}
+            "time_ms": report["time_ms"], "ef_rounds": rounds,
+            "solver_branches": stats.get("solver_branches"), "script_bytes": script_bytes}
 
 
 def ef_row(name: str, system, formula, tmp: str, src: Path) -> dict:
