@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .ctl import FormulaClass, classify, desugar
+from .ctl import FormulaClass, classify
 from .errors import (
     BppCheckError,
     MixedFormula,
@@ -186,7 +186,7 @@ def _check(bpp, init, formula, opts) -> Report:
     config = resolve_solver(opts.solver, timeout_s=opts.timeout)
     scripts: list[SmtScript] = []
     # The formula class picks the engine; only that engine is imported.
-    cls = classify(desugar(formula))
+    cls = classify(formula)
     if cls == FormulaClass.MIXED:
         raise MixedFormula("formula mixes EF with EG/E<a>; no engine decides it exactly")
     if cls == FormulaClass.EF_CLASS:

@@ -80,13 +80,6 @@ class Bpp(Record):
         return frozenset(rule.action for rule in self.rules)
 
     @cached_property
-    def rules_by_lhs(self) -> dict[str, tuple[Rule, ...]]:
-        out: dict[str, list[Rule]] = {name: [] for name in self.symbols}
-        for rule in self.rules:
-            out[rule.lhs].append(rule)
-        return {name: tuple(rs) for name, rs in out.items()}
-
-    @cached_property
     def producers(self) -> dict[str, tuple[Rule, ...]]:
         """Rules whose right side contains the symbol at least once."""
         out: dict[str, list[Rule]] = {name: [] for name in self.symbols}

@@ -1,9 +1,9 @@
 """Branching-time formulas over symbol-count atoms.
 
-The surface logic has atoms (integer-linear constraints over symbol counts),
-the propositional connectives, E<a>/A<a> next-step operators, EG, AF and EF.
-Engines only see the core subset left after desugaring: Atom, Not, And,
-ENext, EG, EF.
+Every formula is built from six node types: Atom (an integer-linear
+constraint over symbol counts), Not, And, ENext (E<a>), EG and EF. The
+derived connectives Or, Imp, ANext (A<a>) and AF are constructors that
+return their core definitions, so no other node type exists.
 """
 
 from __future__ import annotations
@@ -72,7 +72,13 @@ class _Unary(Record):
         setfield(self, "sub", sub)
 
 
-class _Binary(Record):
+# Not, EG and EF share the one-child shape; equality tells the types apart
+# (EG(p) != EF(p)).
+class Not(_Unary):
+    __slots__ = ()
+
+
+class And(Record):
     __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
@@ -80,7 +86,7 @@ class _Binary(Record):
         setfield(self, "right", right)
 
 
-class _Next(Record):
+class ENext(Record):
     __slots__ = __match_args__ = ("action", "sub")
 
     def __init__(self, action: str, sub: Formula):
@@ -88,37 +94,7 @@ class _Next(Record):
         setfield(self, "sub", sub)
 
 
-# The node types: each shares its shape's fields, and equality tells the
-# types apart (EG(p) != EF(p)).
-class Not(_Unary):
-    __slots__ = ()
-
-
-class And(_Binary):
-    __slots__ = ()
-
-
-class Or(_Binary):
-    __slots__ = ()
-
-
-class Imp(_Binary):
-    __slots__ = ()
-
-
-class ENext(_Next):
-    __slots__ = ()
-
-
-class ANext(_Next):
-    __slots__ = ()
-
-
 class EG(_Unary):
-    __slots__ = ()
-
-
-class AF(_Unary):
     __slots__ = ()
 
 
@@ -126,10 +102,24 @@ class EF(_Unary):
     __slots__ = ()
 
 
-Formula = Union[Atom, Not, And, Or, Imp, ENext, ANext, EG, AF, EF]
+Formula = Union[Atom, Not, And, ENext, EG, EF]
 
-#: Node types allowed after desugaring.
-CORE_NODES = (Atom, Not, And, ENext, EG, EF)
+
+# The derived connectives build their core definitions.
+def Or(left: Formula, right: Formula) -> Formula:
+    return Not(And(Not(left), Not(right)))
+
+
+def Imp(left: Formula, right: Formula) -> Formula:
+    return Not(And(left, Not(right)))
+
+
+def ANext(action: str, sub: Formula) -> Formula:
+    return Not(ENext(action, Not(sub)))
+
+
+def AF(sub: Formula) -> Formula:
+    return Not(EG(Not(sub)))
 
 
 class FormulaClass(enum.Enum):
@@ -139,39 +129,16 @@ class FormulaClass(enum.Enum):
 
 
 def desugar(f: Formula) -> Formula:
-    """Rewrite Or/Imp/AF/ANext into the core connectives, preserving meaning."""
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.sub))
-    if isinstance(f, And):
-        return And(desugar(f.left), desugar(f.right))
-    if isinstance(f, Or):
-        return Not(And(Not(desugar(f.left)), Not(desugar(f.right))))
-    if isinstance(f, Imp):
-        return Not(And(desugar(f.left), Not(desugar(f.right))))
-    if isinstance(f, ENext):
-        return ENext(f.action, desugar(f.sub))
-    if isinstance(f, ANext):
-        return Not(ENext(f.action, Not(desugar(f.sub))))
-    if isinstance(f, EG):
-        return EG(desugar(f.sub))
-    if isinstance(f, AF):
-        return Not(EG(Not(desugar(f.sub))))
-    if isinstance(f, EF):
-        return EF(desugar(f.sub))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def is_core(f: Formula) -> bool:
-    return all(isinstance(g, CORE_NODES) for g in walk(f))
+    """The identity, since every formula is core. The benchmark's traced
+    pipeline (clibench/trace.py) still calls it; nothing in the package does."""
+    return f
 
 
 def walk(f: Formula) -> Iterator[Formula]:
     yield f
-    if isinstance(f, (Not, ENext, ANext, EG, AF, EF)):
+    if isinstance(f, (Not, ENext, EG, EF)):
         yield from walk(f.sub)
-    elif isinstance(f, (And, Or, Imp)):
+    elif isinstance(f, And):
         yield from walk(f.left)
         yield from walk(f.right)
 
@@ -182,7 +149,7 @@ def atoms_only(f: Formula) -> bool:
         return True
     if isinstance(f, Not):
         return atoms_only(f.sub)
-    if isinstance(f, (And, Or, Imp)):
+    if isinstance(f, And):
         return atoms_only(f.left) and atoms_only(f.right)
     return False
 
@@ -205,7 +172,7 @@ def _ef_shaped(f: Formula) -> bool:
 
 
 def classify(f: Formula) -> FormulaClass:
-    """Route a desugared formula to the engine that decides it exactly.
+    """Route a formula to the engine that decides it exactly.
 
     EF_CLASS: propositional combination of atoms and EF nodes whose bodies
     are propositional over atoms. EG_CLASS: no EF anywhere. Anything else is
@@ -232,8 +199,4 @@ def eval_propositional(f: Formula, m: Marking, bpp: Bpp) -> bool:
         return not eval_propositional(f.sub, m, bpp)
     if isinstance(f, And):
         return eval_propositional(f.left, m, bpp) and eval_propositional(f.right, m, bpp)
-    if isinstance(f, Or):
-        return eval_propositional(f.left, m, bpp) or eval_propositional(f.right, m, bpp)
-    if isinstance(f, Imp):
-        return (not eval_propositional(f.left, m, bpp)) or eval_propositional(f.right, m, bpp)
     raise TypeError(f"not propositional: {f!r}")

@@ -20,19 +20,7 @@ import time
 from typing import Callable
 
 from .core import Bpp, Marking, Rule, fire, rule_delta
-from .ctl import (
-    And,
-    Atom,
-    EF,
-    Formula,
-    FormulaClass,
-    Imp,
-    Not,
-    Or,
-    classify,
-    desugar,
-    eval_atomic,
-)
+from .ctl import And, Atom, EF, Formula, FormulaClass, Not, classify, eval_atomic
 from .errors import MixedFormula, SolverProtocolError, UnknownSymbol
 from .record import Record, setfield
 from .smt import (
@@ -177,10 +165,6 @@ def atoms_to_node(psi: Formula, name_of: dict[str, str]) -> Node:
         return neg(atoms_to_node(psi.sub, name_of))
     if isinstance(psi, And):
         return conj([atoms_to_node(psi.left, name_of), atoms_to_node(psi.right, name_of)])
-    if isinstance(psi, Or):
-        return disj([atoms_to_node(psi.left, name_of), atoms_to_node(psi.right, name_of)])
-    if isinstance(psi, Imp):
-        return disj([neg(atoms_to_node(psi.left, name_of)), atoms_to_node(psi.right, name_of)])
     raise MixedFormula(f"EF body must be propositional over atoms, got {psi!r}")
 
 
@@ -243,8 +227,7 @@ def check_ef_detailed(
     context decides regardless). Returns the verdict, the flow encoding and,
     per EF node in evaluation order, the outcome of each round.
     """
-    core = desugar(f)
-    if classify(core) != FormulaClass.EF_CLASS:
+    if classify(f) != FormulaClass.EF_CLASS:
         raise MixedFormula(
             "not an EF-class formula; EG/E<a> content belongs to the bounded engine"
         )
@@ -304,7 +287,7 @@ def check_ef_detailed(
             return solve_ef(g.sub)
         raise MixedFormula(f"unexpected node in EF-class formula: {g!r}")
 
-    value = ev(core)
+    value = ev(f)
     outcomes = [outcome for rounds in nodes for outcome in rounds]
     stats = {
         "n_vars": len(flow.declarations),

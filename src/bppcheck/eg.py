@@ -28,7 +28,7 @@ import time
 from typing import Callable, Sequence
 
 from .core import Bpp, Marking, Rule, rule_delta, successors
-from .ctl import EF, And, Atom, EG, ENext, Formula, Not, contains_ef, desugar, walk
+from .ctl import EF, And, Atom, EG, ENext, Formula, Not, contains_ef, walk
 from .errors import EncodingTimeout, MixedFormula, SolverProtocolError, UnknownSymbol
 from .smt import (
     FALSE,
@@ -237,7 +237,7 @@ def _finish(node: Node, alloc: VarAllocator) -> EgEncoding:
 def encode_eg(
     bpp: Bpp, init: Marking, f: Formula, k: int, deadline: float | None = None
 ) -> EgEncoding:
-    """Compile a desugared EF-free formula at the concrete initial marking.
+    """Compile an EF-free formula at the concrete initial marking.
 
     Raises EncodingTimeout when a block, a target state or a path step is
     made, or the script is done, past the deadline (a
@@ -245,17 +245,16 @@ def encode_eg(
     bpp.check_marking(init)
     if k < 0:
         raise ValueError("k must be >= 0")
-    core = desugar(f)
-    if contains_ef(core):
+    if contains_ef(f):
         raise MixedFormula("EF belongs to the reachability engine")
     alloc = VarAllocator(deadline)
-    return _finish(trans(core, tuple(init), k, bpp, alloc), alloc)
+    return _finish(trans(f, tuple(init), k, bpp, alloc), alloc)
 
 
-def _lasso_body(core: Formula) -> Formula | None:
-    """The body φ of a desugared ``EG φ`` or ``¬EG φ`` with no EG or EF in
-    φ, the shape the lasso window decides; None for any other formula."""
-    top = core.sub if isinstance(core, Not) else core
+def _lasso_body(f: Formula) -> Formula | None:
+    """The body φ of an ``EG φ`` or ``¬EG φ`` (an ``AF``) with no EG or EF
+    in φ, the shape the lasso window decides; None for any other formula."""
+    top = f.sub if isinstance(f, Not) else f
     if isinstance(top, EG) and not any(isinstance(g, (EG, EF)) for g in walk(top.sub)):
         return top.sub
     return None
@@ -425,8 +424,7 @@ def check_eg(
         outcomes.append(run_solver(enc.script, left))
         return outcomes[-1]
 
-    core = desugar(f)
-    body = _lasso_body(core) if k > WINDOW else None
+    body = _lasso_body(f) if k > WINDOW else None
     try:
         if body is not None:
             bpp.check_marking(init)
@@ -446,7 +444,7 @@ def check_eg(
                 path = _pump(bpp, init, body, window, start, k, deadline)
                 witness = {f"u{j}_{sym}": m[c] for j, m in enumerate(path)
                            for c, sym in enumerate(bpp.symbols)}
-                result = "not-holds" if isinstance(core, Not) else "holds"  # AF or EG
+                result = "not-holds" if isinstance(f, Not) else "holds"  # AF or EG
                 stats = {**_eg_stats(enc, outcomes, result, "unbounded"), "lasso": [start, WINDOW]}
                 return Verdict(result=result, engine="eg-bounded", k=k, witness=witness,
                                stats=stats)

@@ -40,9 +40,10 @@ BINARY_OPS = {"Conj": And, "Disj": Or, "Imp": Imp}
 NEXT_OPS = {"EX": ENext, "AX": ANext}
 CMP_TOKENS = {"==": Cmp.EQ, "!=": Cmp.NE, ">=": Cmp.GE, "<=": Cmp.LE, ">": Cmp.GT, "<": Cmp.LT}
 #: Deepest operator nesting a formula may have. The parser and the passes
-#: after it (desugaring, classification, the encoders, the serializer)
-#: recurse once per level, so deeper input is rejected here with a parse
-#: error instead of overflowing the interpreter stack later.
+#: after it (classification, the encoders, the serializer) recurse once per
+#: level, and a derived operator (Disj, Imp, AX, AF) builds up to three core
+#: levels; deeper input is rejected here with a parse error instead of
+#: overflowing the interpreter stack later.
 MAX_FORMULA_DEPTH = 100
 
 
@@ -528,18 +529,10 @@ def formula_to_text(f: Formula) -> str:
         return f"Neg({formula_to_text(f.sub)})"
     if isinstance(f, And):
         return f"Conj({formula_to_text(f.left)}, {formula_to_text(f.right)})"
-    if isinstance(f, Or):
-        return f"Disj({formula_to_text(f.left)}, {formula_to_text(f.right)})"
-    if isinstance(f, Imp):
-        return f"Imp({formula_to_text(f.left)}, {formula_to_text(f.right)})"
     if isinstance(f, ENext):
         return f"EX({f.action}, {formula_to_text(f.sub)})"
-    if isinstance(f, ANext):
-        return f"AX({f.action}, {formula_to_text(f.sub)})"
     if isinstance(f, EG):
         return f"EG({formula_to_text(f.sub)})"
-    if isinstance(f, AF):
-        return f"AF({formula_to_text(f.sub)})"
     if isinstance(f, EF):
         return f"EF({formula_to_text(f.sub)})"
     raise TypeError(f"not a formula node: {f!r}")

@@ -15,7 +15,7 @@ import pytest
 
 from bppcheck.acs import acs_successors, convert, convert_place, mailbox_content
 from bppcheck.core import Bpp, Rule
-from bppcheck.ctl import AF, Atom, Cmp, EF, EG, ENext, And, Imp, LinearAtom, desugar
+from bppcheck.ctl import AF, Atom, Cmp, EF, EG, ENext, And, Imp, LinearAtom
 from bppcheck.ef import check_ef_detailed, realize_firing_counts
 from bppcheck.eg import check_eg, encode_eg
 from bppcheck.errors import ParseError
@@ -166,7 +166,7 @@ class TestCriterion4EgDifferential:
             init = random_marking(rng, bpp)
             k = rng.randint(0, 3)
             f = random_eg_formula(rng, bpp, rng.randint(1, 3))
-            expected = eval_bounded(desugar(f), init, k, bpp, budget)
+            expected = eval_bounded(f, init, k, bpp, budget)
             verdict = check_eg(bpp, init, f, k, SOLVER)
             if verdict.result == "unknown":
                 solver_unknowns += 1

@@ -167,8 +167,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             Bpp(("X",), (Rule(1, "X", "a", ()),))
 
-    def test_producers_and_rules_by_lhs(self, triangle):
-        assert [r.rid for r in triangle.rules_by_lhs["X1"]] == [0]
+    def test_producers(self, triangle):
         assert [r.rid for r in triangle.producers["X1"]] == [1, 2]
         assert [r.rid for r in triangle.producers["X2"]] == [0, 1]
         assert [r.rid for r in triangle.producers["X3"]] == [0]

@@ -21,12 +21,10 @@ from bppcheck.ctl import (
     classify,
     desugar,
     eval_atomic,
-    is_core,
 )
 from bppcheck.errors import UnknownSymbol
-from bppcheck.oracle import eval_bounded
 
-from .conftest import atom, random_atom, random_bpp, random_marking
+from .conftest import atom
 
 
 def lam(**coeffs):
@@ -36,83 +34,60 @@ def lam(**coeffs):
 
 
 class TestDesugar:
+    # The derived connectives are constructors of their core definitions.
     def test_af_duality(self):
         a = lam(X=1)
-        assert desugar(AF(a)) == Not(EG(Not(a)))
+        assert AF(a) == Not(EG(Not(a)))
 
     def test_atom_fixed_point(self):
-        a = lam(X=1)
-        assert desugar(a) == a
+        # desugar is kept as the identity for callers outside the package.
+        f = AF(Or(lam(X=1), ANext("a", lam(Y=1))))
+        assert desugar(f) is f
 
     def test_imp_identity(self):
         a, b = lam(X=1), lam(Y=1)
-        assert desugar(Imp(a, b)) == Not(And(a, Not(b)))
+        assert Imp(a, b) == Not(And(a, Not(b)))
 
     def test_or(self):
         a, b = lam(X=1), lam(Y=1)
-        assert desugar(Or(a, b)) == Not(And(Not(a), Not(b)))
+        assert Or(a, b) == Not(And(Not(a), Not(b)))
 
     def test_anext(self):
         a = lam(X=1)
-        assert desugar(ANext("a", a)) == Not(ENext("a", Not(a)))
-
-    def test_idempotent(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            f = _random_formula(rng, depth=3)
-            once = desugar(f)
-            assert is_core(once)
-            assert desugar(once) == once
-
-    def test_semantic_preservation_under_bounded_eval(self):
-        # Sugared connectives evaluated through their definitions agree with
-        # the desugared core formula on random small systems, k <= 3.
-        rng = random.Random(5)
-        checked = 0
-        for _ in range(120):
-            bpp = random_bpp(rng, max_symbols=3, max_rules=4, max_rhs=2)
-            m = random_marking(rng, bpp)
-            k = rng.randint(0, 3)
-            f = _random_formula(rng, depth=2, bpp=bpp, ef_free=True)
-            direct = eval_bounded(_manual_core(f), m, k, bpp)
-            via_desugar = eval_bounded(desugar(f), m, k, bpp)
-            if direct.is_definite and via_desugar.is_definite:
-                assert direct == via_desugar, (bpp, m, k, f)
-                checked += 1
-        assert checked >= 100
+        assert ANext("a", a) == Not(ENext("a", Not(a)))
 
 
 class TestClassify:
     def test_ef_atom(self):
-        assert classify(desugar(EF(lam(Y=1, _cmp="==")))) == FormulaClass.EF_CLASS
+        assert classify(EF(lam(Y=1, _cmp="=="))) == FormulaClass.EF_CLASS
 
     def test_eg_with_next(self):
         f = EG(ENext("a", lam(X2=1, X3=1, _bound=2)))
-        assert classify(desugar(f)) == FormulaClass.EG_CLASS
+        assert classify(f) == FormulaClass.EG_CLASS
 
     def test_mixed(self):
         f = And(EF(lam(X=1)), EG(lam(X=1)))
-        assert classify(desugar(f)) == FormulaClass.MIXED
+        assert classify(f) == FormulaClass.MIXED
 
     def test_ef_under_boolean_combination(self):
         f = Not(And(EF(lam(X=1)), Not(lam(Y=1))))
-        assert classify(desugar(f)) == FormulaClass.EF_CLASS
+        assert classify(f) == FormulaClass.EF_CLASS
 
     def test_enext_under_ef_is_mixed(self):
         f = EF(ENext("a", lam(X=1)))
-        assert classify(desugar(f)) == FormulaClass.MIXED
+        assert classify(f) == FormulaClass.MIXED
 
     def test_nested_ef_is_mixed(self):
         f = EF(EF(lam(X=1)))
-        assert classify(desugar(f)) == FormulaClass.MIXED
+        assert classify(f) == FormulaClass.MIXED
 
     def test_pure_boolean_goes_to_ef(self):
-        assert classify(desugar(Not(lam(X=1)))) == FormulaClass.EF_CLASS
+        assert classify(Not(lam(X=1))) == FormulaClass.EF_CLASS
 
     def test_classification_consistency_random(self):
         rng = random.Random(9)
         for _ in range(300):
-            f = desugar(_random_formula(rng, depth=3))
+            f = _random_formula(rng, depth=3)
             cls = classify(f)
             has_ef = any(isinstance(g, EF) for g in _walk(f))
             has_eg_or_next = any(isinstance(g, (EG, ENext)) for g in _walk(f))
@@ -161,73 +136,31 @@ class TestEvalAtomic:
 
 def _walk(f):
     yield f
-    if isinstance(f, (Not, ENext, ANext, EG, AF, EF)):
+    if isinstance(f, (Not, ENext, EG, EF)):
         yield from _walk(f.sub)
-    elif isinstance(f, (And, Or, Imp)):
+    elif isinstance(f, And):
         yield from _walk(f.left)
         yield from _walk(f.right)
 
 
-def _random_formula(rng, depth, bpp=None, ef_free=False):
-    if bpp is None:
-        leaf = lambda: atom({rng.choice("XYZ"): rng.randint(-2, 2) or 1}, rng.choice(list(Cmp)), rng.randint(0, 2))
-    else:
-        leaf = lambda: random_atom(rng, bpp)
+def _random_formula(rng, depth):
     if depth == 0:
-        return leaf()
-    kinds = ["atom", "not", "and", "or", "imp", "enext", "anext", "eg", "af"]
-    if not ef_free:
-        kinds.append("ef")
-    kind = rng.choice(kinds)
+        return _random_atom(rng)
+    kind = rng.choice(["atom", "not", "and", "or", "imp", "enext", "anext", "eg", "af", "ef"])
     action = rng.choice(["a", "b"])
     if kind == "atom":
-        return leaf()
-    if kind == "not":
-        return Not(_random_formula(rng, depth - 1, bpp, ef_free))
-    if kind == "and":
-        return And(_random_formula(rng, depth - 1, bpp, ef_free), _random_formula(rng, depth - 1, bpp, ef_free))
-    if kind == "or":
-        return Or(_random_formula(rng, depth - 1, bpp, ef_free), _random_formula(rng, depth - 1, bpp, ef_free))
-    if kind == "imp":
-        return Imp(_random_formula(rng, depth - 1, bpp, ef_free), _random_formula(rng, depth - 1, bpp, ef_free))
-    if kind == "enext":
-        return ENext(action, _random_formula(rng, depth - 1, bpp, ef_free))
-    if kind == "anext":
-        return ANext(action, _random_formula(rng, depth - 1, bpp, ef_free))
-    if kind == "eg":
-        return EG(_random_formula(rng, depth - 1, bpp, ef_free))
-    if kind == "af":
-        return AF(_random_formula(rng, depth - 1, bpp, ef_free))
-    return EF(_random_formula(rng, depth - 1, bpp, ef_free))
+        return _random_atom(rng)
+    if kind in ("and", "or", "imp"):
+        build = {"and": And, "or": Or, "imp": Imp}[kind]
+        return build(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+    sub = _random_formula(rng, depth - 1)
+    if kind in ("enext", "anext"):
+        return (ENext if kind == "enext" else ANext)(action, sub)
+    return {"not": Not, "eg": EG, "af": AF, "ef": EF}[kind](sub)
 
 
-def _manual_core(f):
-    """Desugar through the textbook dualities, written out independently."""
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(_manual_core(f.sub))
-    if isinstance(f, And):
-        return And(_manual_core(f.left), _manual_core(f.right))
-    if isinstance(f, Or):
-        # a or b == not(not a and not b)
-        return _manual_core(Not(And(Not(f.left), Not(f.right))))
-    if isinstance(f, Imp):
-        # a -> b == not a or b
-        return _manual_core(Or(Not(f.left), f.right))
-    if isinstance(f, ENext):
-        return ENext(f.action, _manual_core(f.sub))
-    if isinstance(f, ANext):
-        # A<a> f == not E<a> not f
-        return _manual_core(Not(ENext(f.action, Not(f.sub))))
-    if isinstance(f, EG):
-        return EG(_manual_core(f.sub))
-    if isinstance(f, AF):
-        # AF f == not EG not f
-        return _manual_core(Not(EG(Not(f.sub))))
-    if isinstance(f, EF):
-        return EF(_manual_core(f.sub))
-    raise TypeError(f)
+def _random_atom(rng):
+    return atom({rng.choice("XYZ"): rng.randint(-2, 2) or 1}, rng.choice(list(Cmp)), rng.randint(0, 2))
 
 
 class TestAtomsOnly:

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from bppcheck.core import Bpp, Rule, enabled_rules, fire, rule_delta
-from bppcheck.ctl import AF, EF, EG, And, ANext, Cmp, ENext, Imp, Not, Or, desugar, walk
+from bppcheck.ctl import AF, EF, EG, And, ANext, Cmp, ENext, Imp, Not, Or, walk
 from bppcheck.eg import (
     WINDOW,
     VarAllocator,
@@ -147,7 +147,7 @@ class TestTrans:
         assert len(set(names)) == len(names)
         assert len(set(enc.declared)) == len(enc.declared)
         assert {"u0_X_b2", "u0b2_X"} <= set(enc.declared)
-        expected = eval_bounded(desugar(f), init, k, bpp)
+        expected = eval_bounded(f, init, k, bpp)
         assert expected.is_definite
         verdict = check_eg(bpp, init, f, k, REF)
         assert verdict.result == ("holds" if expected.value else "not-holds")
@@ -174,7 +174,7 @@ class TestCheckEg:
 
     def test_eg_of_next_on_standard_system(self, triangle):
         body = ENext("a", atom({"X2": 1, "X3": 1}, Cmp.GE, 2))
-        expected = eval_bounded(desugar(EG(body)), (1, 0, 0), 5, triangle)
+        expected = eval_bounded(EG(body), (1, 0, 0), 5, triangle)
         verdict = check_eg(triangle, (1, 0, 0), EG(body), 5, REF)
         assert expected.is_definite
         assert (verdict.result == "holds") == expected.value
@@ -189,7 +189,7 @@ class TestCheckEg:
         f = EG(Imp(atom({"X1": 1, "X2": 1}, Cmp.GE, 2),
                    ENext("a", And(atom({"X1": 1}, Cmp.GE, 2), atom({"X3": 1}, Cmp.GE, 1)))))
         verdict = check_eg(triangle, (1, 0, 0), f, 3, REF)
-        expected = eval_bounded(desugar(f), (1, 0, 0), 3, triangle)
+        expected = eval_bounded(f, (1, 0, 0), 3, triangle)
         assert expected.is_definite
         assert (verdict.result == "holds") == expected.value
 
@@ -219,7 +219,7 @@ class TestVariableCountLaw:
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_nested_eg_grows_quadratically(self, triangle, k):
-        # EG(AF(...)) desugars to EG(not EG(not ...)): the inner block is
+        # EG(AF(...)) is EG(not EG(not ...)): the inner block is
         # allocated once per outer path position (k+1 of them, each of size
         # (k+1)*n), all quantified. The growth is quadratic in k+1.
         n = triangle.n
@@ -303,7 +303,7 @@ class TestDifferential:
             init = random_marking(rng, bpp)
             k = rng.randint(0, 3)
             f = random_eg_formula(rng, bpp, rng.randint(1, 3))
-            expected = eval_bounded(desugar(f), init, k, bpp, budget)
+            expected = eval_bounded(f, init, k, bpp, budget)
             verdict = check_eg(bpp, init, f, k, REF)
             if verdict.result == "unknown":
                 unknowns += 1
@@ -360,7 +360,7 @@ class TestLassoWindow:
             init = random_marking(rng, bpp)
             k = rng.randint(WINDOW + 1, 25)
             body = random_eg_formula(rng, bpp, rng.randint(1, 3))
-            while any(isinstance(g, (EG, AF)) for g in walk(body)):
+            while any(isinstance(g, EG) for g in walk(body)):
                 body = random_eg_formula(rng, bpp, rng.randint(1, 3))
             f = rng.choice((EG, AF))(body)
             try:
@@ -375,14 +375,14 @@ class TestLassoWindow:
             # EG not body, which refutes it.
             if isinstance(f, EG):
                 assert verdict.result == "holds"
-                path_body = desugar(body)
+                path_body = body
             else:
                 assert verdict.result == "not-holds"
-                path_body = Not(desugar(body))
+                path_body = Not(body)
             assert_witness_replays(bpp, init, path_body, verdict.witness, k)
             # The verdict holds at k, and being unbounded, at 3k too.
             for bound in (k, 3 * k):
-                expected = eval_bounded(desugar(f), init, bound, bpp, budget)
+                expected = eval_bounded(f, init, bound, bpp, budget)
                 if expected.is_definite:
                     assert (verdict.result == "holds") == expected.value, (i, bound, f)
                     compared += 1
@@ -429,7 +429,7 @@ class TestLassoWindow:
         verdict = check_eg(bpp, (1, 0), EG(no_b), 10, REF)
         assert verdict.result == "not-holds"
         assert verdict.stats["bound"] == 10
-        assert eval_bounded(desugar(EG(no_b)), (1, 0), 10, bpp).value is False
+        assert eval_bounded(EG(no_b), (1, 0), 10, bpp).value is False
 
     def test_an_atom_the_drift_would_break(self):
         # X -> X, Y grows Y at every step: a lasso exists for Y >= 0 but

@@ -15,7 +15,7 @@ import pytest
 
 from bppcheck import refsolver
 from bppcheck.cli import main
-from bppcheck.ctl import EF, EG, And, ENext, FormulaClass, classify, desugar
+from bppcheck.ctl import EF, EG, And, ENext, FormulaClass, classify
 from bppcheck.ef import check_ef_detailed
 from bppcheck.eg import encode_eg
 from bppcheck.errors import SolverProtocolError
@@ -59,7 +59,7 @@ def demo_scripts() -> list[str]:
     texts = []
     for path in DEMO_INPUTS:
         problem = parse_problem(path.read_text(encoding="utf-8"))
-        if classify(desugar(problem.formula)) == FormulaClass.EF_CLASS:
+        if classify(problem.formula) == FormulaClass.EF_CLASS:
             check_ef_detailed(
                 problem.bpp, problem.initial, problem.formula, BUNDLED,
                 on_script=lambda script: texts.append(script.text),

@@ -4,7 +4,7 @@ import pytest
 
 from bppcheck.acs import AcsPlace, Nop, Recv, Send, Spawn, convert
 from bppcheck.core import TAU
-from bppcheck.ctl import EF, EG, Atom, Cmp, ENext, LinearAtom
+from bppcheck.ctl import EF, EG, And, Atom, Cmp, ENext, LinearAtom, Not, walk
 from bppcheck.errors import ParseError
 from bppcheck.parsing import (
     MAX_FORMULA_DEPTH,
@@ -187,6 +187,27 @@ class TestRoundTrip:
     def test_atom_rendering(self):
         atom = LinearAtom((("X", 2), ("Y", -1)), Cmp.LT, 7)
         assert atom_to_text(atom) == "X * 2 - Y < 7"
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_parsed_formulas_are_core(self, text):
+        formula = parse_problem(text).formula
+        assert all(type(g) in (Atom, Not, And, ENext, EG, EF) for g in walk(formula))
+
+
+class TestDerivedOperators:
+    """Each derived operator parses to the tree of its core spelling."""
+
+    @pytest.mark.parametrize("derived, core", [
+        ("Disj(X >= 1, X <= 5)", "Neg(Conj(Neg(X >= 1), Neg(X <= 5)))"),
+        ("Imp(X >= 1, X <= 5)", "Neg(Conj(X >= 1, Neg(X <= 5)))"),
+        ("AX(go, X >= 1)", "Neg(EX(go, Neg(X >= 1)))"),
+        ("AF(X >= 1)", "Neg(EG(Neg(X >= 1)))"),
+    ], ids=["Disj", "Imp", "AX", "AF"])
+    def test_same_tree_as_core_spelling(self, derived, core):
+        head = "initial X rules X -> go -> X formula "
+        pf = parse_problem(head + derived)
+        assert pf == parse_problem(head + core)
+        assert formula_to_text(pf.formula) == core
 
 
 ACS_TEXT = """\

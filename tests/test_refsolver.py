@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from bppcheck.core import Bpp, Rule
-from bppcheck.ctl import EG, And, ENext, desugar
+from bppcheck.ctl import EG, And, ENext
 from bppcheck.eg import encode_eg
 from bppcheck.oracle import eval_bounded
 from bppcheck.parsing import parse_problem
@@ -556,7 +556,7 @@ class TestIncrementalPropagation:
                 body = And(body, ENext(rng.choice("ab"), random_atom(rng, bpp)))
             f = EG(body)
             text = encode_eg(bpp, init, f, k).script.text
-            expected = eval_bounded(desugar(f), init, k, bpp)
+            expected = eval_bounded(f, init, k, bpp)
             assert expected.is_definite
             got = solve_text(text).split("\n", 1)[0]
             assert got == ("sat" if expected.value else "unsat"), (bpp, init, k, f)
