@@ -2,17 +2,16 @@
 
 Exit codes: 0 the property holds, 1 it does not, 2 unknown (solver gave up
 or timed out), 3 usage or parse error, 4 solver or environment failure.
+
+Each piece of the pipeline is imported where a run first reaches it, so
+``--help``, a usage error and a batch parent load only this and ``errors``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
-from .ctl import FormulaClass, classify
 from .errors import (
     BppCheckError,
     MixedFormula,
@@ -21,8 +20,6 @@ from .errors import (
     SolverNotFound,
     SolverProtocolError,
 )
-from .parsing import parse_acs, parse_problem, parse_property
-from .smt import SmtScript, Verdict, resolve_solver
 
 EXIT_HOLDS = 0
 EXIT_NOT_HOLDS = 1
@@ -71,8 +68,8 @@ def build_parser() -> _Parser:
                         help="step bound for the bounded engine (default 10)")
     parser.add_argument("--solver", metavar="CMD",
                         help="solver command line reading SMT-LIB2 on stdin "
-                        "(default: z3 -in -smt2 when available, else the bundled solver, "
-                        "which runs in process)")
+                        "(default: $BPPCHECK_SOLVER, else z3 -in -smt2 when z3 is on "
+                        "PATH, else the bundled solver, which runs in process)")
     parser.add_argument("--timeout", type=float, default=60.0, metavar="SECS",
                         help="budget in seconds (default 60) per EF node, shared by "
                         "all of its refinement rounds, or per bounded check: the "
@@ -127,17 +124,19 @@ def _dispatch(opts) -> int:
     if opts.acs:
         if len(opts.inputs) != 2:
             raise _UsageError("--acs takes exactly two files: system and property")
-        report = _run_acs(opts.inputs[0], opts.inputs[1], opts)
-        print(render_report(report, opts.format, stats=opts.stats))
-        return _exit_code(report.verdict)
+        text, code = _run_acs(opts.inputs[0], opts.inputs[1], opts)
+        print(text)
+        return code
 
     if len(opts.inputs) == 1:
-        report = _run_problem(opts.inputs[0], opts)
-        print(render_report(report, opts.format, stats=opts.stats))
-        return _exit_code(report.verdict)
+        text, code = _run_problem(opts.inputs[0], opts)
+        print(text)
+        return code
 
     # Batch mode: independent checks on worker processes, since the bundled
     # solver runs in the checking process and holds the GIL while it solves.
+    # A worker hands back its rendered report, so the parent loads no
+    # pipeline module.
     if opts.emit_smt or opts.dot:
         raise _UsageError("--emit-smt/--dot need a single input file")
     import multiprocessing
@@ -148,41 +147,53 @@ def _dispatch(opts) -> int:
     spawn = multiprocessing.get_context("spawn")  # fork is unsafe with threads
     try:
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            reports = list(pool.map(_run_problem, opts.inputs, [opts] * len(opts.inputs)))
+            results = list(pool.map(_run_problem, opts.inputs, [opts] * len(opts.inputs)))
     except BrokenProcessPool as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ENVIRONMENT
     code = EXIT_HOLDS
-    for path, report in zip(opts.inputs, reports):
+    for path, (text, file_code) in zip(opts.inputs, results):
         print(f"== {path} ==")
-        print(render_report(report, opts.format, stats=opts.stats))
-        code = max(code, _exit_code(report.verdict))
+        print(text)
+        code = max(code, file_code)
     return code
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as err:
         raise _NotUtf8(f"{path}: not UTF-8 ({err.reason})") from None
 
 
-def _run_problem(path: str, opts) -> Report:
-    problem = parse_problem(_read(path), source=path)
+def _run_problem(path: str, opts) -> tuple[str, int]:
+    text = _read(path)  # a missing file fails before the parser is loaded
+    from .parsing import parse_problem
+
+    problem = parse_problem(text, source=path)
     return _check(problem.bpp, problem.initial, problem.formula, opts)
 
 
-def _run_acs(system_path: str, property_path: str, opts) -> Report:
+def _run_acs(system_path: str, property_path: str, opts) -> tuple[str, int]:
+    text = _read(system_path)
     from .acs import convert, convert_place
+    from .parsing import parse_acs, parse_property
 
-    acs, place = parse_acs(_read(system_path))
+    acs, place = parse_acs(text)
     cb = convert(acs)
     init = convert_place(cb, place)
     formula = parse_property(_read(property_path), cb)
     return _check(cb.bpp, init, formula, opts)
 
 
-def _check(bpp, init, formula, opts) -> Report:
+def _check(bpp, init, formula, opts) -> tuple[str, int]:
+    """Run the check and return its rendered report and exit code."""
+    import time
+
+    from .ctl import FormulaClass, classify
+    from .smt import resolve_solver
+
     config = resolve_solver(opts.solver, timeout_s=opts.timeout)
     scripts: list[SmtScript] = []
     # The formula class picks the engine; only that engine is imported.
@@ -204,13 +215,17 @@ def _check(bpp, init, formula, opts) -> Report:
     if opts.dot:
         from .oracle import to_dot
 
-        Path(opts.dot).write_text(to_dot(bpp, init), encoding="utf-8")
+        with open(opts.dot, "w", encoding="utf-8") as file:
+            file.write(to_dot(bpp, init))
     if opts.emit_smt:
         _write_scripts(opts.emit_smt, scripts)
-    return Report(verdict=verdict, total_ms=total_ms, scripts=scripts)
+    report = Report(verdict=verdict, total_ms=total_ms, scripts=scripts)
+    return render_report(report, opts.format, stats=opts.stats), _exit_code(verdict)
 
 
 def _write_scripts(path: str, scripts: list[SmtScript]) -> None:
+    from pathlib import Path
+
     if len(scripts) == 1:
         Path(path).write_bytes(scripts[0].text.encode())
         return
@@ -221,6 +236,8 @@ def _write_scripts(path: str, scripts: list[SmtScript]) -> None:
 
 
 def render_report(report: Report, fmt: str, stats: bool = False) -> str:
+    import json
+
     verdict = report.verdict
     if fmt == "json":
         payload = {

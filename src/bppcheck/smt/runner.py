@@ -96,16 +96,20 @@ def default_solver_command() -> tuple[str, ...]:
 
 def resolve_solver(command_line: str | None = None, timeout_s: float = 60.0) -> SolverConfig:
     """Build a solver config from an explicit command line, the
-    BPPCHECK_SOLVER environment variable, or the built-in default."""
+    BPPCHECK_SOLVER environment variable, or the built-in default. The bundled
+    solver is imported here, outside every call's wall time and deadline."""
     source = command_line or os.environ.get(ENV_SOLVER)
     if source:
         import shlex
 
-        parts = tuple(shlex.split(source))
-        if not parts:
+        command = tuple(shlex.split(source))
+        if not command:
             raise SolverNotFound(source)
-        return SolverConfig(parts, timeout_s)
-    return SolverConfig(default_solver_command(), timeout_s)
+    else:
+        command = default_solver_command()
+    if command == BUNDLED_COMMAND:
+        from .. import refsolver  # noqa: F401
+    return SolverConfig(command, timeout_s)
 
 
 def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:

@@ -1,6 +1,7 @@
 """Package layout: the bundled solver child loads only its own modules, a
-check loads only the engine it runs, every demo runs against the package
-as laid out in this checkout, and the README lists the CLI's flags."""
+CLI run that never reaches a check loads only the CLI, a check loads only
+the engine it runs, every demo runs against the package as laid out in this
+checkout, and the README lists the CLI's flags."""
 
 import os
 import re
@@ -15,11 +16,26 @@ DATA = ROOT / "tests" / "data"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+#: What a CLI run that stops before the pipeline may load: without a
+#: bytecode cache every module it loads is compiled on each start.
+CLI_ONLY = {"bppcheck", "bppcheck.__main__", "bppcheck.cli", "bppcheck.errors"}
+
+
 def run_fresh(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("BPPCHECK_SOLVER", None)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def run_cli_fresh(*args) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """``python -m bppcheck`` in a fresh interpreter, and the package modules
+    it imported as ``-X importtime`` lists them on stderr."""
+    proc = run_fresh("-X", "importtime", "-m", "bppcheck", *map(str, args))
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc, {name for name in names if name.split(".")[0] == "bppcheck"}
 
 
 def test_solver_child_imports_only_itself():
@@ -39,6 +55,75 @@ def test_solver_child_imports_only_itself():
         "bppcheck.refsolver.search",
         "bppcheck.sexpr",
     ]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (["-k", "-1", DATA / "reach.bpp"], 3),
+    ([DATA / "no-such-file.bpp"], 4),
+], ids=["help", "usage-error", "missing-input"])
+def test_runs_without_a_check_load_only_the_cli(args, code):
+    proc, loaded = run_cli_fresh(*args)
+    assert proc.returncode == code, proc.stderr
+    assert "bppcheck.cli" in loaded
+    assert loaded <= CLI_ONLY
+
+
+def test_parse_error_loads_no_back_end(tmp_path):
+    bad = tmp_path / "bad.bpp"
+    bad.write_text("rules:\n  X -> \n", encoding="utf-8")
+    proc, loaded = run_cli_fresh(bad)
+    assert proc.returncode == 3, proc.stderr
+    assert "parse error" in proc.stderr
+    assert "bppcheck.parsing" in loaded
+    back_end = {"bppcheck.smt", "bppcheck.sexpr", "bppcheck.ef", "bppcheck.eg",
+                "bppcheck.refsolver"}
+    assert loaded & back_end == set()
+
+
+def test_batch_parent_loads_only_the_cli():
+    # The workers check and render; the parent only prints what they return.
+    proc = run_fresh(
+        "-c",
+        "import sys\n"
+        "from bppcheck import cli\n"
+        f"code = cli.main([{str(DATA / 'reach.bpp')!r}, {str(DATA / 'unreach.bpp')!r},"
+        " '--jobs', '2'])\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'bppcheck'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    *report, last = proc.stdout.splitlines()
+    assert report[0].endswith("reach.bpp ==") and "result: holds" in report
+    assert any(line.endswith("unreach.bpp ==") for line in report)
+    assert "result: not-holds" in report
+    code, *modules = last.split()
+    assert code == "1"
+    assert set(modules) == CLI_ONLY - {"bppcheck.__main__"}
+
+
+@pytest.mark.parametrize("problem", ["reach.bpp", "liveness.bpp"], ids=["ef", "eg"])
+def test_bundled_solver_is_loaded_before_the_first_call(problem):
+    # Compiling the bundled solver belongs to start-up, not to the first
+    # call's wall time or deadline.
+    proc = run_fresh(
+        "-c",
+        "import contextlib, io, sys\n"
+        "from bppcheck import cli, smt\n"
+        "from bppcheck.smt import runner\n"
+        "runner.default_solver_command = lambda: runner.BUNDLED_COMMAND\n"
+        "first, real = [], runner.run_solver\n"
+        "def spy(script, config):\n"
+        "    if not first:\n"
+        "        first.append(config.command == runner.BUNDLED_COMMAND)\n"
+        "        first.append('bppcheck.refsolver' in sys.modules)\n"
+        "    return real(script, config)\n"
+        "smt.run_solver = runner.run_solver = spy\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main([{str(DATA / problem)!r}])\n"
+        "print(code, *first)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "True"]
 
 
 @pytest.mark.parametrize("args, unused", [

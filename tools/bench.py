@@ -27,8 +27,17 @@ decided at (``unbounded`` for a lasso), the median wall time and the median
 Its ``EG`` holds at every k: the path from the initial marking repeats a
 covering segment forever.
 
+The start-up series times whole CLI runs that are mostly start-up:
+``--help``, ``reach.bpp``, ``liveness.bpp -k 10`` and the pingpong actor
+system with ``--acs``, 15 runs each, taken in turn so that a noisy spell of
+the machine is shared. A row holds the median and quartiles of the wall
+time from spawn to exit and the exit codes seen. The machine block records
+whether ``PYTHONDONTWRITEBYTECODE`` was set: with it, each run compiles
+every package module it imports.
+
 Exits 1 when a decided EF verdict (family or scaled) disagrees with the
-reference or a liveness row does not hold, else 0. Standard library only.
+reference, a liveness row does not hold or a start-up run fails (an exit
+code other than 0 or 1), else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -56,9 +65,18 @@ SCALED_DEAD_SIZES = (6, 8)
 SEEDS = range(5)
 TIMEOUT_S = 10
 REFERENCE_STATES = 100_000
-LIVENESS = ROOT / "demos" / "inputs" / "liveness.bpp"
+DEMO_INPUTS = ROOT / "demos" / "inputs"
+LIVENESS = DEMO_INPUTS / "liveness.bpp"
 LIVENESS_KS = (50, 100, 200, 400)
 LIVENESS_RUNS = 3
+#: Start-up rows: name, files in demos/inputs, flags.
+STARTUP = (
+    ("help", (), ("--help",)),
+    ("reach", ("reach.bpp",), ()),
+    ("liveness-k10", ("liveness.bpp",), ("-k", "10")),
+    ("pingpong-acs", ("pingpong.acs", "q0_twice.prop"), ("--acs",)),
+)
+STARTUP_RUNS = 15
 
 
 def instances(ring_sizes, dead_sizes) -> list[tuple[str, object, tuple]]:
@@ -149,6 +167,21 @@ def liveness_row(k: int, src: Path) -> dict:
     }
 
 
+def startup_rows(src: Path) -> list[dict]:
+    runs = {name: [] for name, _, _ in STARTUP}
+    for _ in range(STARTUP_RUNS):
+        for name, files, flags in STARTUP:
+            runs[name].append(spawn(src, *(str(DEMO_INPUTS / f) for f in files), *flags)[0])
+    rows = []
+    for name, files, flags in STARTUP:
+        q1, median, q3 = statistics.quantiles([r["wall_ms"] for r in runs[name]], n=4)
+        rows.append({"row": name, "args": [*files, *flags], "runs": STARTUP_RUNS,
+                     "wall_ms_median": round(median, 1), "wall_ms_q1": round(q1, 1),
+                     "wall_ms_q3": round(q3, 1),
+                     "exits": sorted({r["exit"] for r in runs[name]})})
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", required=True)
@@ -165,11 +198,15 @@ def main(argv: list[str] | None = None) -> int:
     for k in LIVENESS_KS:
         liveness.append(liveness_row(k, src))
         print(json.dumps(liveness[-1]), file=sys.stderr)
+    startup = startup_rows(src)
+    for row in startup:
+        print(json.dumps(row), file=sys.stderr)
 
     summary = {
         **summarize(rows),
         "scaled": summarize(scaled),
         "liveness_not_holding": [r["k"] for r in liveness if r["result"] != "holds"],
+        "startup_failed": [r["row"] for r in startup if set(r["exits"]) - {0, 1}],
         "run_s": round(time.perf_counter() - start, 1),
     }
     payload = {
@@ -177,16 +214,18 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"python tools/bench.py --label {opts.label}"
                    + ("" if opts.src == ROOT / "src" else " --src <other checkout>/src"),
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                    "system": platform.system()},
+                    "system": platform.system(),
+                    "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))},
         "summary": summary,
         "ef_family": rows,
         "ef_scaled": scaled,
         "liveness": liveness,
+        "startup": startup,
     }
     (ROOT / f"BENCH_{opts.label}.json").write_text(json.dumps(payload, indent=1) + "\n")
     print(json.dumps(summary))
     failed = summary["disagreements"] or summary["scaled"]["disagreements"]
-    return 1 if failed or summary["liveness_not_holding"] else 0
+    return 1 if failed or summary["liveness_not_holding"] or summary["startup_failed"] else 0
 
 
 if __name__ == "__main__":
