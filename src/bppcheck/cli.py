@@ -45,15 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class Report:
-    __slots__ = ("verdict", "total_ms", "scripts")
-
-    def __init__(self, verdict: Verdict, total_ms: float, scripts: list[SmtScript]):
-        self.verdict = verdict
-        self.total_ms = total_ms
-        self.scripts = scripts
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="bppcheck",
@@ -171,7 +162,7 @@ def _run_problem(path: str, opts) -> tuple[str, int]:
     text = _read(path)  # a missing file fails before the parser is loaded
     from .parsing import parse_problem
 
-    problem = parse_problem(text, source=path)
+    problem = parse_problem(text)
     return _check(problem.bpp, problem.initial, problem.formula, opts)
 
 
@@ -219,8 +210,8 @@ def _check(bpp, init, formula, opts) -> tuple[str, int]:
             file.write(to_dot(bpp, init))
     if opts.emit_smt:
         _write_scripts(opts.emit_smt, scripts)
-    report = Report(verdict=verdict, total_ms=total_ms, scripts=scripts)
-    return render_report(report, opts.format, stats=opts.stats), _exit_code(verdict)
+    text = render_report(verdict, total_ms, scripts, opts.format, stats=opts.stats)
+    return text, _exit_code(verdict)
 
 
 def _write_scripts(path: str, scripts: list[SmtScript]) -> None:
@@ -235,16 +226,16 @@ def _write_scripts(path: str, scripts: list[SmtScript]) -> None:
         indexed.write_bytes(script.text.encode())
 
 
-def render_report(report: Report, fmt: str, stats: bool = False) -> str:
+def render_report(verdict: Verdict, total_ms: float, scripts: list[SmtScript], fmt: str,
+                  stats: bool = False) -> str:
     import json
 
-    verdict = report.verdict
     if fmt == "json":
         payload = {
             "result": verdict.result,
             "engine": verdict.engine,
             "k": verdict.k,
-            "time_ms": round(report.total_ms, 3),
+            "time_ms": round(total_ms, 3),
             "witness": verdict.witness,
             "stats": verdict.stats,
         }
@@ -256,7 +247,7 @@ def render_report(report: Report, fmt: str, stats: bool = False) -> str:
         lines.append(f"bound: {verdict.stats['bound']}")
         if "lasso" in verdict.stats:
             lines.append(f"lasso: {verdict.stats['lasso']}")
-    lines.append(f"time_ms: {report.total_ms:.1f}")
+    lines.append(f"time_ms: {total_ms:.1f}")
     if "reason_unknown" in verdict.stats:
         lines.append(f"reason_unknown: {verdict.stats['reason_unknown']}")
     if verdict.witness:
@@ -269,7 +260,7 @@ def render_report(report: Report, fmt: str, stats: bool = False) -> str:
         )
         lines.append(f"stats: {parts}")
         if verdict.result == "not-holds":
-            for script in report.scripts:
+            for script in scripts:
                 lines.append("constraints:")
                 lines.append(script.text.rstrip("\n"))
     return "\n".join(lines)

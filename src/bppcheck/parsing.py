@@ -167,15 +167,12 @@ class _Cursor:
 
 
 class ProblemFile(Record):
-    # source lives in the instance dict, so equality ignores it.
-    __match_args__ = ("bpp", "initial", "formula")
-    __slots__ = __match_args__ + ("__dict__",)
+    __slots__ = __match_args__ = ("bpp", "initial", "formula")
 
-    def __init__(self, bpp: Bpp, initial: Marking, formula: Formula, source: str = ""):
+    def __init__(self, bpp: Bpp, initial: Marking, formula: Formula):
         setfield(self, "bpp", bpp)
         setfield(self, "initial", initial)
         setfield(self, "formula", formula)
-        setfield(self, "source", source)
 
 
 def _expect_var(cur: _Cursor, expected: str = "a symbol name") -> Token:
@@ -188,7 +185,7 @@ def _expect_var(cur: _Cursor, expected: str = "a symbol name") -> Token:
     return cur.next()
 
 
-def parse_problem(text: str, source: str = "") -> ProblemFile:
+def parse_problem(text: str) -> ProblemFile:
     """Parse one problem file: system, initial expression, formula."""
     cur = _Cursor(tokenize(text))
     declared: dict[str, None] = {}
@@ -222,12 +219,7 @@ def parse_problem(text: str, source: str = "") -> ProblemFile:
     tok = cur.peek()
     if tok.kind != "eof":
         raise cur.fail("end of input")
-    return ProblemFile(
-        bpp=bpp,
-        initial=parikh(initial_syms, bpp),
-        formula=formula,
-        source=source,
-    )
+    return ProblemFile(bpp=bpp, initial=parikh(initial_syms, bpp), formula=formula)
 
 
 def _parse_rule(cur: _Cursor, rid: int, declared: dict[str, None]) -> Rule:

@@ -3,14 +3,13 @@ goals in negation normal form, or None.
 
 A backtracking search substitutes pinned variables, splices positive
 existential blocks and hands conjunctions of literals to the Omega test.
-Quantified goals once ground, and goals whose unpinned variables occur
-nowhere else, go to one memoized sub-solve with a search of its own. A
-search changes one state in place, its ``_Trail``, and backtracking undoes
-the changes. Occurrence lists map each variable to the goals that mention
-it, so a pin visits only those (the watched-literal idea of Chaff,
-Moskewicz et al., DAC 2001); the failure-memo key, the branch choice and
-the detached-goal check are kept current the same way, so a search level
-costs what its pins touch, not what the problem holds.
+Quantified goals, once ground, go to one memoized sub-solve with a search
+of its own. A search changes one state in place, its ``_Trail``, and
+backtracking undoes the changes. Occurrence lists map each variable to the
+goals that mention it, so a pin visits only those (the watched-literal idea
+of Chaff, Moskewicz et al., DAC 2001); the failure-memo key and the branch
+choice are kept current the same way, so a search level costs what its
+pins touch, not what the problem holds.
 """
 
 from __future__ import annotations
@@ -96,12 +95,10 @@ class _Trail:
     """The state of one search, changed in place. Each change logs a record
     ``(function, a, b)``, and ``undo(mark)`` calls them back to a mark; the
     functions are plain, so the log holds no reference cycle. ``occ`` lists
-    the goals made while a variable was unpinned; ``shared`` counts the live
-    goals that mention an unpinned variable, and ``dropped`` holds those
-    whose count fell since the last detached-goal check. ``digests`` counts
-    the live goals per hash of their residual-key entry, ``hash`` is the XOR
-    of the distinct hashes (so equal residual problems hash alike), and
-    ``ors`` holds the live disjunctions as sorted (count, rank, item)."""
+    the goals made while a variable was unpinned. ``digests`` counts the
+    live goals per hash of their residual-key entry, ``hash`` is the XOR of
+    the distinct hashes (so equal residual problems hash alike), and ``ors``
+    holds the live disjunctions as sorted (count, rank, item)."""
 
     def __init__(self, outer: dict[str, int], evars: list[str]):
         self.subst = dict(outer)
@@ -109,8 +106,6 @@ class _Trail:
         self.log: list[tuple] = []
         self.items: list[_Item] = []  # in creation order, dead ones too
         self.occ: dict[str, list[_Item]] = defaultdict(list)
-        self.shared: dict[str, int] = defaultdict(int)
-        self.dropped: set[str] = set()
         self.digests: dict[int, int] = {}
         self.hash = 0
         self.ors: list[tuple] = []
@@ -149,12 +144,6 @@ class _Trail:
         """Add a goal to the live ones, or take it out."""
         item.alive = alive
         step = 1 if alive else -1
-        subst, shared = self.subst, self.shared
-        for v in item.vars:
-            if v not in subst:
-                shared[v] += step
-                if not alive:
-                    self.dropped.add(v)
         self._tally(item.digest, step)
         node = item.node
         if node is None:
@@ -219,7 +208,7 @@ class _Engine:
         self.budget = step_budget
         self.deadline = deadline
         self.frees = _FreeVars()
-        self.sub_memo: dict[tuple, dict[str, int] | None] = {}
+        self.sub_memo: dict[tuple, bool] = {}
         self.failed: dict[int, set[tuple[int, ...]]] = {}  # residual hash -> keys
         self.entry_ids: dict = {}  # failure-memo entries, interned
         self.rounds = self.branches = self.omega_calls = self.memo_hits = 0
@@ -275,7 +264,7 @@ class _Engine:
             return True if live is None else (None if live else False)
         # Quantified: only decidable when ground.
         if self.frees.of(node) <= subst.keys():
-            found = self._sub_solve(node, list(node[1]), node[2], subst) is not None
+            found = self._sub_solve(node, subst)
             return found if kind == "ex" else not found
         return None
 
@@ -296,15 +285,13 @@ class _Engine:
         entry, and its sub-solve memo key."""
         return (id(node), *map(subst.get, self.frees.of(node)))
 
-    def _sub_solve(self, node, evars: list[str], goal, subst):
-        """Witness for exists(evars) over goal, with the node's pinned free
-        variables at their values; memoized on the node's entry. Ground
-        quantified nodes have every free variable pinned and detached goals
-        at least one unpinned, so their keys never meet."""
+    def _sub_solve(self, node, subst) -> bool:
+        """Whether a ground quantified node's block has a witness, with its
+        free variables at their values; memoized on the node's entry."""
         key = self._entry(node, subst)
         if key not in self.sub_memo:
-            outer = {v: x for v, x in zip(self.frees.of(node), key[1:]) if x is not None}
-            self.sub_memo[key] = self.solve_exists(evars, [goal], outer)
+            outer = dict(zip(self.frees.of(node), key[1:]))
+            self.sub_memo[key] = self.solve_exists(list(node[1]), [node[2]], outer) is not None
         return self.sub_memo[key]
 
     # -- main search ---------------------------------------------------------
@@ -351,11 +338,10 @@ class _Engine:
         literals it touches join the pass); then it peeks, in goal order, the
         new pending nodes and those that mention a pin of this round or
         ``pinned``, and splices a disjunction with one live disjunct. A round
-        with no pin and no splice ends with the detached-goal check."""
+        with no pin and no splice is the last."""
         subst, occ = trail.subst, trail.occ
         lit_fresh = set(pinned)
         node_fresh = set(pinned)
-        candidates: set[_Item] = set()  # pending nodes that may be detached
         while True:
             self.charge()
             self.rounds += 1
@@ -420,38 +406,11 @@ class _Engine:
                     entry = self._entry(node, subst)
                     if entry != item.entry:
                         trail.set_entry(item, entry)
-                    candidates.add(item)
 
             if not pins and not spliced:
-                self._resolve_detached(trail, candidates)
                 return
             lit_fresh = pins
             node_fresh = set()
-
-    def _resolve_detached(self, trail: _Trail, candidates: set) -> None:
-        """Decide pending goals whose unpinned variables occur nowhere else:
-        each is an independent existential subproblem, solved once (memoized
-        on goal and pinned frees), its witness merged and the goal dropped.
-        Only goals made or touched since the last check, or left alone with a
-        variable by a goal that went, can have become detached; they are
-        looked at in goal order. The only goal left is kept to branch on."""
-        subst, shared = trail.subst, trail.shared
-        for v in trail.dropped:
-            if v not in subst and shared[v] == 1:
-                candidates.update(item for item in trail.occ[v] if item.node is not None)
-        trail.dropped = set()
-        for item in sorted(candidates, key=lambda item: item.rank):
-            if not item.alive or (trail.live_nodes == 1 and not trail.live_lits):
-                continue
-            mine = [v for v in self.frees.of(item.node) if v not in subst]
-            if not mine or any(shared[v] > 1 for v in mine):
-                continue
-            witness = self._sub_solve(item.node, sorted(mine), item.node, subst)
-            if witness is None:
-                raise _Fail()
-            trail.kill(item)  # its variables occur in no other goal
-            for v in mine:
-                trail.pin(v, witness.get(v, 0))
 
     def _search(self, trail: _Trail):
         """Depth-first search, one loop over a stack of choice points.
@@ -476,7 +435,7 @@ class _Engine:
             try:
                 if point is not None:
                     trail.undo(point[1])
-                    trail.fresh, trail.dropped = [], set()
+                    trail.fresh = []
                     if point[2] is None:
                         pinned = ()
                         trail.kill(point[6])
@@ -559,12 +518,12 @@ class _Engine:
         choice point over the values of a variable the current literals box
         into a finite interval (complete), or over a probe window when only
         one side is bounded (sat only). Anything else stays undecided."""
-        candidates: set[str] = set()
+        unpinned: set[str] = set()
         lows: dict[str, int] = {}
         highs: dict[str, int] = {}
         for item in trail.items:
             if item.alive and item.node is not None:
-                candidates |= self.frees.of(item.node).difference(trail.subst)
+                unpinned |= self.frees.of(item.node).difference(trail.subst)
             elif item.alive and item.entry[0] == "ge" and len(item.entry[1]) == 1:
                 (var, c), const = item.entry[1][0], item.entry[2]
                 if c > 0:  # c*v + const >= 0  ->  v >= ceil(-const/c)
@@ -574,7 +533,7 @@ class _Engine:
                     bound = const // (-c)
                     highs[var] = min(highs.get(var, bound), bound)
         boxed = half = None
-        for var in sorted(candidates):
+        for var in sorted(unpinned):
             lo, hi = lows.get(var), highs.get(var)
             if lo is not None and hi is not None:
                 if hi < lo:

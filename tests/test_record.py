@@ -60,18 +60,16 @@ def test_cached_properties_stay_outside_equality():
     assert hash(warm) == hash(cold)
 
 
-def test_problem_file_equality_ignores_source():
+def test_problem_files_compare_by_fields():
     text = "initial X rules X -> Y formula EF(Y >= 1)\n"
-    one, two = parse_problem(text, source="one.bpp"), parse_problem(text, source="two.bpp")
-    assert (one.source, two.source) == ("one.bpp", "two.bpp")
+    one, two = parse_problem(text), parse_problem(text)
     assert one == two
     assert hash(one) == hash(two)
-    assert one != ProblemFile(one.bpp, (0, 1), one.formula, source="one.bpp")
+    assert one != ProblemFile(one.bpp, (0, 1), one.formula)
 
 
 def test_records_pickle_round_trip():
-    problem = parse_problem("initial X rules X -> Y formula EF(Y >= 1)\n", source="p.bpp")
+    problem = parse_problem("initial X rules X -> Y formula EF(Y >= 1)\n")
     copy = pickle.loads(pickle.dumps(problem))
     assert copy == problem
-    assert copy.source == "p.bpp"
     assert copy.bpp.index == {"X": 0, "Y": 1}

@@ -241,6 +241,29 @@ class TestScripts:
         value = [l for l in out if "define-fun x" in l][0]
         assert "(- " in value  # strictly negative witness
 
+    #: Literals over x, a disjunction over y and a negated block over z: no
+    #: assert shares y or z with another one.
+    PRIVATE = """
+        (set-option :produce-models true)
+        (declare-const x Int)(declare-const y Int)(declare-const z Int)
+        (assert (>= x 2))(assert (<= (* 2 x) 7))
+        (assert (or (= (* 3 y) 7) (and (>= y 4) (<= y 4)) (= (* 2 y) 9)))
+        (assert (not (exists ((t Int)) (and (>= t 0) (< t z)))))
+        (check-sat)(get-model)
+    """
+
+    def test_private_goals_sat_with_a_model(self):
+        out = run(self.PRIVATE)
+        assert out[0] == "sat"
+        m = _model(out)
+        assert 2 <= m["x"] and 2 * m["x"] <= 7
+        assert 3 * m["y"] == 7 or m["y"] == 4 or 2 * m["y"] == 9
+        assert m["z"] <= 0  # no t with 0 <= t < z
+
+    def test_private_disjunction_without_solution_is_unsat(self):
+        script = self.PRIVATE.replace("(and (>= y 4) (<= y 4))", "(= (* 4 y) 6)")
+        assert run(script)[0] == "unsat"
+
     def test_distinct(self):
         assert status("(declare-const x Int)(assert (distinct x x))(check-sat)") == "unsat"
         assert (
@@ -528,8 +551,8 @@ class TestIncrementalPropagation:
         # The path doubles from k = 100 to k = 200, and so do the search
         # levels. A level that looks only at the goals its pins touch keeps
         # the total visits at about twice; a level that scans every pending
-        # goal for the memo key, the branch choice or the detached check
-        # makes them grow about 3.6 times.
+        # goal for the memo key or the branch choice makes them grow about
+        # 3.6 times.
         at_100 = _visits(monkeypatch, 100)
         at_200 = _visits(monkeypatch, 200)
         assert at_200 <= 2.5 * at_100, (at_100, at_200)
