@@ -3,15 +3,17 @@
 Every formula is built from six node types: Atom (an integer-linear
 constraint over symbol counts), Not, And, ENext (E<a>), EG and EF. The
 derived connectives Or, Imp, ANext (A<a>) and AF are constructors that
-return their core definitions, so no other node type exists.
+return their core definitions, so no other node type exists. ``evaluate``,
+for both engines, evaluates everything above the first EG or EF at concrete
+markings and hands each such node to its engine.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
-from .core import Bpp, Marking
+from .core import Bpp, Marking, successors
 from .errors import UnknownSymbol
 from .record import Record, setfield
 
@@ -191,12 +193,40 @@ def eval_atomic(atom: LinearAtom, m: Marking, bpp: Bpp) -> bool:
     return atom.evaluate(m, bpp)
 
 
-def eval_propositional(f: Formula, m: Marking, bpp: Bpp) -> bool:
-    """Truth of a propositional (modality-free) formula at a marking."""
+def evaluate(f: Formula, m: Marking, bpp: Bpp, k: int,
+             decide: Callable[[Formula, Marking], bool | None] | None = None,
+             memo: dict | None = None) -> bool | None:
+    """Three-valued truth (None: unknown) of f at the concrete marking m
+    under the k-step semantics. Atoms, Not and And (both operands, always)
+    are evaluated at m; E<a> looks at the a-successors of m and is false at
+    k < 1; each EG or EF node goes to ``decide(node, m)``. The memo, keyed
+    on (id(f), m), keeps a marking that several paths reach from being
+    visited, or a node decided, more than once."""
+    if memo is None:
+        memo = {}
+    key = (id(f), m)
+    if key in memo:
+        return memo[key]
     if isinstance(f, Atom):
-        return eval_atomic(f.atom, m, bpp)
-    if isinstance(f, Not):
-        return not eval_propositional(f.sub, m, bpp)
-    if isinstance(f, And):
-        return eval_propositional(f.left, m, bpp) and eval_propositional(f.right, m, bpp)
-    raise TypeError(f"not propositional: {f!r}")
+        value = f.atom.evaluate(m, bpp)
+    elif isinstance(f, Not):
+        sub = evaluate(f.sub, m, bpp, k, decide, memo)
+        value = None if sub is None else not sub
+    elif isinstance(f, And):
+        both = (evaluate(f.left, m, bpp, k, decide, memo),
+                evaluate(f.right, m, bpp, k, decide, memo))
+        value = False if False in both else (None if None in both else True)
+    elif isinstance(f, ENext):
+        value = False
+        for action, t in successors(m, bpp) if k >= 1 else ():
+            if action == f.action:
+                sub = evaluate(f.sub, t, bpp, k, decide, memo)
+                if sub:
+                    value = True
+                    break
+                if sub is None:
+                    value = None
+    else:
+        value = decide(f, m)
+    memo[key] = value
+    return value

@@ -20,7 +20,7 @@ import time
 from typing import Callable
 
 from .core import Bpp, Marking, Rule, fire, rule_delta
-from .ctl import And, Atom, EF, Formula, FormulaClass, Not, classify, eval_atomic
+from .ctl import And, Atom, Formula, FormulaClass, Not, classify, evaluate
 from .errors import MixedFormula, SolverProtocolError, UnknownSymbol
 from .record import Record, setfield
 from .smt import (
@@ -218,14 +218,14 @@ def check_ef_detailed(
 ) -> tuple[Verdict, ReachabilityEncoding, list[list[SolverOutcome]]]:
     """Decide an EF-class formula at the initial marking.
 
-    Atoms are evaluated directly on the initial marking. Every EF node is
-    one refinement loop over (flow equations AND body over x AND the cuts so
-    far); its rounds share ``config.timeout_s`` from its first round, each
-    round gets the time left, and a node whose time runs out between rounds
-    is unknown with reason ``timeout``. Negation and conjunction combine the
-    node results three-valued (unknown stays unknown unless the boolean
-    context decides regardless). Returns the verdict, the flow encoding and,
-    per EF node in evaluation order, the outcome of each round.
+    ``ctl.evaluate`` evaluates the boolean structure on the initial marking,
+    three-valued (unknown stays unknown unless the boolean context decides
+    regardless), and hands it every EF node: one refinement loop over (flow
+    equations AND body over x AND the cuts so far). A node's rounds share
+    ``config.timeout_s`` from its first round, each round gets the time
+    left, and a node whose time runs out between rounds is unknown with
+    reason ``timeout``. Returns the verdict, the flow encoding and, per EF
+    node in evaluation order, the outcome of each round.
     """
     if classify(f) != FormulaClass.EF_CLASS:
         raise MixedFormula(
@@ -270,24 +270,8 @@ def check_ef_detailed(
                 return True
             parts.append(cut)
 
-    def ev(g: Formula) -> bool | None:
-        if isinstance(g, Atom):
-            return eval_atomic(g.atom, init, bpp)
-        if isinstance(g, Not):
-            sub = ev(g.sub)
-            return None if sub is None else not sub
-        if isinstance(g, And):
-            left, right = ev(g.left), ev(g.right)
-            if left is False or right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if isinstance(g, EF):
-            return solve_ef(g.sub)
-        raise MixedFormula(f"unexpected node in EF-class formula: {g!r}")
-
-    value = ev(f)
+    # An EF-class formula has no E<a>, so the bound plays no part.
+    value = evaluate(f, init, bpp, 0, lambda node, _: solve_ef(node.sub))
     outcomes = [outcome for rounds in nodes for outcome in rounds]
     stats = {
         "n_vars": len(flow.declarations),

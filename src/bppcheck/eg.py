@@ -1,5 +1,8 @@
 """Bounded liveness checking: k-step semantics compiled to integer arithmetic.
 
+``check_eg`` compiles only the EG nodes ``ctl.evaluate`` meets, each at its
+concrete marking.
+
 The compiler recurses over the formula: atoms substitute the state vector,
 E<a> allocates one fresh target state constrained by a labeled transition
 step, EG allocates a block of k+1 path states chained by unlabeled steps
@@ -10,16 +13,15 @@ bodies of such blocks is declared as constants when it is made, so solver
 models expose it; a block under a negation is wrapped in ``exists`` where
 it is made.
 
-A top-level ``EG φ`` or ``¬EG φ`` (``AF``) whose body has no EG or EF is
-first tried on a window: the EG block of ``WINDOW`` steps, conjoined with a
-lasso, a position i < WINDOW with u_i ≤ u_WINDOW in every component, where
-the drift d = u_WINDOW − u_i moves no atom of φ (in negation normal form)
-towards false. BPP firing is monotone, so the segment from u_i fires again
-from u_WINDOW forever (u_t = u_{t−L} + d), φ holds at every position, and
-EG φ holds at every bound. ``check_eg`` pumps the window's model to k steps
-and replays it concretely before reporting it; any window that does not
-decide falls back to the k-step unrolling. Both scripts are serialized by
-one finisher and solved by one step of ``check_eg``.
+An EG φ node whose body has no EG or EF is first tried on a window, at
+k > WINDOW: the EG block of ``WINDOW`` steps, conjoined with a lasso, a
+position i < WINDOW with u_i ≤ u_WINDOW in every component, where the drift
+d = u_WINDOW − u_i moves no atom of φ (in negation normal form) towards
+false. BPP firing is monotone, so the segment from u_i fires again from
+u_WINDOW forever (u_t = u_{t−L} + d), φ holds at every position, and EG φ
+holds at every bound. ``check_eg`` pumps the window's model to k steps and
+replays it concretely before it counts; a window that does not decide
+falls back to the k-step unrolling.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from .core import Bpp, Marking, Rule, rule_delta, successors
-from .ctl import EF, And, Atom, EG, ENext, Formula, Not, contains_ef, walk
+from .core import Bpp, Marking, Rule, rule_delta
+from .ctl import EF, And, Atom, EG, ENext, Formula, Not, contains_ef, evaluate, walk
 from .errors import EncodingTimeout, MixedFormula, SolverProtocolError, UnknownSymbol
 from .smt import (
     FALSE,
@@ -251,15 +253,6 @@ def encode_eg(
     return _finish(trans(f, tuple(init), k, bpp, alloc), alloc)
 
 
-def _lasso_body(f: Formula) -> Formula | None:
-    """The body φ of an ``EG φ`` or ``¬EG φ`` (an ``AF``) with no EG or EF
-    in φ, the shape the lasso window decides; None for any other formula."""
-    top = f.sub if isinstance(f, Not) else f
-    if isinstance(top, EG) and not any(isinstance(g, (EG, EF)) for g in walk(top.sub)):
-        return top.sub
-    return None
-
-
 #: The sign a drift must have on an atom's linear form so that adding it
 #: keeps the atom true: the form grows for >= and >, shrinks for <= and <,
 #: and stays put for == and !=.
@@ -313,28 +306,6 @@ def _encode_window(
     return _finish(conj([block, disj(lassos)]), alloc), u, lassos
 
 
-def _holds(f: Formula, m: Marking, bpp: Bpp, memo: dict) -> bool:
-    """Explicit truth of an EG- and EF-free core formula (atoms, Not, And,
-    E<a>) at a marking, at any bound k >= 1, where E<a> looks at the
-    a-successors. The memo, keyed on (id(f), m), keeps nested E<a> from
-    visiting a marking once per path to it."""
-    key = (id(f), m)
-    if key in memo:
-        return memo[key]
-    if isinstance(f, Atom):
-        value = f.atom.evaluate(m, bpp)
-    elif isinstance(f, Not):
-        value = not _holds(f.sub, m, bpp, memo)
-    elif isinstance(f, And):
-        value = _holds(f.left, m, bpp, memo) and _holds(f.right, m, bpp, memo)
-    else:
-        value = any(
-            _holds(f.sub, t, bpp, memo) for a, t in successors(m, bpp) if a == f.action
-        )
-    memo[key] = value
-    return value
-
-
 def _pump(
     bpp: Bpp, init: Marking, body: Formula, window: list[Marking], start: int, k: int,
     deadline: float,
@@ -357,7 +328,7 @@ def _pump(
         if time.perf_counter() >= deadline:
             raise EncodingTimeout("pumping the lasso ran past the deadline")
         m = path[j]
-        if not _holds(body, m, bpp, memo):
+        if not evaluate(body, m, bpp, k, memo=memo):
             raise SolverProtocolError(f"lasso path fails the EG body at position {j}")
         if j == k:
             break
@@ -374,23 +345,6 @@ def _pump(
     return path
 
 
-def _eg_stats(enc: EgEncoding, outcomes: list[SolverOutcome], result: str, bound) -> dict:
-    stats = {
-        "n_vars": len(enc.declared) + enc.path_vars_quantified,
-        "n_asserts": 1,  # the whole window or unrolling is one assertion
-        **solver_stats(outcomes),
-        "path_vars_declared": enc.path_vars_declared,
-        "path_vars_total": enc.path_vars_total,
-        "target_vars": enc.target_vars_total,
-        "bound": bound,
-    }
-    if result == "unknown":
-        # The last call decided the verdict: a window that gave up only
-        # handed over to the unrolling.
-        stats["reason_unknown"] = outcomes[-1].reason_unknown or "unreported"
-    return stats
-
-
 def check_eg(
     bpp: Bpp,
     init: Marking,
@@ -399,23 +353,32 @@ def check_eg(
     config: SolverConfig,
     on_script: Callable[[SmtScript], None] | None = None,
 ) -> Verdict:
-    """Bounded verdict: sat means the formula holds under the k-step
-    semantics at the initial marking, unsat means it does not.
+    """Bounded verdict at the initial marking under the k-step semantics.
 
-    A top-level EG or AF with an EG- and EF-free body and k > WINDOW is
-    first tried on the lasso window; a lasso decides it at every bound
-    (``stats["bound"]`` is ``"unbounded"`` and ``stats["lasso"]`` gives the
-    positions [i, WINDOW]), with the pumped k-step path as witness.
-    Otherwise, or when the window does not decide, the k-step unrolling
-    decides at bound k (``stats["bound"]`` is k).
+    ``ctl.evaluate`` hands each EG node it meets to ``decide``. At
+    k > WINDOW a node whose body has no EG is first tried on the lasso
+    window, which decides it at every bound; otherwise, or when the window
+    does not decide, ``encode_eg`` of the node at its marking decides it at
+    bound k. ``stats["bound"]`` is ``"unbounded"`` when a lasso decided
+    every node consulted, else k. The witness is the path of the first node
+    that holds, in evaluation order: a pumped lasso (its loop is
+    ``stats["lasso"]``) or the unrolling's model; None when none holds.
 
-    Encoding and solving share the config's timeout: an encoding, pumping
-    or replay that runs past it gives unknown (reason ``timeout``) without
-    starting another solver call, and each call gets what is left. The
-    window gets half of the time left, so the unrolling it falls back to
-    is not starved."""
+    The check shares the config's timeout: an encoding, pumping or replay
+    that runs past it leaves its node unknown (reason ``timeout``) without
+    another solver call, each call gets what is left, and each window half
+    of what is left when it starts."""
+    bpp.check_marking(init)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if contains_ef(f):
+        raise MixedFormula("EF belongs to the reachability engine")
     deadline = time.perf_counter() + config.timeout_s
     outcomes: list[SolverOutcome] = []
+    deciders: list[EgEncoding] = []  # the script that answered each node
+    by_lasso: list[bool] = []  # per EG node consulted
+    paths: list[tuple[dict, list | None]] = []  # per EG node that holds
+    reasons: list[str] = []
 
     def solve(enc: EgEncoding, until: float) -> SolverOutcome:
         if on_script is not None:
@@ -424,36 +387,58 @@ def check_eg(
         outcomes.append(run_solver(enc.script, left))
         return outcomes[-1]
 
-    body = _lasso_body(f) if k > WINDOW else None
-    try:
-        if body is not None:
-            bpp.check_marking(init)
-            now = time.perf_counter()
-            until = now + (deadline - now) / 2
-            try:
-                enc, u, lassos = _encode_window(bpp, init, body, until)
-            except EncodingTimeout:
-                model = None
-            else:
-                model = solve(enc, until).model  # a model comes with sat only
-            if model is not None:
-                start = next((i for i, lasso in enumerate(lassos) if eval_node(lasso, model)), None)
-                if start is None:
-                    raise SolverProtocolError("lasso window model closes no lasso")
-                window = [tuple(model[name] for name in state) for state in u]
-                path = _pump(bpp, init, body, window, start, k, deadline)
-                witness = {f"u{j}_{sym}": m[c] for j, m in enumerate(path)
-                           for c, sym in enumerate(bpp.symbols)}
-                result = "not-holds" if isinstance(f, Not) else "holds"  # AF or EG
-                stats = {**_eg_stats(enc, outcomes, result, "unbounded"), "lasso": [start, WINDOW]}
-                return Verdict(result=result, engine="eg-bounded", k=k, witness=witness,
-                               stats=stats)
-        enc = encode_eg(bpp, init, f, k, deadline)
-    except EncodingTimeout:
-        stats = {**solver_stats(outcomes), "bound": k, "reason_unknown": "timeout"}
-        return Verdict(result="unknown", engine="eg-bounded", k=k, stats=stats)
-    outcome = solve(enc, deadline)
-    result = {"sat": "holds", "unsat": "not-holds"}.get(outcome.status, "unknown")
-    witness = outcome.model if outcome.status == "sat" else None
-    return Verdict(result=result, engine="eg-bounded", k=k, witness=witness,
-                   stats=_eg_stats(enc, outcomes, result, k))
+    def decide(node: EG, m: Marking) -> bool | None:
+        by_lasso.append(False)
+        try:
+            if k > WINDOW and not any(isinstance(g, (EG, EF)) for g in walk(node.sub)):
+                now = time.perf_counter()
+                until = now + (deadline - now) / 2
+                try:
+                    enc, u, lassos = _encode_window(bpp, m, node.sub, until)
+                except EncodingTimeout:
+                    model = None
+                else:
+                    model = solve(enc, until).model  # a model comes with sat only
+                if model is not None:
+                    start = next((i for i, lasso in enumerate(lassos)
+                                  if eval_node(lasso, model)), None)
+                    if start is None:
+                        raise SolverProtocolError("lasso window model closes no lasso")
+                    window = [tuple(model[name] for name in state) for state in u]
+                    path = _pump(bpp, m, node.sub, window, start, k, deadline)
+                    deciders.append(enc)
+                    by_lasso[-1] = True
+                    paths.append(({f"u{j}_{sym}": p[c] for j, p in enumerate(path)
+                                   for c, sym in enumerate(bpp.symbols)}, [start, WINDOW]))
+                    return True
+            enc = encode_eg(bpp, m, node, k, deadline)
+        except EncodingTimeout:
+            reasons.append("timeout")
+            return None
+        outcome = solve(enc, deadline)
+        deciders.append(enc)
+        if outcome.status == "sat":
+            paths.append((outcome.model, None))
+            return True
+        if outcome.status == "unsat":
+            return False
+        reasons.append(outcome.reason_unknown or "unreported")
+        return None
+
+    value = evaluate(f, tuple(init), bpp, k, decide)
+    result = "unknown" if value is None else ("holds" if value else "not-holds")
+    stats = {
+        "n_vars": sum(len(enc.declared) + enc.path_vars_quantified for enc in deciders),
+        "n_asserts": len(deciders),  # each window or unrolling is one assertion
+        **solver_stats(outcomes),
+        "path_vars_declared": sum(enc.path_vars_declared for enc in deciders),
+        "path_vars_total": sum(enc.path_vars_total for enc in deciders),
+        "target_vars": sum(enc.target_vars_total for enc in deciders),
+        "bound": "unbounded" if by_lasso and all(by_lasso) else k,
+    }
+    witness, lasso = paths[0] if paths else (None, None)
+    if lasso is not None:
+        stats["lasso"] = lasso
+    if value is None:
+        stats["reason_unknown"] = reasons[0]
+    return Verdict(result=result, engine="eg-bounded", k=k, witness=witness, stats=stats)

@@ -11,7 +11,7 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, TypeVar
 
 from .core import Bpp, Marking, successors
-from .ctl import And, Atom, EG, ENext, Formula, Not, eval_propositional
+from .ctl import And, Atom, EG, ENext, Formula, Not, evaluate
 from .record import Record, setfield
 
 S = TypeVar("S", bound=Hashable)
@@ -136,7 +136,7 @@ def check_ef_oracle(
     bpp.check_marking(init)
 
     def target(m: Marking) -> bool:
-        return eval_propositional(psi, m, bpp)
+        return evaluate(psi, m, bpp, 0)
 
     depth_of, complete = explore(init, _bpp_succ(bpp), budget or ExplorationBudget(), target)
     if target(next(reversed(depth_of))):

@@ -261,6 +261,25 @@ class TestJsonReport:
         assert payload["k"] == 3
         assert payload["stats"]["bound"] == 3
 
+    @pytest.mark.parametrize("formula, witness", [
+        ("AX(a, EG(X >= 0))", "path"),
+        ("Neg(EG(Neg(X >= 1)))", None),
+        ("AF(X >= 1)", None),
+        ("AF(Y + Z >= 100)", "path"),
+    ])
+    def test_eg_witness_is_a_path_or_null(self, tmp_path, capsys, formula, witness):
+        problem = tmp_path / "liveness.bpp"
+        problem.write_text(
+            (DATA / "liveness.bpp").read_text(encoding="utf-8").split("formula")[0]
+            + f"formula\n{formula}\n"
+        )
+        code, out, _ = run(capsys, problem, "--format", "json", "-k", "3")
+        payload = json.loads(out)
+        if witness is None:
+            assert payload["witness"] is None
+        else:
+            assert {f"u{j}_{s}" for j in range(4) for s in "XYZ"} <= payload["witness"].keys()
+
     def test_eg_json_lasso(self, capsys):
         code, out, _ = run(capsys, DATA / "liveness.bpp", "--format", "json", "-k", "50")
         assert code == 0

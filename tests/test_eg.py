@@ -345,8 +345,8 @@ def assert_witness_replays(bpp, init, body, witness, k):
 
 
 class TestLassoWindow:
-    """A top-level EG or AF whose body has no EG is first tried on a
-    WINDOW-step lasso; a lasso decides it at every bound above WINDOW."""
+    """An EG node whose body has no EG is first tried on a WINDOW-step
+    lasso; a lasso decides it at every bound above WINDOW."""
 
     N_INSTANCES = 300
 
@@ -396,7 +396,6 @@ class TestLassoWindow:
         scripts = []
         for f, k in (
             (EG(body), WINDOW),  # k within the window
-            (And(body, EG(body)), 10),  # not a top-level EG
             (EG(AF(body)), 10),  # EG in the body
         ):
             scripts.clear()
@@ -405,6 +404,16 @@ class TestLassoWindow:
             assert verdict.stats["bound"] == k
             assert len(scripts) == verdict.stats["solver_calls"] == 1
             assert scripts[0] == encode_eg(triangle, (1, 0, 0), f, k).script
+
+    def test_window_decides_an_eg_under_a_conjunction(self, triangle):
+        # The conjunction is evaluated at the initial marking, and the EG
+        # node under it goes to the window.
+        body = atom({"X1": 1, "X2": 1, "X3": 1}, Cmp.GE, 1)
+        verdict = check_eg(triangle, (1, 0, 0), And(body, EG(body)), 10, REF)
+        assert verdict.result == "holds"
+        assert verdict.stats["bound"] == "unbounded"
+        assert verdict.stats["solver_calls"] == 1
+        assert_witness_replays(triangle, (1, 0, 0), body, verdict.witness, 10)
 
     def test_no_lasso_falls_back_to_the_unrolling(self):
         # X -> Y -> nil: every path dies after two steps, so the window is
@@ -439,3 +448,79 @@ class TestLassoWindow:
         assert (grows.result, grows.stats["bound"]) == ("holds", "unbounded")
         capped = check_eg(bpp, (1, 0), EG(atom({"Y": 1}, Cmp.LE, 3)), 10, REF)
         assert (capped.result, capped.stats["bound"]) == ("not-holds", 10)
+
+
+class TestNodesAtConcreteMarkings:
+    """Only EG nodes reach the solver: each one at the concrete marking
+    where the evaluator meets it, as a script with no negation above its
+    block."""
+
+    @pytest.fixture
+    def liveness(self):
+        # X -a-> Y, Z;  Y -a-> X, Y;  Z -b-> X: the liveness demo.
+        return Bpp(("X", "Y", "Z"), (Rule(0, "X", "a", ("Y", "Z")),
+                                     Rule(1, "Y", "a", ("X", "Y")),
+                                     Rule(2, "Z", "b", ("X",))))
+
+    def test_refuted_af_shows_the_path_that_avoids_its_body(self):
+        # X -a-> X, Y grows Y by one a step: no lasso keeps Y below 10, so
+        # the unrolling refutes AF(Y >= 10) at k = 6 with a path of Y < 10.
+        bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("X", "Y")),))
+        phi = atom({"Y": 1}, Cmp.GE, 10)
+        scripts = []
+        verdict = check_eg(bpp, (1, 0), AF(phi), 6, REF, on_script=scripts.append)
+        assert verdict.result == "not-holds"
+        assert verdict.stats["bound"] == 6
+        assert len(scripts) == verdict.stats["solver_calls"] == 2
+        assert_witness_replays(bpp, (1, 0), Not(phi), verdict.witness, 6)
+        holding = check_eg(bpp, (1, 0), AF(atom({"Y": 1}, Cmp.GE, 3)), 6, REF)
+        assert holding.result == "holds"
+        assert holding.witness is None
+
+    def test_no_quantifier_above_a_block(self, liveness):
+        everything = atom({"X": 1, "Y": 1, "Z": 1}, Cmp.GE, 1)
+        init = (1, 0, 0)
+        for f in (
+            AF(atom({"Z": 1}, Cmp.GE, 1)),
+            ANext("a", EG(everything)),
+            Not(ENext("a", EG(atom({"Z": 1}, Cmp.GE, 1)))),
+            And(EG(everything), AF(atom({"Y": 1}, Cmp.GE, 1))),
+        ):
+            for k in (3, 10):
+                scripts = []
+                verdict = check_eg(liveness, init, f, k, REF, on_script=scripts.append)
+                expected = eval_bounded(f, init, k, liveness)
+                assert (verdict.result == "holds") == expected.value, (f, k)
+                assert scripts and {s.logic for s in scripts} == {"QF_LIA"}, (f, k)
+        nested = EG(AF(atom({"Z": 1}, Cmp.GE, 1)))
+        scripts = []
+        check_eg(liveness, init, nested, 3, REF, on_script=scripts.append)
+        assert [s.logic for s in scripts] == ["LIA"]
+
+    def test_next_without_eg_needs_no_solver(self, liveness):
+        f = ENext("a", ANext("b", atom({"X": 1}, Cmp.GE, 1)))
+        for k in (0, 1, 3):
+            scripts = []
+            verdict = check_eg(liveness, (1, 0, 0), f, k, REF, on_script=scripts.append)
+            assert verdict.stats["solver_calls"] == len(scripts) == 0
+            assert verdict.stats["bound"] == k
+            assert verdict.witness is None
+            assert (verdict.result == "holds") == eval_bounded(f, (1, 0, 0), k, liveness).value
+
+    def test_unbounded_only_when_every_eg_node_has_a_lasso(self, liveness):
+        everything = atom({"X": 1, "Y": 1, "Z": 1}, Cmp.GE, 1)
+        # AF(sum < 1) is not EG(not sum < 1): both EG nodes keep sum >= 1
+        # on a lasso. AF(sum >= 3) holds since every path reaches sum 3
+        # within three steps, which the window cannot show.
+        both = And(EG(everything), AF(Not(everything)))
+        verdict = check_eg(liveness, (1, 0, 0), both, 10, REF)
+        assert (verdict.result, verdict.stats["bound"]) == ("not-holds", "unbounded")
+        assert verdict.stats["solver_calls"] == 2
+        assert verdict.stats["n_asserts"] == 2
+        one_unrolled = And(EG(everything), AF(atom({"X": 1, "Y": 1, "Z": 1}, Cmp.GE, 3)))
+        verdict = check_eg(liveness, (1, 0, 0), one_unrolled, 10, REF)
+        assert (verdict.result, verdict.stats["bound"]) == ("holds", 10)
+        assert verdict.stats["solver_calls"] == 3
+        # The witness is the first EG node's lasso, pumped to k steps.
+        assert verdict.stats["lasso"][1] == WINDOW
+        assert_witness_replays(liveness, (1, 0, 0), everything, verdict.witness, 10)

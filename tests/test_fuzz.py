@@ -137,8 +137,13 @@ def test_cli_agrees_with_the_oracles(problem):
         assert code == 3, (text, err.getvalue())
         return
     assert code in EXIT_OF.values(), (text, code, err.getvalue())
-    result = json.loads(out.getvalue())["result"]
+    payload = json.loads(out.getvalue())
+    result = payload["result"]
     assert EXIT_OF[result] == code
+    if payload["engine"] == "eg-bounded":
+        # A witness is the path u0..uk of an EG node that holds, or null.
+        path = {f"u{j}_{sym}" for j in range(k + 1) for sym in pf.bpp.symbols}
+        assert payload["witness"] is None or path <= payload["witness"].keys(), text
     if result == "unknown":
         return
     if cls == FormulaClass.EF_CLASS:

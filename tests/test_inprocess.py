@@ -42,15 +42,16 @@ def run_cli(capsys, *args) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
-def unrolled_liveness(tmp_path, eg: str) -> Path:
-    """The liveness demo's system with the formula Conj(X >= 1, eg). The
-    conjunction keeps the check off the lasso window, which takes only a
-    top-level EG or AF; X >= 1 holds initially and folds to the conjunct
-    (>= 0 0), so the unrolled script is otherwise the bare EG's."""
+def unrolled_liveness(tmp_path, body: str, k: int) -> Path:
+    """The liveness demo's system with the formula
+    EG(Conj(X + Y + Z <= k + 1, body)). No path of k steps breaks the
+    added conjunct, since a step adds at most one token. No lasso keeps it
+    either: every rule but Z -> X adds a token, and a loop of Z -> X alone
+    drains Z. So the window is unsat and the k-step unrolling decides."""
     problem = tmp_path / "liveness.bpp"
     problem.write_text(
         (DATA / "liveness.bpp").read_text(encoding="utf-8").split("formula")[0]
-        + f"formula\nConj(X >= 1, {eg})\n"
+        + f"formula\nEG(Conj(X + Y + Z <= {k + 1}, {body}))\n"
     )
     return problem
 
@@ -116,9 +117,10 @@ class TestDeadline:
         # Z = 3 at every one of 100 steps splits each position into Z < 3
         # and Z > 3, and the search tries tens of thousands of such paths.
         # Nothing kills an in-process solve, so the solver must stop itself.
-        # One solver call shows the encoder finished in time and the solver,
-        # not the encoder's own deadline check, gave up.
-        problem = unrolled_liveness(tmp_path, "EG(Neg(Z == 3))")
+        # Two solver calls, the window's and the unrolling's, show the
+        # encoder finished in time and the solver, not the encoder's own
+        # deadline check, gave up.
+        problem = unrolled_liveness(tmp_path, "Neg(Z == 3)", 100)
         start = time.perf_counter()
         code, out = run_cli(
             capsys, problem, "-k", "100", "--timeout", "2", "--format", "json", "--stats",
@@ -127,14 +129,14 @@ class TestDeadline:
         assert code == 2
         stats = json.loads(out)["stats"]
         assert stats["reason_unknown"] == "timeout"
-        assert stats["solver_calls"] == 1
+        assert stats["solver_calls"] == 2
         assert elapsed < 2.5
 
     def test_long_unrolling_stops_the_encoder(self, capsys, tmp_path):
         # At k = 100,000 the path block alone has 300,003 names; the encoder
         # checks the deadline at every step, so it gives up close to it and
-        # never starts the solver.
-        problem = unrolled_liveness(tmp_path, "EG(EX(a, Y + Z >= 2))")
+        # never starts the solver on it: the one call is the window's.
+        problem = unrolled_liveness(tmp_path, "EX(a, Y + Z >= 2)", 100_000)
         start = time.perf_counter()
         code, out = run_cli(
             capsys, problem, "-k", "100000",
@@ -144,7 +146,7 @@ class TestDeadline:
         assert code == 2
         stats = json.loads(out)["stats"]
         assert stats["reason_unknown"] == "timeout"
-        assert stats["solver_calls"] == 0
+        assert stats["solver_calls"] == 1
         assert elapsed < 1.5
 
     def test_long_lasso_stops_at_the_timeout(self, capsys):
@@ -186,7 +188,7 @@ class TestDepth:
         # Python's default limit of 1,000. The raised limit serves the formula
         # builder and nested sub-solves only.
         monkeypatch.setattr(refsolver, "RECURSION_LIMIT", 1_000)
-        problem = unrolled_liveness(tmp_path, "EG(EX(a, Y + Z >= 2))")
+        problem = unrolled_liveness(tmp_path, "EX(a, Y + Z >= 2)", 700)
         code, out = run_cli(capsys, problem, "-k", "700")
         assert code == 0, out
         assert "result: holds" in out
