@@ -102,6 +102,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ENVIRONMENT
+    except (MemoryError, RecursionError) as err:
+        limit = "out of memory" if isinstance(err, MemoryError) else "recursion depth exceeded"
+        print(f"error: {limit}", file=sys.stderr)
+        return EXIT_ENVIRONMENT
 
 
 def _dispatch(opts) -> int:
@@ -144,15 +148,20 @@ def _dispatch(opts) -> int:
         return EXIT_ENVIRONMENT
     code = EXIT_HOLDS
     for path, (text, file_code) in zip(opts.inputs, results):
-        print(f"== {path} ==")
-        print(text)
+        if opts.format == "json":  # one report object per line, in input order
+            import json
+
+            print(json.dumps({"file": path, **json.loads(text)}))
+        else:
+            print(f"== {path} ==")
+            print(text)
         code = max(code, file_code)
     return code
 
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:  # a byte-order mark is skipped
             return file.read()
     except UnicodeDecodeError as err:
         raise _NotUtf8(f"{path}: not UTF-8 ({err.reason})") from None

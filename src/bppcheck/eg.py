@@ -367,7 +367,8 @@ def check_eg(
     The check shares the config's timeout: an encoding, pumping or replay
     that runs past it leaves its node unknown (reason ``timeout``) without
     another solver call, each call gets what is left, and each window half
-    of what is left when it starts."""
+    of what is left when it starts. One that runs out of memory leaves its
+    node unknown too (reason ``out of memory``)."""
     bpp.check_marking(init)
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -414,6 +415,9 @@ def check_eg(
             enc = encode_eg(bpp, m, node, k, deadline)
         except EncodingTimeout:
             reasons.append("timeout")
+            return None
+        except MemoryError:
+            reasons.append("out of memory")
             return None
         outcome = solve(enc, deadline)
         deciders.append(enc)

@@ -13,8 +13,10 @@ at a deadline (reason ``timeout``), at its step budget, and at
 ``RECURSION_LIMIT`` or an exhausted memory (unknown, never a traceback).
 
 This module reads the script into negation normal form; ``search.py``
-decides it, and the Omega test (``omega.py``) is loaded by the first leaf
-of the search that hands it literals.
+decides it, branching only over disjunctions, and the Omega test
+(``omega.py``) is loaded by the first leaf of the search that hands it
+literals. A quantified goal left with a free variable that no equality
+pins answers unknown (reason ``non-ground quantified subformula``).
 """
 
 from __future__ import annotations
@@ -291,7 +293,7 @@ def _check(script: _Script, deadline: float | None) -> None:
         reason = unsupported[1]
     else:
         try:
-            witness = engine.solve_exists(list(script.decls), list(script.asserts), {})
+            witness = engine.solve(script.asserts, {})
             status = "unsat" if witness is None else "sat"
         except RefsolverUnknown as exc:
             reason = str(exc)

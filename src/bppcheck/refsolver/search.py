@@ -1,15 +1,19 @@
 """The bundled solver's search: an integer witness for a conjunction of
 goals in negation normal form, or None.
 
-A backtracking search substitutes pinned variables, splices positive
-existential blocks and hands conjunctions of literals to the Omega test.
-Quantified goals, once ground, go to one memoized sub-solve with a search
-of its own. A search changes one state in place, its ``_Trail``, and
-backtracking undoes the changes. Occurrence lists map each variable to the
-goals that mention it, so a pin visits only those (the watched-literal idea
-of Chaff, Moskewicz et al., DAC 2001); the failure-memo key and the branch
-choice are kept current the same way, so a search level costs what its
-pins touch, not what the problem holds.
+A backtracking search branches only over the disjuncts of a disjunction;
+a variable is pinned only by an equality, and substituted. Positive
+existential blocks are spliced into the goals, and once no disjunction is
+left the literals go to the Omega test as one conjunction. A negated
+block, once its free variables are pinned, goes to one memoized sub-solve
+with a search of its own; one that no equality grounds leaves the search
+undecided (``non-ground quantified subformula``). A search changes one
+state in place, its ``_Trail``, and backtracking undoes the changes.
+Occurrence lists map each variable to the goals that mention it, so a pin
+visits only those (the watched-literal idea of Chaff, Moskewicz et al.,
+DAC 2001); the failure-memo key and the branch choice are kept current the
+same way, so a search level costs what its pins touch, not what the
+problem holds.
 """
 
 from __future__ import annotations
@@ -100,9 +104,8 @@ class _Trail:
     the distinct hashes (so equal residual problems hash alike), and ``ors``
     holds the live disjunctions as sorted (count, rank, item)."""
 
-    def __init__(self, outer: dict[str, int], evars: list[str]):
+    def __init__(self, outer: dict[str, int]):
         self.subst = dict(outer)
-        self.evars = evars
         self.log: list[tuple] = []
         self.items: list[_Item] = []  # in creation order, dead ones too
         self.occ: dict[str, list[_Item]] = defaultdict(list)
@@ -194,13 +197,6 @@ class _Trail:
         if now == step or not now:  # the first goal with it, or the last gone
             self.hash ^= digest
 
-    def extend(self, names) -> None:
-        self.log.append((_Trail._truncate, len(self.evars), None))
-        self.evars.extend(names)
-
-    def _truncate(self, size: int, _) -> None:
-        del self.evars[size:]
-
 
 class _Engine:
     def __init__(self, step_budget: int = DEFAULT_STEP_BUDGET, deadline: float | None = None):
@@ -291,18 +287,17 @@ class _Engine:
         key = self._entry(node, subst)
         if key not in self.sub_memo:
             outer = dict(zip(self.frees.of(node), key[1:]))
-            self.sub_memo[key] = self.solve_exists(list(node[1]), [node[2]], outer) is not None
+            self.sub_memo[key] = self.solve([node[2]], outer) is not None
         return self.sub_memo[key]
 
     # -- main search ---------------------------------------------------------
 
-    def solve_exists(self, evars: list[str], goal_nodes: list, outer: dict[str, int]):
-        """Witness for exists(evars) over the conjunction of goals, or None.
-
-        outer maps every free variable of the goals (other than evars) to a
-        concrete integer.
+    def solve(self, goal_nodes: list, outer: dict[str, int]):
+        """A witness for the conjunction of goals, or None: the values of the
+        pinned variables and of the Omega test's model. outer maps some free
+        variables of the goals to concrete integers.
         """
-        trail = _Trail(outer, evars)
+        trail = _Trail(outer)
         try:
             for node in goal_nodes:
                 self._push(trail, node, (), trail.ranks)
@@ -323,7 +318,6 @@ class _Engine:
             for ch in node[1]:
                 self._push(trail, ch, prefix, ranks)
         elif kind == "ex":
-            trail.extend(node[1])
             self._push(trail, node[2], prefix, ranks)
         elif kind in ("ge", "eq"):
             trail.make(None, node, next(trail.serial), tuple(v for v, _ in node[1]))
@@ -331,17 +325,16 @@ class _Engine:
             mine = tuple(v for v in self.frees.of(node) if v not in trail.subst)
             trail.make(node, self._entry(node, trail.subst), prefix + (next(ranks),), mine)
 
-    def _propagate(self, trail: _Trail, pinned) -> None:
+    def _propagate(self, trail: _Trail) -> None:
         """Pin forced variables and simplify until nothing changes. A round
         reduces, in creation order, the new literals and those that mention
         a variable pinned since (a unit equality pins at once, and the later
         literals it touches join the pass); then it peeks, in goal order, the
-        new pending nodes and those that mention a pin of this round or
-        ``pinned``, and splices a disjunction with one live disjunct. A round
-        with no pin and no splice is the last."""
+        new pending nodes and those that mention a pin of this round, and
+        splices a disjunction with one live disjunct. A round with no pin and
+        no splice is the last."""
         subst, occ = trail.subst, trail.occ
-        lit_fresh = set(pinned)
-        node_fresh = set(pinned)
+        lit_fresh: set[str] = set()
         while True:
             self.charge()
             self.rounds += 1
@@ -378,11 +371,10 @@ class _Engine:
                             insort(order, other.rank, at)
                 elif red != item.entry:
                     trail.set_entry(item, red)
-            node_fresh |= pins
 
             spliced = False
             touched = {item.rank: item for item in fresh if item.node is not None}
-            for v in node_fresh:
+            for v in pins:
                 for item in occ.get(v, ()):
                     if item.alive and item.node is not None:
                         touched[item.rank] = item
@@ -410,40 +402,32 @@ class _Engine:
             if not pins and not spliced:
                 return
             lit_fresh = pins
-            node_fresh = set()
 
     def _search(self, trail: _Trail):
         """Depth-first search, one loop over a stack of choice points.
 
         A node is propagated, then decided: Omega on a pure conjunction, else
-        it pushes a choice point ``[options, mark, var, hash, complete,
-        undecided, branch]``. Each option is charged and counted as a branch;
-        its child undoes the trail to ``mark`` (the node) and adds the option
-        as a goal in place of ``branch`` or, for a ``var``, as its value. A
-        failed or undecided child moves on to the next option; an undecided
-        one's reason is raised once no sibling answers sat, while the deadline
-        and the step budget stop the whole search. When every child failed
-        and the options were complete (all disjuncts, a boxed range), the
-        node's residual problem is memoized as failed; an exhausted probe
-        window ends in unknown.
+        it pushes a choice point ``[options, mark, hash, undecided, branch]``
+        over the live disjuncts of a disjunction. Each option is charged and
+        counted as a branch; its child undoes the trail to ``mark`` (the
+        node) and adds the option as a goal in place of ``branch``. A failed
+        or undecided child moves on to the next option; an undecided one's
+        reason is raised once no sibling answers sat, while the deadline and
+        the step budget stop the whole search. When every child failed, the
+        node's residual problem is memoized as failed. A node with no
+        disjunction left whose quantified goals are not ground is undecided.
         """
         stack: list[list] = []
         point = None  # the choice point whose option is entered; None: the root
-        pinned = ()
         while True:
             outcome = None  # why the node was undecided; None when it failed
             try:
                 if point is not None:
                     trail.undo(point[1])
                     trail.fresh = []
-                    if point[2] is None:
-                        pinned = ()
-                        trail.kill(point[6])
-                        self._push(trail, option, (), trail.ranks)
-                    else:
-                        trail.pin(point[2], option)
-                        pinned = (point[2],)
-                self._propagate(trail, pinned)
+                    trail.kill(point[4])
+                    self._push(trail, option, (), trail.ranks)
+                self._propagate(trail)
 
                 if not trail.live_nodes:
                     return self._leaf(trail)
@@ -451,17 +435,16 @@ class _Engine:
                 if key in self.failed and trail.residual_key(self.entry_ids) in self.failed[key]:
                     self.memo_hits += 1
                     raise _Fail()
+                if not trail.ors:
+                    raise RefsolverUnknown("non-ground quantified subformula")
 
                 # Branch on the first disjunction with the fewest unpinned
                 # variables: the most-determined goal first, which follows
                 # chained equalities in the order they pin each other instead
                 # of guessing ahead.
-                if not trail.ors:
-                    stack.append(self._branch_on_values(trail, key))
-                else:
-                    branch = trail.ors[0][2]
-                    live = self._live(branch.node, trail.subst)
-                    stack.append([iter(live), len(trail.log), None, key, True, None, branch])
+                branch = trail.ors[0][2]
+                live = self._live(branch.node, trail.subst)
+                stack.append([iter(live), len(trail.log), key, None, branch])
             except _Fail:
                 pass
             except _Stop:
@@ -475,18 +458,16 @@ class _Engine:
                 if not stack:
                     raise _Fail() if outcome is None else RefsolverUnknown(outcome)
                 point = stack[-1]
-                point[5] = point[5] or outcome
+                point[3] = point[3] or outcome
                 option = next(point[0], None)
                 if option is not None:
                     self.charge()
                     self.branches += 1
                     break
-                outcome = point[5]
-                if outcome is None and not point[4]:
-                    outcome = "probe window exhausted"
-                elif outcome is None:
+                outcome = point[3]
+                if outcome is None:
                     trail.undo(point[1])
-                    keys = self.failed.setdefault(point[3], set())
+                    keys = self.failed.setdefault(point[2], set())
                     keys.add(trail.residual_key(self.entry_ids))
                 stack.pop()
 
@@ -506,45 +487,4 @@ class _Engine:
                 raise RefsolverUnknown(str(exc)) from None
             if witness is None:
                 raise _Fail()
-        return {**{v: trail.subst.get(v, 0) for v in trail.evars}, **witness}
-
-    #: Probe width for quantified free variables bounded on one side only;
-    #: finding a witness inside the window is sound, exhausting it is not,
-    #: so the half-bounded case ends in unknown instead of unsat.
-    PROBE_WIDTH = 32
-
-    def _branch_on_values(self, trail: _Trail, key: int):
-        """Last resort for quantified goals with unpinned free variables: a
-        choice point over the values of a variable the current literals box
-        into a finite interval (complete), or over a probe window when only
-        one side is bounded (sat only). Anything else stays undecided."""
-        unpinned: set[str] = set()
-        lows: dict[str, int] = {}
-        highs: dict[str, int] = {}
-        for item in trail.items:
-            if item.alive and item.node is not None:
-                unpinned |= self.frees.of(item.node).difference(trail.subst)
-            elif item.alive and item.entry[0] == "ge" and len(item.entry[1]) == 1:
-                (var, c), const = item.entry[1][0], item.entry[2]
-                if c > 0:  # c*v + const >= 0  ->  v >= ceil(-const/c)
-                    bound = (-const + c - 1) // c
-                    lows[var] = max(lows.get(var, bound), bound)
-                else:  # c < 0: v <= floor(const / -c)
-                    bound = const // (-c)
-                    highs[var] = min(highs.get(var, bound), bound)
-        boxed = half = None
-        for var in sorted(unpinned):
-            lo, hi = lows.get(var), highs.get(var)
-            if lo is not None and hi is not None:
-                if hi < lo:
-                    raise _Fail()
-                if boxed is None or hi - lo < boxed[2] - boxed[1]:
-                    boxed = (var, lo, hi)
-            elif half is None:
-                width = self.PROBE_WIDTH
-                lo = lo if lo is not None else -width // 2 if hi is None else hi - width
-                half = (var, lo, lo + width)
-        if boxed is None and half is None:
-            raise RefsolverUnknown("non-ground quantified subformula")
-        var, lo, hi = boxed or half
-        return [iter(range(lo, hi + 1)), len(trail.log), var, key, boxed is not None, None, None]
+        return {**trail.subst, **witness}

@@ -181,6 +181,76 @@ class TestNotUtf8:
         self.assert_parse_error(self.run_cli(DATA / "reach.bpp", bad, "--jobs", "2"), bad)
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before a problem, system or property file is
+    skipped: the check reads as it does without it."""
+
+    def with_bom(self, tmp_path, source: Path) -> Path:
+        path = tmp_path / source.name
+        path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        return path
+
+    def test_problem_file(self, tmp_path, capsys):
+        code, out, _ = run(capsys, self.with_bom(tmp_path, DATA / "reach.bpp"))
+        assert code == 0
+        assert "result: holds" in out
+
+    def test_system_and_property_files(self, tmp_path, capsys):
+        plain = run(capsys, DATA / "pingpong.acs", DATA / "q0_twice.prop", "--acs")
+        system = self.with_bom(tmp_path, DATA / "pingpong.acs")
+        prop = self.with_bom(tmp_path, DATA / "q0_twice.prop")
+        code, out, err = run(capsys, system, prop, "--acs")
+        assert (code, err) == plain[::2]
+        assert out.split("time_ms")[0] == plain[1].split("time_ms")[0]
+
+
+class TestOutOfMemory:
+    """Running out of memory is never exit 1, the "does not hold" code: a
+    bounded encoding that does leaves its node unknown, and anywhere else
+    the CLI prints one error line and exits 4."""
+
+    #: The window is unsat (P2 only grows), so the check goes on to the
+    #: unrolling, whose encoding at this k outgrows any memory.
+    GROWER = "initial P1 rules P1 -> a -> P1, P2 formula EG(P2 <= 3)\n"
+
+    def test_unrolling_encoding_is_unknown(self, tmp_path, capsys, monkeypatch):
+        from bppcheck.eg import WINDOW, VarAllocator
+
+        path_block = VarAllocator.path_block
+
+        def out_of_memory(self, k, symbols, declare):
+            if k > WINDOW:
+                raise MemoryError
+            return path_block(self, k, symbols, declare)
+
+        monkeypatch.setattr(VarAllocator, "path_block", out_of_memory)
+        problem = tmp_path / "grower.bpp"
+        problem.write_text(self.GROWER)
+        code, out, err = run(capsys, problem, "-k", "100000000", "--format", "json")
+        assert code == 2
+        report = json.loads(out)
+        assert report["result"] == "unknown"
+        assert report["stats"]["reason_unknown"] == "out of memory"
+        assert report["stats"]["solver_calls"] == 1  # the window only
+        assert err == ""
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError, "error: out of memory"),
+        (RecursionError, "error: recursion depth exceeded"),
+    ])
+    def test_elsewhere_is_an_environment_error(self, capsys, monkeypatch, error, message):
+        import bppcheck.parsing
+
+        def fail(text):
+            raise error
+
+        monkeypatch.setattr(bppcheck.parsing, "parse_problem", fail)
+        code, out, err = run(capsys, DATA / "reach.bpp")
+        assert code == 4
+        assert out == ""
+        assert err == message + "\n"
+
+
 class TestNestingLimit:
     """Formulas exactly at the parser's nesting limit check end to end."""
 
@@ -394,6 +464,15 @@ class TestBatch:
         assert out.count("== ") == 2
         assert "result: holds" in out
         assert "result: not-holds" in out
+
+    def test_json_is_one_object_per_line(self, capsys):
+        inputs = [DATA / "unreach.bpp", DATA / "reach.bpp", DATA / "liveness.bpp"]
+        code, out, _ = run(capsys, *inputs, "--jobs", "2", "--format", "json")
+        assert code == 1
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["file"] for r in reports] == [str(path) for path in inputs]
+        assert [r["result"] for r in reports] == ["not-holds", "holds", "holds"]
+        assert list(reports[0]) == ["file", "result", "engine", "k", "time_ms", "witness", "stats"]
 
     def test_emit_smt_rejected_in_batch(self, tmp_path, capsys):
         code, _, err = run(

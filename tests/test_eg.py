@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from bppcheck import eg
 from bppcheck.core import Bpp, Rule, enabled_rules, fire, rule_delta
 from bppcheck.ctl import AF, EF, EG, And, ANext, Cmp, ENext, Imp, Not, Or, walk
 from bppcheck.eg import (
@@ -19,11 +20,34 @@ from bppcheck.eg import (
 )
 from bppcheck.errors import MixedFormula
 from bppcheck.oracle import ExplorationBudget, eval_bounded
+from bppcheck.refsolver import solve_text
 from bppcheck.smt import FALSE, TRUE, Exists, NotF, OrF, SolverConfig, eval_node, has_quantifier
+from bppcheck.smt.runner import parse_info
 
 from .conftest import atom, random_atom, random_bpp, random_marking
 
 REF = SolverConfig((sys.executable, "-m", "bppcheck.refsolver"), 30.0)
+
+#: The bundled solver's reason for a quantified goal with a free variable no
+#: equality pins. Every variable the encoders declare or quantify is pinned
+#: by a step equality once its step disjunction is chosen, so no encoder
+#: script may end in it.
+NON_GROUND = "non-ground quantified subformula"
+
+
+@pytest.fixture
+def solver_reasons(monkeypatch) -> list:
+    """The reason_unknown of every solver call check_eg makes."""
+    reasons = []
+    run_solver = eg.run_solver
+
+    def recording(script, config):
+        outcome = run_solver(script, config)
+        reasons.append(outcome.reason_unknown)
+        return outcome
+
+    monkeypatch.setattr(eg, "run_solver", recording)
+    return reasons
 
 
 class TestParikhMinus:
@@ -293,7 +317,7 @@ def random_eg_formula(rng, bpp, depth):
 
 
 class TestDifferential:
-    def test_against_bounded_oracle(self):
+    def test_against_bounded_oracle(self, solver_reasons):
         rng = random.Random(515)
         budget = ExplorationBudget(max_states=30_000)
         compared = 0
@@ -305,6 +329,7 @@ class TestDifferential:
             f = random_eg_formula(rng, bpp, rng.randint(1, 3))
             expected = eval_bounded(f, init, k, bpp, budget)
             verdict = check_eg(bpp, init, f, k, REF)
+            assert verdict.stats.get("reason_unknown") != NON_GROUND, (bpp, init, k, f)
             if verdict.result == "unknown":
                 unknowns += 1
                 continue
@@ -313,6 +338,40 @@ class TestDifferential:
                 compared += 1
         assert compared >= 45
         assert unknowns <= 3
+        assert NON_GROUND not in solver_reasons
+
+    def test_deep_formulas_leave_no_quantified_goal_non_ground(self, solver_reasons):
+        # Depth 3-4 at k 4-6, through check_eg's per-node scripts and through
+        # the root encode_eg script of the whole formula, which quantifies
+        # every block under a negation. Undecided is allowed (timeout),
+        # non-ground is not, and definite answers agree with each other and
+        # with the oracle.
+        rng = random.Random(1)
+        budget = ExplorationBudget(max_states=30_000)
+        config = SolverConfig(REF.command, 0.5)
+        quantified = unknowns = 0
+        for _ in range(200):
+            bpp = random_bpp(rng, max_symbols=4, max_rules=5, max_rhs=2)
+            init = random_marking(rng, bpp)
+            k = rng.randint(4, 6)
+            f = random_eg_formula(rng, bpp, rng.randint(3, 4))
+            verdict = check_eg(bpp, init, f, k, config)
+            text = encode_eg(bpp, init, f, k).script.text
+            quantified += "(exists" in text
+            out = solve_text(text, deadline=time.perf_counter() + config.timeout_s)
+            status, (reason, _) = out.split("\n", 1)[0], parse_info(out)
+            assert verdict.stats.get("reason_unknown") in (None, "timeout"), (bpp, init, k, f)
+            assert reason in (None, "timeout"), (bpp, init, k, f)
+            results = {verdict.result, {"sat": "holds", "unsat": "not-holds"}.get(status)}
+            results -= {"unknown", None}
+            assert len(results) <= 1, (bpp, init, k, f)
+            unknowns += not results
+            expected = eval_bounded(f, init, k, bpp, budget)
+            if results and expected.is_definite:
+                assert results == {"holds" if expected.value else "not-holds"}, (bpp, init, k, f)
+        assert quantified >= 80
+        assert unknowns <= 3
+        assert NON_GROUND not in solver_reasons
 
 
 class _Unrolling(Exception):
@@ -350,7 +409,7 @@ class TestLassoWindow:
 
     N_INSTANCES = 300
 
-    def test_window_verdicts_match_the_bounded_oracle(self):
+    def test_window_verdicts_match_the_bounded_oracle(self, solver_reasons):
         rng = random.Random(4711)
         budget = ExplorationBudget(max_states=30_000)
         start = time.perf_counter()
@@ -387,6 +446,7 @@ class TestLassoWindow:
                     assert (verdict.result == "holds") == expected.value, (i, bound, f)
                     compared += 1
         elapsed = time.perf_counter() - start
+        assert NON_GROUND not in solver_reasons  # the windows that did not decide too
         assert by_window >= 60, by_window
         assert compared >= by_window * 1.8, (compared, by_window)
         assert elapsed < 5.0, f"took {elapsed:.1f}s"

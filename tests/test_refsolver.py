@@ -35,6 +35,16 @@ def status(script: str) -> str:
     return run(script)[0]
 
 
+#: What a check-sat and a reason query print when a quantified goal is left
+#: with a free variable that no equality pins.
+NON_GROUND = ["unknown", '(:reason-unknown "non-ground quantified subformula")']
+
+
+def answer(script: str) -> list[str]:
+    """The check-sat answer and the reason query's line after it."""
+    return run(script + "(check-sat)(get-info :reason-unknown)")[:2]
+
+
 class TestOmega:
     def test_trivial_sat_with_witness(self):
         w = omega_solve([("ge", {"x": 1}, 0), ("eq", {"x": 1}, -1)])
@@ -188,26 +198,24 @@ class TestScripts:
         assert status("(assert (exists ((t Int)) (and (> t 3) (< t 4))))(check-sat)") == "unsat"
 
     def test_forall_true(self):
-        script = """
-        (declare-const a Int)
-        (assert (and (>= a 0) (<= a 5)))
-        (assert (forall ((t Int)) (or (< t 0) (>= (+ t a) 0))))
-        (check-sat)
-        """
-        assert status(script) == "sat"
+        # Once an equality pins a, the forall is ground and decided; with a
+        # only boxed by inequalities, it stays non-ground.
+        forall = "(assert (forall ((t Int)) (or (< t 0) (>= (+ t a) 0))))"
+        assert status(f"(declare-const a Int)(assert (= a 3)){forall}(check-sat)") == "sat"
+        script = f"(declare-const a Int)(assert (and (>= a 0) (<= a 5))){forall}"
+        assert answer(script) == NON_GROUND
 
     def test_forall_false(self):
         assert status("(assert (forall ((t Int)) (>= t 0)))(check-sat)") == "unsat"
 
     def test_half_bounded_probe_finds_witness(self):
-        # a is only bounded below, but a probe near the bound suffices.
+        # a is only bounded below, and no equality pins it.
         script = """
         (declare-const a Int)
         (assert (>= a 0))
         (assert (forall ((t Int)) (or (< t 0) (>= (+ t a) 0))))
-        (check-sat)
         """
-        assert status(script) == "sat"
+        assert answer(script) == NON_GROUND
 
     def test_unbounded_unsat_is_honest_unknown(self):
         # forall t. t + a >= 0 is false for every a, but proving that needs
@@ -228,27 +236,26 @@ class TestScripts:
         assert status(script) == "sat"
 
     def test_nested_quantifier_under_negation(self):
-        # not exists t. (t >= 0 and t <= x) is satisfied only when x < 0.
-        script = """
-        (declare-const x Int)
-        (assert (not (exists ((t Int)) (and (>= t 0) (<= t x)))))
-        (assert (>= x (- 5)))
-        (check-sat)
-        (get-model)
-        """
-        out = run("(set-option :produce-models true)" + script)
+        # not exists t. (t >= 0 and t <= x) is satisfied only when x < 0:
+        # of the two values a disjunction gives x, only -1 is a witness.
+        block = "(assert (not (exists ((t Int)) (and (>= t 0) (<= t x)))))"
+        out = run(f"(set-option :produce-models true)(declare-const x Int){block}"
+                  "(assert (or (= x 0) (= x (- 1))))(check-sat)(get-model)")
         assert out[0] == "sat"
-        value = [l for l in out if "define-fun x" in l][0]
-        assert "(- " in value  # strictly negative witness
+        assert _model(out)["x"] == -1
+        # With x only bounded, the negated block stays non-ground.
+        assert answer(f"(declare-const x Int){block}(assert (>= x (- 5)))") == NON_GROUND
 
-    #: Literals over x, a disjunction over y and a negated block over z: no
-    #: assert shares y or z with another one.
+    #: Literals over x, a disjunction over y and a negated block over z,
+    #: whose values a disjunction in the same assert gives: no assert shares
+    #: y or z with another one.
     PRIVATE = """
         (set-option :produce-models true)
         (declare-const x Int)(declare-const y Int)(declare-const z Int)
         (assert (>= x 2))(assert (<= (* 2 x) 7))
         (assert (or (= (* 3 y) 7) (and (>= y 4) (<= y 4)) (= (* 2 y) 9)))
-        (assert (not (exists ((t Int)) (and (>= t 0) (< t z)))))
+        (assert (and (or (= z 2) (= z (- 1)))
+                     (not (exists ((t Int)) (and (>= t 0) (< t z))))))
         (check-sat)(get-model)
     """
 
@@ -258,7 +265,7 @@ class TestScripts:
         m = _model(out)
         assert 2 <= m["x"] and 2 * m["x"] <= 7
         assert 3 * m["y"] == 7 or m["y"] == 4 or 2 * m["y"] == 9
-        assert m["z"] <= 0  # no t with 0 <= t < z
+        assert m["z"] == -1  # no t with 0 <= t < z
 
     def test_private_disjunction_without_solution_is_unsat(self):
         script = self.PRIVATE.replace("(and (>= y 4) (<= y 4))", "(= (* 4 y) 6)")
@@ -341,9 +348,9 @@ class TestScripts:
         assert proc.stdout.splitlines() == expected
 
 
-#: An assertion the engine can only probe: a is bounded below only, and
-#: (forall t. t + a >= 0) is false for every a, so every value in the probe
-#: window fails and the window is exhausted (undecided, not unsat).
+#: An assertion the engine cannot decide: (forall t. t + a >= 0) is false
+#: for every a, but no equality pins a, so the forall is never ground
+#: (undecided, not unsat).
 UNDECIDED = "(and (>= a 0) (forall ((t Int)) (>= (+ t a) 0)))"
 
 
@@ -369,13 +376,13 @@ class TestUndecidedChild:
             f"(assert (or {UNDECIDED} (and (= b 1) (= b 2))))"
             "(check-sat)(get-info :reason-unknown)(get-info :all-statistics)"
         )
-        assert out[:2] == ["unknown", '(:reason-unknown "probe window exhausted")']
+        assert out[:2] == NON_GROUND
         stats = out[2].strip("()").split()
         pairs = dict(zip(stats[::2], stats[1::2]))
         assert pairs[":failed-memo-hits"] == "0"
         # Each of the 2 branches on c opens 2 on b; each of those opens the
-        # 2 disjuncts, and the undecided one 33 probed values of a.
-        assert pairs[":branches"] == str(2 * (1 + 2 * (1 + 2 + 33)))
+        # 2 disjuncts.
+        assert pairs[":branches"] == str(2 * (1 + 2 * (1 + 2)))
 
     def test_does_not_mask_a_spent_step_budget(self, monkeypatch):
         # The first disjunct is undecided; the step budget then runs out in
@@ -395,45 +402,34 @@ class TestUndecidedChild:
 
 
 class TestBranchOnValues:
-    """Choice points over the values of a boxed free variable of a
-    quantified goal, the search's last resort."""
+    """A quantified goal's free variable takes its values from a disjunction
+    of equalities: the search branches over the disjuncts, and never over
+    the values of a variable that inequalities only box."""
 
-    @pytest.fixture
-    def value_choices(self, monkeypatch) -> list:
-        made = []
-        branch_on_values = _Engine._branch_on_values
-
-        def recording(self, *args):
-            made.append(branch_on_values(self, *args))
-            return made[-1]
-
-        monkeypatch.setattr(_Engine, "_branch_on_values", recording)
-        return made
-
-    def test_undecided_value_before_a_sat_one(self, value_choices):
+    def test_undecided_value_before_a_sat_one(self):
         # With c = 0 the ground forall needs UNDECIDED refuted for every a,
         # and that check is undecided; with c = 1 the forall is true.
+        forall = f"(assert (forall ((a Int)) (or (>= c 1) (not {UNDECIDED}))))"
         out = run(
             "(set-option :produce-models true)(declare-const c Int)"
-            "(assert (>= c 0))(assert (<= c 1))"
-            f"(assert (forall ((a Int)) (or (>= c 1) (not {UNDECIDED}))))"
+            f"(assert (or (= c 0) (= c 1))){forall}"
             "(check-sat)(get-model)(get-info :all-statistics)"
         )
         assert out[0] == "sat"
         assert _model(out)["c"] == 1
         stats = out[-1].strip("()").split()
-        # 2 values of c, and under c = 0 the 33 probed values of a.
-        assert dict(zip(stats[::2], stats[1::2]))[":branches"] == "35"
-        assert [choice[4] for choice in value_choices] == [True, False]  # complete or not
+        assert dict(zip(stats[::2], stats[1::2]))[":branches"] == "2"  # c = 0, c = 1
+        assert answer(f"(declare-const c Int)(assert (>= c 0))(assert (<= c 1)){forall}") \
+            == NON_GROUND
 
-    def test_exhausted_range_is_memoized(self, value_choices):
-        # Both values of d leave the same residual problem: c in [0, 1] under
+    def test_exhausted_range_is_memoized(self):
+        # Both values of d leave the same residual problem: c in {0, 1} under
         # a forall that fails for each. The first visit exhausts the values
         # of c and memoizes the problem as failed; the second is a memo hit.
         out = run(
             "(declare-const c Int)(declare-const d Int)"
             "(assert (>= d 0))(assert (or (= d 0) (= d 1)))"
-            "(assert (>= c 0))(assert (<= c 1))(assert (forall ((t Int)) (>= t c)))"
+            "(assert (or (= c 0) (= c 1)))(assert (forall ((t Int)) (>= t c)))"
             "(check-sat)(get-info :all-statistics)"
         )
         assert out[0] == "unsat"
@@ -441,7 +437,6 @@ class TestBranchOnValues:
         pairs = dict(zip(stats[::2], stats[1::2]))
         assert pairs[":failed-memo-hits"] == "1"
         assert pairs[":branches"] == "4"  # d = 0, then c = 0 and 1, then d = 1
-        assert len(value_choices) == 1
 
 
 class TestGetInfo:
@@ -480,6 +475,8 @@ class TestGetInfo:
         assert out == ["unknown", '(:reason-unknown "unsupported formula shape")']
 
     def test_probe_window_is_the_reason(self):
+        # The forall's free variable a is bounded on one side only, so the
+        # reason names the non-ground goal.
         out = run(
             """
             (declare-const a Int)
@@ -489,7 +486,7 @@ class TestGetInfo:
             (get-info :reason-unknown)
             """
         )
-        assert out == ["unknown", '(:reason-unknown "probe window exhausted")']
+        assert out == NON_GROUND
 
     def test_no_reason_after_a_definite_answer(self):
         out = run("(assert false)(check-sat)(get-info :reason-unknown)")
@@ -710,8 +707,12 @@ class TestRandomMinusTerms:
 class TestRandomSingleQuantifier:
     def test_exists_block_vs_enumeration(self):
         # exists(q) phi(q, w) with both q and w boxed: compare against
-        # enumeration over the product box.
+        # enumeration over the product box. A negated block over w0 is
+        # ground only once w0 is pinned, so with w0 boxed by inequalities it
+        # may be undecided, never wrong; with the box written as a
+        # disjunction of w0's values every instance is decided.
         rng = random.Random(303)
+        undecided = 0
         for _ in range(150):
             names = ["w0"]
             qvar = "q0"
@@ -721,11 +722,7 @@ class TestRandomSingleQuantifier:
             wrap = rng.choice(["plain", "neg"])
             if wrap == "neg":
                 inner = f"(not {inner})"
-            script = (
-                f"(declare-const w0 Int)"
-                f"(assert (and (>= w0 (- {box})) (<= w0 {box})))"
-                f"(assert {inner})(check-sat)"
-            )
+            values = " ".join(f"(= w0 {_num(v)})" for v in range(-box, box + 1))
 
             def outer_truth(wval: int) -> bool:
                 found = any(
@@ -734,9 +731,16 @@ class TestRandomSingleQuantifier:
                 )
                 return (not found) if wrap == "neg" else found
 
-            expected = any(outer_truth(wv) for wv in range(-box, box + 1))
-            got = status(script)
-            assert got == ("sat" if expected else "unsat"), script
+            expected = "sat" if any(outer_truth(wv) for wv in range(-box, box + 1)) else "unsat"
+            for pinned, w0_box in ((False, f"(and (>= w0 (- {box})) (<= w0 {box}))"),
+                                   (True, f"(or {values})")):
+                script = f"(declare-const w0 Int)(assert {w0_box})(assert {inner})"
+                got = answer(script)
+                if got == NON_GROUND and wrap == "neg" and not pinned:
+                    undecided += 1
+                else:
+                    assert got[0] == expected, script
+        assert 0 < undecided < 75
 
 
 def _random_formula(rng, names, depth):
