@@ -1,16 +1,17 @@
 """Reachability checking, end to end.
 
 A process system where S hands off to X and X keeps spawning Y tokens.
-We ask whether a configuration with exactly one Y is reachable, read the
-firing counts out of the model the refinement loop accepted (the witness),
-and replay them as a concrete firing sequence.
+We ask whether a configuration with exactly one Y is reachable, watch the
+refinement rounds go to the solver, read the firing counts out of the
+model the loop accepted (the witness), and replay them as a concrete
+firing sequence.
 
 Run:  python demos/01_reachability.py
 """
 
 from bppcheck.core import Bpp, Rule, TAU
-from bppcheck.ctl import Atom, Cmp, EF, LinearAtom
-from bppcheck.ef import check_ef_detailed, realize_firing_counts
+from bppcheck.ctl import Atom, Cmp, EF, LinearAtom, check
+from bppcheck.ef import encode_flow, realize_firing_counts
 from bppcheck.smt import resolve_solver
 
 
@@ -28,15 +29,20 @@ def main() -> None:
     solver = resolve_solver()
     print(f"solver command: {' '.join(solver.command)}")
 
-    verdict, encoding, rounds = check_ef_detailed(system, initial, wanted, solver)
+    # Each refinement round is one self-contained script; on_script sees it
+    # before the solver does. The EF formula has no E<a>, so k plays no part.
+    rounds = []
+    verdict = check(system, initial, wanted, 0, solver, on_script=rounds.append)
     print(f"EF(Y == 1): {verdict.result}")
+    for i, script in enumerate(rounds):  # every round after the first adds one cut
+        print(f"  round {i + 1}: {len(script.text)} bytes, {i} cut(s)")
+    print(f"refinement rounds: {verdict.stats['ef_rounds']}")
     print("solver model:")
     for name, value in verdict.witness.items():
         print(f"  ({name}, {value})")
 
-    print(f"refinement rounds: {len(rounds[0])}")
-
-    counts = {rid: verdict.witness[y] for rid, y in encoding.vars.y.items()}
+    ys = encode_flow(system, initial).vars.y  # rule id -> firing-count variable
+    counts = {rid: verdict.witness[y] for rid, y in ys.items()}
     sequence, reached = realize_firing_counts(system, initial, counts)
     print(f"firing counts per rule: {counts}")
     print(f"one concrete interleaving: {sequence}")
@@ -44,7 +50,7 @@ def main() -> None:
 
     # The same pipeline refutes unreachable targets: S never comes back.
     impossible = EF(Atom(LinearAtom((("S", 1),), Cmp.GE, 2)))
-    verdict, _, _ = check_ef_detailed(system, initial, impossible, solver)
+    verdict = check(system, initial, impossible, 0, solver)
     print(f"EF(S >= 2): {verdict.result}")
 
 

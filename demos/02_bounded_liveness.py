@@ -12,8 +12,7 @@ Run:  python demos/02_bounded_liveness.py
 """
 
 from bppcheck.core import Bpp, Rule
-from bppcheck.ctl import Atom, Cmp, EG, ENext, LinearAtom
-from bppcheck.eg import check_eg
+from bppcheck.ctl import Atom, Cmp, EG, ENext, LinearAtom, check
 from bppcheck.smt import resolve_solver
 
 
@@ -33,7 +32,7 @@ def main() -> None:
 
     solver = resolve_solver()
     for k in (0, 2, 5, 10, 20, 1000):
-        verdict = check_eg(system, initial, keeps_supply, k, solver)
+        verdict = check(system, initial, keeps_supply, k, solver)
         print(
             f"k={k:4d}: {verdict.result:9s} "
             f"bound={verdict.stats['bound']!s:9s} "
@@ -46,7 +45,7 @@ def main() -> None:
     one_shot = Bpp(("A", "B"), (Rule(0, "A", "go", ("B",)),))
     anything = Atom(LinearAtom((("A", 1), ("B", 1)), Cmp.GE, 0))
     for k in (1, 2, 10):
-        verdict = check_eg(one_shot, (1, 0), EG(anything), k, solver)
+        verdict = check(one_shot, (1, 0), EG(anything), k, solver)
         print(f"one-shot system, k={k}: {verdict.result} "
               f"(bound={verdict.stats['bound']}, solver_calls={verdict.stats['solver_calls']})")
 

@@ -10,7 +10,7 @@ Run:  python demos/03_actor_systems.py
 
 from bppcheck.acs import acs_successors, convert, convert_place
 from bppcheck.core import enabled_rules
-from bppcheck.ef import check_ef_detailed
+from bppcheck.ctl import check
 from bppcheck.parsing import parse_acs, parse_property
 from bppcheck.smt import resolve_solver
 
@@ -37,7 +37,7 @@ def main() -> None:
     solver = resolve_solver()
     for text in ("EF(q0 >= 2)", "EF(q1 >= 2)", "EF(mail(p, m) >= 2)", "EF(mail(p, m) >= 0)"):
         formula = parse_property(text, cb)
-        verdict, _, _ = check_ef_detailed(cb.bpp, init, formula, solver)
+        verdict = check(cb.bpp, init, formula, 0, solver)
         print(f"{text:24s} -> {verdict.result}")
 
     # Where the over-approximation shows: one state that both sends and

@@ -62,10 +62,10 @@ def build_parser() -> _Parser:
                         "(default: $BPPCHECK_SOLVER, else z3 -in -smt2 when z3 is on "
                         "PATH, else the bundled solver, which runs in process)")
     parser.add_argument("--timeout", type=float, default=60.0, metavar="SECS",
-                        help="budget in seconds (default 60) per EF node, shared by "
-                        "all of its refinement rounds, or per bounded check: the "
-                        "bundled solver stops itself at it, a solver command is "
-                        "killed shortly after it")
+                        help="budget in seconds (default 60) for the whole check, "
+                        "shared by all of its solver calls: the bundled solver "
+                        "stops itself at it, a solver command is killed shortly "
+                        "after it")
     parser.add_argument("--emit-smt", metavar="PATH",
                         help="dump the exact script bytes sent to the solver")
     parser.add_argument("--dot", metavar="PATH",
@@ -191,25 +191,13 @@ def _check(bpp, init, formula, opts) -> tuple[str, int]:
     """Run the check and return its rendered report and exit code."""
     import time
 
-    from .ctl import FormulaClass, classify
+    from .ctl import check
     from .smt import resolve_solver
 
     config = resolve_solver(opts.solver, timeout_s=opts.timeout)
     scripts: list[SmtScript] = []
-    # The formula class picks the engine; only that engine is imported.
-    cls = classify(formula)
-    if cls == FormulaClass.MIXED:
-        raise MixedFormula("formula mixes EF with EG/E<a>; no engine decides it exactly")
-    if cls == FormulaClass.EF_CLASS:
-        from .ef import check_ef
-
-        start = time.perf_counter()
-        verdict = check_ef(bpp, init, formula, config, on_script=scripts.append)
-    else:
-        from .eg import check_eg
-
-        start = time.perf_counter()
-        verdict = check_eg(bpp, init, formula, opts.k, config, on_script=scripts.append)
+    start = time.perf_counter()
+    verdict = check(bpp, init, formula, opts.k, config, on_script=scripts.append)
     total_ms = (time.perf_counter() - start) * 1000.0
 
     if opts.dot:

@@ -3,19 +3,24 @@
 Every formula is built from six node types: Atom (an integer-linear
 constraint over symbol counts), Not, And, ENext (E<a>), EG and EF. The
 derived connectives Or, Imp, ANext (A<a>) and AF are constructors that
-return their core definitions, so no other node type exists. ``evaluate``,
-for both engines, evaluates everything above the first EG or EF at concrete
-markings and hands each such node to its engine.
+return their core definitions, so no other node type exists. ``check``
+decides a formula: ``evaluate`` evaluates everything above the first EG or
+EF at concrete markings and hands each such node to its engine.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterator, Union
+import time
+from collections import Counter
+from typing import TYPE_CHECKING, Callable, Iterator, Union
 
 from .core import Bpp, Marking, successors
-from .errors import UnknownSymbol
+from .errors import MixedFormula, UnknownSymbol
 from .record import Record, setfield
+
+if TYPE_CHECKING:  # the solver back end is imported where a check starts
+    from .smt import SmtScript, SolverConfig, SolverOutcome, Verdict
 
 
 class Cmp(enum.Enum):
@@ -160,31 +165,20 @@ def contains_ef(f: Formula) -> bool:
     return any(isinstance(g, EF) for g in walk(f))
 
 
-def _ef_shaped(f: Formula) -> bool:
-    # Propositional combination of atoms and EF(propositional-over-atoms).
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return _ef_shaped(f.sub)
-    if isinstance(f, And):
-        return _ef_shaped(f.left) and _ef_shaped(f.right)
-    if isinstance(f, EF):
-        return atoms_only(f.sub)
-    return False
-
-
 def classify(f: Formula) -> FormulaClass:
-    """Route a formula to the engine that decides it exactly.
+    """What no engine compiles, and else the engine a verdict names.
 
-    EF_CLASS: propositional combination of atoms and EF nodes whose bodies
-    are propositional over atoms. EG_CLASS: no EF anywhere. Anything else is
-    MIXED and rejected by the checker.
-    """
-    if _ef_shaped(f):
-        return FormulaClass.EF_CLASS
-    if not contains_ef(f):
+    MIXED: an EF body that is not propositional over atoms, or an EG body
+    with an EF in it. EF_CLASS: no EG or E<a> anywhere, so the EF nodes
+    decide the formula exactly at every bound. EG_CLASS: anything else,
+    decided under the k-step semantics."""
+    nodes = list(walk(f))
+    if any(isinstance(g, EF) and not atoms_only(g.sub) or isinstance(g, EG) and contains_ef(g.sub)
+           for g in nodes):
+        return FormulaClass.MIXED
+    if any(isinstance(g, (EG, ENext)) for g in nodes):
         return FormulaClass.EG_CLASS
-    return FormulaClass.MIXED
+    return FormulaClass.EF_CLASS
 
 
 def eval_atomic(atom: LinearAtom, m: Marking, bpp: Bpp) -> bool:
@@ -230,3 +224,101 @@ def evaluate(f: Formula, m: Marking, bpp: Bpp, k: int,
         value = decide(f, m)
     memo[key] = value
     return value
+
+
+class CheckRun:
+    """What one ``check`` shares with the engines that decide its nodes:
+    the system, the bound, one deadline (a ``time.perf_counter()`` value)
+    and every solver call, the counters the verdict reports (engines add
+    to them), and the witness of the first node that holds and the reason
+    of the first that is unknown."""
+
+    def __init__(self, bpp: Bpp, k: int, config: SolverConfig, on_script: Callable | None):
+        from . import smt
+
+        self.bpp, self.k = bpp, k
+        self.deadline = time.perf_counter() + config.timeout_s
+        self.counts: Counter[str] = Counter()
+        self.outcomes: list = []
+        self.witness: dict | None = None
+        self.lasso: list | None = None
+        self.reason: str | None = None
+        self._smt, self._command, self._on_script = smt, config.command, on_script
+
+    def left(self, until: float | None = None) -> float:
+        """Seconds left before the deadline, or before ``until``."""
+        return (self.deadline if until is None else until) - time.perf_counter()
+
+    def solve(self, script: SmtScript, until: float | None = None) -> SolverOutcome:
+        """One solver call, with the time left before the deadline or ``until``."""
+        if self._on_script is not None:
+            self._on_script(script)
+        config = self._smt.SolverConfig(self._command, self.left(until))
+        self.outcomes.append(self._smt.run_solver(script, config))
+        return self.outcomes[-1]
+
+    def holds(self, witness: dict, lasso: list | None = None) -> bool:
+        if self.witness is None:
+            self.witness, self.lasso = witness, lasso
+        return True
+
+    def unknown(self, reason: str | None) -> None:
+        self.reason = self.reason or reason or "unreported"
+
+
+def check(bpp: Bpp, init: Marking, f: Formula, k: int, config: SolverConfig,
+          on_script: Callable[[SmtScript], None] | None = None) -> Verdict:
+    """The verdict of f at the initial marking under the k-step semantics.
+
+    ``classify`` rejects what no engine compiles (MixedFormula) and names
+    the engine the verdict reports: ``ef`` (k null) for a formula with no
+    EG or E<a>, else ``eg-bounded``. ``evaluate`` hands each EF node it
+    meets, at its concrete marking, to ``ef.decide`` (lazy siphon
+    refinement, exact) and each EG node to ``eg.decide`` (the lasso
+    window, then the k-step unrolling); each engine is imported where
+    evaluation first reaches one of its nodes. Every node shares the
+    config's timeout from the start of the check: each solver call gets
+    what is left, and a node that runs out of it is unknown with reason
+    ``timeout``. The witness is that of the first node that holds, in
+    evaluation order: an EF model of x and y counts, or an EG path
+    u0..uk (a pumped lasso has its loop in ``stats["lasso"]``); None when
+    none holds."""
+    cls = classify(f)
+    if cls is FormulaClass.MIXED:
+        raise MixedFormula("an EF body with EF, EG or E<a> in it, or an EG body with EF in "
+                           "it: no engine decides it exactly")
+    bpp.check_marking(init)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    from . import smt
+
+    run = CheckRun(bpp, k, config, on_script)
+
+    def decide(node: Formula, m: Marking) -> bool | None:
+        if isinstance(node, EF):
+            from .ef import decide as engine
+        else:
+            from .eg import decide as engine
+        return engine(run, node, m)
+
+    value = evaluate(f, tuple(init), bpp, k, decide)
+    counts = run.counts
+    # Every EF node's flow declares the same x and y names, so they count once.
+    stats = {"n_vars": counts["flow_vars"] + counts["eg_vars"], "n_asserts": counts["n_asserts"]}
+    if cls is FormulaClass.EF_CLASS or contains_ef(f):
+        stats["ef_rounds"] = counts["ef_rounds"]
+    stats.update(smt.solver_stats(run.outcomes))
+    if cls is FormulaClass.EG_CLASS:
+        stats.update(
+            path_vars_declared=counts["path_vars_declared"],
+            path_vars_total=counts["path_vars_total"],
+            target_vars=counts["target_vars"],
+            bound="unbounded" if 0 < counts["eg_nodes"] == counts["lasso_nodes"] else k,
+        )
+        if run.lasso is not None:
+            stats["lasso"] = run.lasso
+    if value is None:
+        stats["reason_unknown"] = run.reason
+    result = "unknown" if value is None else ("holds" if value else "not-holds")
+    engine, bound = ("ef", None) if cls is FormulaClass.EF_CLASS else ("eg-bounded", k)
+    return smt.Verdict(result=result, engine=engine, k=bound, witness=run.witness, stats=stats)

@@ -3,7 +3,8 @@
 Firing counts y of a BPP are realizable iff they satisfy the flow equations
 and every used rule has a left symbol derivable from the initially marked
 symbols through used rules (Esparza, Fundamenta Informaticae 31, 1997).
-Each EF node is a loop: solve the flow equations plus the body and, while
+``decide`` runs one loop per EF node that ``ctl.check`` meets at a
+concrete marking: solve the flow equations plus the body and, while
 the model's support is not derivable, add a cut that the model breaks and
 every run satisfies (``siphon_cut``), as Petrinizer does (CAV 2014). Every
 sat model is re-checked by the independent evaluator; only an accepted one
@@ -16,28 +17,11 @@ checker does not call it.
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
 from .core import Bpp, Marking, Rule, fire, rule_delta
-from .ctl import And, Atom, Formula, FormulaClass, Not, classify, evaluate
+from .ctl import EF, And, Atom, CheckRun, Formula, Not
 from .errors import MixedFormula, SolverProtocolError, UnknownSymbol
 from .record import Record, setfield
-from .smt import (
-    Node,
-    SolverConfig,
-    SmtScript,
-    SolverOutcome,
-    Verdict,
-    conj,
-    disj,
-    eval_node,
-    lin,
-    neg,
-    run_solver,
-    solver_stats,
-    to_smtlib,
-)
+from .smt import Node, conj, disj, eval_node, lin, neg, to_smtlib
 
 _CMP_TO_SMT = {"==": "=", "!=": "!=", ">=": ">=", "<=": "<=", ">": ">", "<": "<"}
 
@@ -209,93 +193,37 @@ def siphon_cut(bpp: Bpp, init: Marking, ys: dict[int, str], model: dict[str, int
     return disj([lin(feeders, ">=", 1), no_inside]) if feeders else no_inside
 
 
-def check_ef_detailed(
-    bpp: Bpp,
-    init: Marking,
-    f: Formula,
-    config: SolverConfig,
-    on_script: Callable[[SmtScript], None] | None = None,
-) -> tuple[Verdict, ReachabilityEncoding, list[list[SolverOutcome]]]:
-    """Decide an EF-class formula at the initial marking.
+def decide(run: CheckRun, node: EF, m: Marking) -> bool | None:
+    """Decide the EF node at the concrete marking m for ``ctl.check``.
 
-    ``ctl.evaluate`` evaluates the boolean structure on the initial marking,
-    three-valued (unknown stays unknown unless the boolean context decides
-    regardless), and hands it every EF node: one refinement loop over (flow
-    equations AND body over x AND the cuts so far). A node's rounds share
-    ``config.timeout_s`` from its first round, each round gets the time
-    left, and a node whose time runs out between rounds is unknown with
-    reason ``timeout``. Returns the verdict, the flow encoding and, per EF
-    node in evaluation order, the outcome of each round.
-    """
-    if classify(f) != FormulaClass.EF_CLASS:
-        raise MixedFormula(
-            "not an EF-class formula; EG/E<a> content belongs to the bounded engine"
-        )
-    flow = encode_flow(bpp, init)
-    nodes: list[list[SolverOutcome]] = []
-    witnesses: list[dict[str, int]] = []
-    reasons: list[str] = []
-    n_asserts = 0
-
-    def solve_ef(psi: Formula) -> bool | None:
-        nonlocal n_asserts
-        parts = list(flow.constraints) + [atoms_to_node(psi, flow.vars.x)]
-        rounds: list[SolverOutcome] = []
-        nodes.append(rounds)
-        deadline = time.perf_counter() + config.timeout_s
-        while True:
-            left = deadline - time.perf_counter()
-            if left <= 0:
-                reasons.append("timeout")
-                return None
-            node = conj(parts)
-            script = to_smtlib(node, flow.declarations)
-            if on_script is not None:
-                on_script(script)
-            outcome = run_solver(script, SolverConfig(config.command, left))
-            # Never trust model printing: the bindings must satisfy every
-            # emitted constraint under the independent evaluator.
-            if outcome.status == "sat" and not eval_node(node, outcome.model):
-                raise SolverProtocolError("solver model does not satisfy the encoding")
-            rounds.append(outcome)
-            n_asserts += len(parts)
-            if outcome.status == "unsat":
-                return False
-            if outcome.status != "sat":
-                reasons.append(outcome.reason_unknown or "unreported")
-                return None
-            cut = siphon_cut(bpp, init, flow.vars.y, outcome.model)
-            if cut is None:
-                witnesses.append(outcome.model)
-                return True
-            parts.append(cut)
-
-    # An EF-class formula has no E<a>, so the bound plays no part.
-    value = evaluate(f, init, bpp, 0, lambda node, _: solve_ef(node.sub))
-    outcomes = [outcome for rounds in nodes for outcome in rounds]
-    stats = {
-        "n_vars": len(flow.declarations),
-        "n_asserts": n_asserts,
-        "ef_rounds": len(outcomes),
-        **solver_stats(outcomes),
-    }
-    if value is None:
-        stats["reason_unknown"] = reasons[0]
-    result = "unknown" if value is None else ("holds" if value else "not-holds")
-    witness = witnesses[0] if witnesses else None
-    verdict = Verdict(result=result, engine="ef", k=None, witness=witness, stats=stats)
-    return verdict, flow, nodes
-
-
-def check_ef(
-    bpp: Bpp,
-    init: Marking,
-    f: Formula,
-    config: SolverConfig,
-    on_script: Callable[[SmtScript], None] | None = None,
-) -> Verdict:
-    verdict, _, _ = check_ef_detailed(bpp, init, f, config, on_script)
-    return verdict
+    One refinement loop: solve the flow equations from m, the body over x
+    and the cuts so far; while the model's used rules are not derivable
+    from m, add the cut that ``siphon_cut`` returns and solve again. Each
+    round is one self-contained script and gets the time the check has
+    left; a node whose time runs out between rounds is unknown with reason
+    ``timeout``. The accepted model is the node's witness."""
+    bpp = run.bpp
+    flow = encode_flow(bpp, m)
+    run.counts["flow_vars"] = len(flow.declarations)  # the same names at every node
+    parts = list(flow.constraints) + [atoms_to_node(node.sub, flow.vars.x)]
+    while True:
+        if run.left() <= 0:
+            return run.unknown("timeout")
+        formula = conj(parts)
+        outcome = run.solve(to_smtlib(formula, flow.declarations))
+        # Never trust model printing: the bindings must satisfy every
+        # emitted constraint under the independent evaluator.
+        if outcome.status == "sat" and not eval_node(formula, outcome.model):
+            raise SolverProtocolError("solver model does not satisfy the encoding")
+        run.counts.update(ef_rounds=1, n_asserts=len(parts))
+        if outcome.status == "unsat":
+            return False
+        if outcome.status != "sat":
+            return run.unknown(outcome.reason_unknown)
+        cut = siphon_cut(bpp, m, flow.vars.y, outcome.model)
+        if cut is None:
+            return run.holds(outcome.model)
+        parts.append(cut)
 
 
 def realize_firing_counts(

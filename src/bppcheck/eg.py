@@ -1,6 +1,6 @@
 """Bounded liveness checking: k-step semantics compiled to integer arithmetic.
 
-``check_eg`` compiles only the EG nodes ``ctl.evaluate`` meets, each at its
+``decide`` compiles only the EG nodes ``ctl.check`` meets, each at its
 concrete marking.
 
 The compiler recurses over the formula: atoms substitute the state vector,
@@ -13,13 +13,13 @@ bodies of such blocks is declared as constants when it is made, so solver
 models expose it; a block under a negation is wrapped in ``exists`` where
 it is made.
 
-An EG φ node whose body has no EG or EF is first tried on a window, at
+An EG φ node whose body has no EG is first tried on a window, at
 k > WINDOW: the EG block of ``WINDOW`` steps, conjoined with a lasso, a
 position i < WINDOW with u_i ≤ u_WINDOW in every component, where the drift
 d = u_WINDOW − u_i moves no atom of φ (in negation normal form) towards
 false. BPP firing is monotone, so the segment from u_i fires again from
 u_WINDOW forever (u_t = u_{t−L} + d), φ holds at every position, and EG φ
-holds at every bound. ``check_eg`` pumps the window's model to k steps and
+holds at every bound. ``decide`` pumps the window's model to k steps and
 replays it concretely before it counts; a window that does not decide
 falls back to the k-step unrolling.
 """
@@ -27,27 +27,22 @@ falls back to the k-step unrolling.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Bpp, Marking, Rule, rule_delta
-from .ctl import EF, And, Atom, EG, ENext, Formula, Not, contains_ef, evaluate, walk
+from .ctl import And, Atom, CheckRun, EG, ENext, Formula, Not, evaluate, walk
 from .errors import EncodingTimeout, MixedFormula, SolverProtocolError, UnknownSymbol
 from .smt import (
     FALSE,
     TRUE,
     Node,
     SmtScript,
-    SolverConfig,
-    SolverOutcome,
-    Verdict,
     conj,
     disj,
     eval_node,
     exists,
     lin,
     neg,
-    run_solver,
-    solver_stats,
     to_smtlib,
 )
 
@@ -227,6 +222,13 @@ class EgEncoding:
     def target_vars_total(self) -> int:
         return sum(len(block) for block in self.alloc.target_blocks)
 
+    def counts(self) -> dict[str, int]:
+        """What the script adds to a verdict's counters: it is one assertion."""
+        return {"eg_vars": len(self.declared) + self.path_vars_quantified, "n_asserts": 1,
+                "path_vars_declared": self.path_vars_declared,
+                "path_vars_total": self.path_vars_total,
+                "target_vars": self.target_vars_total}
+
 
 def _finish(node: Node, alloc: VarAllocator) -> EgEncoding:
     """Serialize and check the deadline once the script is done."""
@@ -239,7 +241,8 @@ def _finish(node: Node, alloc: VarAllocator) -> EgEncoding:
 def encode_eg(
     bpp: Bpp, init: Marking, f: Formula, k: int, deadline: float | None = None
 ) -> EgEncoding:
-    """Compile an EF-free formula at the concrete initial marking.
+    """Compile an EF-free formula at the concrete initial marking (an EF
+    node raises MixedFormula).
 
     Raises EncodingTimeout when a block, a target state or a path step is
     made, or the script is done, past the deadline (a
@@ -247,8 +250,6 @@ def encode_eg(
     bpp.check_marking(init)
     if k < 0:
         raise ValueError("k must be >= 0")
-    if contains_ef(f):
-        raise MixedFormula("EF belongs to the reachability engine")
     alloc = VarAllocator(deadline)
     return _finish(trans(f, tuple(init), k, bpp, alloc), alloc)
 
@@ -345,104 +346,49 @@ def _pump(
     return path
 
 
-def check_eg(
-    bpp: Bpp,
-    init: Marking,
-    f: Formula,
-    k: int,
-    config: SolverConfig,
-    on_script: Callable[[SmtScript], None] | None = None,
-) -> Verdict:
-    """Bounded verdict at the initial marking under the k-step semantics.
+def decide(run: CheckRun, node: EG, m: Marking) -> bool | None:
+    """Decide the EG node at the concrete marking m for ``ctl.check``.
 
-    ``ctl.evaluate`` hands each EG node it meets to ``decide``. At
-    k > WINDOW a node whose body has no EG is first tried on the lasso
+    At k > WINDOW a node whose body has no EG is first tried on the lasso
     window, which decides it at every bound; otherwise, or when the window
-    does not decide, ``encode_eg`` of the node at its marking decides it at
-    bound k. ``stats["bound"]`` is ``"unbounded"`` when a lasso decided
-    every node consulted, else k. The witness is the path of the first node
-    that holds, in evaluation order: a pumped lasso (its loop is
-    ``stats["lasso"]``) or the unrolling's model; None when none holds.
-
-    The check shares the config's timeout: an encoding, pumping or replay
-    that runs past it leaves its node unknown (reason ``timeout``) without
-    another solver call, each call gets what is left, and each window half
-    of what is left when it starts. One that runs out of memory leaves its
-    node unknown too (reason ``out of memory``)."""
-    bpp.check_marking(init)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if contains_ef(f):
-        raise MixedFormula("EF belongs to the reachability engine")
-    deadline = time.perf_counter() + config.timeout_s
-    outcomes: list[SolverOutcome] = []
-    deciders: list[EgEncoding] = []  # the script that answered each node
-    by_lasso: list[bool] = []  # per EG node consulted
-    paths: list[tuple[dict, list | None]] = []  # per EG node that holds
-    reasons: list[str] = []
-
-    def solve(enc: EgEncoding, until: float) -> SolverOutcome:
-        if on_script is not None:
-            on_script(enc.script)
-        left = SolverConfig(config.command, until - time.perf_counter())
-        outcomes.append(run_solver(enc.script, left))
-        return outcomes[-1]
-
-    def decide(node: EG, m: Marking) -> bool | None:
-        by_lasso.append(False)
-        try:
-            if k > WINDOW and not any(isinstance(g, (EG, EF)) for g in walk(node.sub)):
-                now = time.perf_counter()
-                until = now + (deadline - now) / 2
-                try:
-                    enc, u, lassos = _encode_window(bpp, m, node.sub, until)
-                except EncodingTimeout:
-                    model = None
-                else:
-                    model = solve(enc, until).model  # a model comes with sat only
-                if model is not None:
-                    start = next((i for i, lasso in enumerate(lassos)
-                                  if eval_node(lasso, model)), None)
-                    if start is None:
-                        raise SolverProtocolError("lasso window model closes no lasso")
-                    window = [tuple(model[name] for name in state) for state in u]
-                    path = _pump(bpp, m, node.sub, window, start, k, deadline)
-                    deciders.append(enc)
-                    by_lasso[-1] = True
-                    paths.append(({f"u{j}_{sym}": p[c] for j, p in enumerate(path)
-                                   for c, sym in enumerate(bpp.symbols)}, [start, WINDOW]))
-                    return True
-            enc = encode_eg(bpp, m, node, k, deadline)
-        except EncodingTimeout:
-            reasons.append("timeout")
-            return None
-        except MemoryError:
-            reasons.append("out of memory")
-            return None
-        outcome = solve(enc, deadline)
-        deciders.append(enc)
-        if outcome.status == "sat":
-            paths.append((outcome.model, None))
-            return True
-        if outcome.status == "unsat":
-            return False
-        reasons.append(outcome.reason_unknown or "unreported")
-        return None
-
-    value = evaluate(f, tuple(init), bpp, k, decide)
-    result = "unknown" if value is None else ("holds" if value else "not-holds")
-    stats = {
-        "n_vars": sum(len(enc.declared) + enc.path_vars_quantified for enc in deciders),
-        "n_asserts": len(deciders),  # each window or unrolling is one assertion
-        **solver_stats(outcomes),
-        "path_vars_declared": sum(enc.path_vars_declared for enc in deciders),
-        "path_vars_total": sum(enc.path_vars_total for enc in deciders),
-        "target_vars": sum(enc.target_vars_total for enc in deciders),
-        "bound": "unbounded" if by_lasso and all(by_lasso) else k,
-    }
-    witness, lasso = paths[0] if paths else (None, None)
-    if lasso is not None:
-        stats["lasso"] = lasso
-    if value is None:
-        stats["reason_unknown"] = reasons[0]
-    return Verdict(result=result, engine="eg-bounded", k=k, witness=witness, stats=stats)
+    does not decide, ``encode_eg`` of the node at m decides it at bound k.
+    The witness is a pumped lasso (its loop goes with it) or the
+    unrolling's model. The window gets half of the time the check has left
+    when it starts, the unrolling what is left; an encoding, pumping or
+    replay that runs past the deadline leaves the node unknown (reason
+    ``timeout``) without another solver call, and one that runs out of
+    memory leaves it unknown too (reason ``out of memory``)."""
+    bpp, k = run.bpp, run.k
+    run.counts.update(eg_nodes=1)
+    try:
+        if k > WINDOW and not any(isinstance(g, EG) for g in walk(node.sub)):
+            now = time.perf_counter()
+            until = now + (run.deadline - now) / 2
+            try:
+                enc, u, lassos = _encode_window(bpp, m, node.sub, until)
+            except EncodingTimeout:
+                model = None
+            else:
+                model = run.solve(enc.script, until).model  # a model comes with sat only
+            if model is not None:
+                start = next((i for i, lasso in enumerate(lassos)
+                              if eval_node(lasso, model)), None)
+                if start is None:
+                    raise SolverProtocolError("lasso window model closes no lasso")
+                window = [tuple(model[name] for name in state) for state in u]
+                path = _pump(bpp, m, node.sub, window, start, k, run.deadline)
+                run.counts.update(enc.counts(), lasso_nodes=1)
+                return run.holds({f"u{j}_{sym}": p[c] for j, p in enumerate(path)
+                                  for c, sym in enumerate(bpp.symbols)}, [start, WINDOW])
+        enc = encode_eg(bpp, m, node, k, run.deadline)
+    except EncodingTimeout:
+        return run.unknown("timeout")
+    except MemoryError:
+        return run.unknown("out of memory")
+    outcome = run.solve(enc.script)
+    run.counts.update(enc.counts())
+    if outcome.status == "sat":
+        return run.holds(outcome.model)
+    if outcome.status == "unsat":
+        return False
+    return run.unknown(outcome.reason_unknown)

@@ -11,7 +11,7 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, TypeVar
 
 from .core import Bpp, Marking, successors
-from .ctl import And, Atom, EG, ENext, Formula, Not, evaluate
+from .ctl import EF, And, Atom, EG, ENext, Formula, Not, atoms_only, evaluate
 from .record import Record, setfield
 
 S = TypeVar("S", bound=Hashable)
@@ -157,9 +157,11 @@ def eval_bounded(
 
     Atoms hold when they hold at the marking; E<a> needs k >= 1 and an
     a-successor satisfying the body (k unchanged); EG needs a rule path of
-    exactly k steps whose every position satisfies the body at the same k.
-    The budget counts distinct (marking, subformula) evaluations; the whole
-    call degrades to ExhaustedBudget when it trips.
+    exactly k steps whose every position satisfies the body at the same k;
+    EF, whose body must be propositional, is ``check_ef_oracle`` at the
+    marking. The budget counts distinct (marking, subformula) evaluations,
+    and each EF search's states on their own; the whole call degrades to
+    ExhaustedBudget when either trips.
     """
     bpp.check_marking(m)
     if k < 0:
@@ -196,8 +198,12 @@ def eval_bounded(
                 )
         elif isinstance(g, EG):
             res = eg_path(g, mm, k)
+        elif isinstance(g, EF) and atoms_only(g.sub):
+            res = check_ef_oracle(bpp, mm, g.sub, budget).value
+            if res is None:
+                raise _Exhausted()
         else:
-            raise TypeError(f"eval_bounded needs a core EF-free formula, got {g!r}")
+            raise TypeError(f"eval_bounded needs EF bodies over atoms, got {g!r}")
         memo[key] = res
         return res
 

@@ -15,9 +15,9 @@ import pytest
 
 from bppcheck.acs import acs_successors, convert, convert_place, mailbox_content
 from bppcheck.core import Bpp, Rule
-from bppcheck.ctl import AF, Atom, Cmp, EF, EG, ENext, And, Imp, LinearAtom
-from bppcheck.ef import check_ef_detailed, realize_firing_counts
-from bppcheck.eg import check_eg, encode_eg
+from bppcheck.ctl import AF, Atom, Cmp, EF, EG, ENext, And, Imp, LinearAtom, check
+from bppcheck.ef import encode_flow, realize_firing_counts
+from bppcheck.eg import encode_eg
 from bppcheck.errors import ParseError
 from bppcheck.oracle import (
     ExplorationBudget,
@@ -71,9 +71,8 @@ class TestCriterion1FigureRegression:
     def test_reachability_with_certified_witness(self):
         start = time.perf_counter()
         problem = parse_problem((DATA / "reach.bpp").read_text())
-        verdict, enc, _ = check_ef_detailed(
-            problem.bpp, problem.initial, problem.formula, SOLVER
-        )
+        verdict = check(problem.bpp, problem.initial, problem.formula, 0, SOLVER)
+        enc = encode_flow(problem.bpp, problem.initial)
         assert verdict.result == "holds"
         model = verdict.witness
 
@@ -108,7 +107,7 @@ class TestCriterion2CaseStudy:
         for text in ("EF(q0 >= 2)", "EF(q1 >= 2)", "EF(mail(p, m) >= 2)"):
             formula = parse_property(text, cb)
             start = time.perf_counter()
-            verdict, _, _ = check_ef_detailed(cb.bpp, init, formula, SOLVER)
+            verdict = check(cb.bpp, init, formula, 0, SOLVER)
             elapsed = time.perf_counter() - start
             assert verdict.result == "not-holds", text
             assert elapsed < 1.0, f"{text} took {elapsed:.2f}s"
@@ -131,7 +130,8 @@ class TestCriterion3EfDifferential:
             init = random_marking(rng, bpp)
             psi = random_atom(rng, bpp)
             expected = check_ef_oracle(bpp, init, psi, budget)
-            verdict, enc, _ = check_ef_detailed(bpp, init, EF(psi), SOLVER)
+            verdict = check(bpp, init, EF(psi), 0, SOLVER)
+            enc = encode_flow(bpp, init)
             assert verdict.result in ("holds", "not-holds"), (i, bpp)
             if expected.is_definite:
                 assert (verdict.result == "holds") == expected.value, (i, bpp, init, psi)
@@ -167,7 +167,7 @@ class TestCriterion4EgDifferential:
             k = rng.randint(0, 3)
             f = random_eg_formula(rng, bpp, rng.randint(1, 3))
             expected = eval_bounded(f, init, k, bpp, budget)
-            verdict = check_eg(bpp, init, f, k, SOLVER)
+            verdict = check(bpp, init, f, k, SOLVER)
             if verdict.result == "unknown":
                 solver_unknowns += 1
                 continue
@@ -183,7 +183,7 @@ class TestCriterion4EgDifferential:
 
 
 def check_unrolled(bpp, init, formula, k):
-    """The k-step unrolling alone, without the lasso window ``check_eg``
+    """The k-step unrolling alone, without the lasso window ``check``
     tries first: its verdict and the solving time the solver reports."""
     outcome = run_solver(encode_eg(bpp, init, formula, k).script, SOLVER)
     result = {"sat": "holds", "unsat": "not-holds"}.get(outcome.status, "unknown")
@@ -197,10 +197,10 @@ class TestCriterion5BoundedScaling:
         bpp = example_system()
         init = (1, 0, 0)
         summary = []
-        # PHI1 has a lasso within the window, so check_eg decides it at
+        # PHI1 has a lasso within the window, so check decides it at
         # every k with no unrolling; the scaling below is the unrolling's.
         for k in self.KS:
-            verdict = check_eg(bpp, init, PHI1, k, SOLVER)
+            verdict = check(bpp, init, PHI1, k, SOLVER)
             assert verdict.result == "holds", k
             assert verdict.stats["bound"] == "unbounded", k
             assert verdict.stats["solver_calls"] == 1, k

@@ -18,8 +18,7 @@ from bppcheck.acs import (
     mailbox_content,
 )
 from bppcheck.core import TAU, enabled_rules
-from bppcheck.ctl import Atom, Cmp, EF, LinearAtom, Not
-from bppcheck.ef import check_ef
+from bppcheck.ctl import Atom, Cmp, EF, LinearAtom, Not, check
 from bppcheck.errors import NameCollision
 from bppcheck.oracle import ExplorationBudget, explore, reachable_set
 from bppcheck.parsing import parse_property
@@ -156,7 +155,7 @@ class TestCaseStudyProperties:
         cb = convert(ping_pong)
         init = convert_place(cb, AcsPlace((1, 0), (0,)))
         for prop in ("EF(q0 >= 2)", "EF(q1 >= 2)", "EF(mail(p, m) >= 2)"):
-            verdict = check_ef(cb.bpp, init, parse_property(prop, cb), REF)
+            verdict = check(cb.bpp, init, parse_property(prop, cb), 0, REF)
             assert verdict.result == "not-holds", prop
 
     def test_safety_transfer_to_original_semantics(self, ping_pong):

@@ -92,10 +92,23 @@ class TestExitCodes:
         assert "parse error" in err
         assert "line 1" in err
 
-    def test_mixed_formula_is_three(self, capsys):
-        code, _, err = run(capsys, DATA / "mixed.bpp")
+    def test_mixed_formula_is_three(self, capsys, tmp_path):
+        # An EF inside an EG body: no engine compiles it.
+        problem = tmp_path / "ef_under_eg.bpp"
+        problem.write_text("initial\nX\nrules\nX -> X\nformula\nEG(EF(X >= 1))\n")
+        code, _, err = run(capsys, problem)
         assert code == 3
         assert "no engine decides it exactly" in err
+
+    def test_ef_beside_eg_holds(self, capsys):
+        # Conj(EF(X >= 1), EG(X >= 1)): each node is decided at the initial
+        # marking by its own engine, and the check reports the bounded one.
+        code, out, _ = run(capsys, DATA / "mixed.bpp", "--format", "json", "--stats")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["result"], payload["engine"], payload["k"]) == ("holds", "eg-bounded", 10)
+        assert payload["stats"]["ef_rounds"] == 1
+        assert payload["stats"]["bound"] == "unbounded"
 
     def test_solver_not_found_is_four(self, capsys):
         code, _, err = run(capsys, DATA / "reach.bpp", "--solver", "no-such-solver-cmd")

@@ -18,13 +18,16 @@ from bppcheck.ctl import (
     Not,
     Or,
     atoms_only,
+    check,
     classify,
     desugar,
     eval_atomic,
 )
-from bppcheck.errors import UnknownSymbol
+from bppcheck.errors import MixedFormula, UnknownSymbol
+from bppcheck.oracle import ExplorationBudget, eval_bounded
+from bppcheck.smt.runner import BUNDLED_COMMAND, SolverConfig
 
-from .conftest import atom
+from .conftest import atom, random_atom, random_bpp, random_marking
 
 
 def lam(**coeffs):
@@ -66,8 +69,15 @@ class TestClassify:
         assert classify(f) == FormulaClass.EG_CLASS
 
     def test_mixed(self):
-        f = And(EF(lam(X=1)), EG(lam(X=1)))
+        # No engine compiles an EF inside an EG body.
+        f = EG(And(lam(X=1), EF(lam(X=1))))
         assert classify(f) == FormulaClass.MIXED
+
+    def test_ef_beside_eg_or_next_is_bounded(self):
+        # Each EF node here is met at a concrete marking, where it is exact.
+        p, q = EF(lam(X=1)), lam(Y=1)
+        for f in (And(p, EG(q)), ENext("a", p), ANext("a", p), Or(AF(q), Not(p))):
+            assert classify(f) == FormulaClass.EG_CLASS, f
 
     def test_ef_under_boolean_combination(self):
         f = Not(And(EF(lam(X=1)), Not(lam(Y=1))))
@@ -89,12 +99,18 @@ class TestClassify:
         for _ in range(300):
             f = _random_formula(rng, depth=3)
             cls = classify(f)
-            has_ef = any(isinstance(g, EF) for g in _walk(f))
-            has_eg_or_next = any(isinstance(g, (EG, ENext)) for g in _walk(f))
-            if cls == FormulaClass.EG_CLASS:
-                assert not has_ef
+            nodes = list(_walk(f))
+            uncompiled = any(
+                isinstance(g, EF) and not atoms_only(g.sub)
+                or isinstance(g, EG) and any(isinstance(h, EF) for h in _walk(g.sub))
+                for g in nodes
+            )
+            has_eg_or_next = any(isinstance(g, (EG, ENext)) for g in nodes)
+            assert (cls == FormulaClass.MIXED) == uncompiled
             if cls == FormulaClass.EF_CLASS:
                 assert not has_eg_or_next
+            if cls == FormulaClass.EG_CLASS:
+                assert has_eg_or_next
 
 
 class TestEvalAtomic:
@@ -170,3 +186,76 @@ class TestAtomsOnly:
 
     def test_modality_is_not(self):
         assert not atoms_only(ENext("a", lam(X=1)))
+
+
+def random_prop(rng, bpp):
+    """A propositional formula of one to three atoms."""
+    f = random_atom(rng, bpp)
+    for _ in range(rng.randint(0, 2)):
+        g = random_atom(rng, bpp)
+        f = rng.choice((And, Or, Imp))(f, Not(g) if rng.random() < 0.5 else g)
+    return f
+
+
+def random_mixed_formula(rng, bpp, depth, in_eg=False):
+    """A formula ``classify`` accepts, EF nodes beside EG and E<a> ones
+    included: an EF body is propositional, and no EF is inside an EG body."""
+    if depth == 0 or rng.random() < 0.25:
+        return random_atom(rng, bpp)
+    kinds = ["not", "and", "or", "enext", "anext", "eg", "af"] + ([] if in_eg else ["ef"] * 3)
+    kind = rng.choice(kinds)
+    if kind == "ef":
+        return EF(random_prop(rng, bpp))
+    sub = lambda: random_mixed_formula(rng, bpp, depth - 1, in_eg or kind in ("eg", "af"))
+    if kind == "not":
+        return Not(sub())
+    if kind in ("and", "or"):
+        return (And if kind == "and" else Or)(sub(), sub())
+    if kind in ("enext", "anext"):
+        return (ENext if kind == "enext" else ANext)(rng.choice(sorted(bpp.actions)), sub())
+    return (EG if kind == "eg" else AF)(sub())
+
+
+def combines_ef(f) -> bool:
+    """True when f has an EF node and an EG or E<a> node."""
+    nodes = list(_walk(f))
+    return any(isinstance(g, EF) for g in nodes) and any(isinstance(g, (EG, ENext)) for g in nodes)
+
+
+class TestMixedDifferential:
+    """EF nodes met at concrete markings beside EG and E<a> nodes: each
+    goes to its engine, and the verdict agrees with the bounded oracle,
+    which decides an EF node by explicit search."""
+
+    def test_against_the_bounded_oracle(self):
+        config = SolverConfig(BUNDLED_COMMAND, 10.0)
+        budget = ExplorationBudget(max_states=20_000)
+        compared = combined = unknown = 0
+        for seed in (23, 42):
+            rng = random.Random(seed)
+            for i in range(200):
+                bpp = random_bpp(rng, max_symbols=4, max_rules=5, max_rhs=2)
+                init = random_marking(rng, bpp)
+                k = rng.randint(0, 4)
+                f = random_mixed_formula(rng, bpp, rng.randint(2, 3))
+                while i % 2 == 0 and not combines_ef(f):  # every other one combines
+                    f = random_mixed_formula(rng, bpp, rng.randint(2, 3))
+                assert classify(f) != FormulaClass.MIXED, f
+                verdict = check(bpp, init, f, k, config)
+                expected = eval_bounded(f, init, k, bpp, budget)
+                if verdict.result == "unknown":
+                    unknown += 1
+                    continue
+                if expected.is_definite:
+                    assert (verdict.result == "holds") == expected.value, (bpp, init, k, f)
+                    compared += 1
+                    combined += combines_ef(f)
+        assert unknown <= 4
+        assert compared >= 360, compared
+        assert combined >= 160, combined
+
+    def test_what_no_engine_compiles_is_rejected(self, triangle):
+        p = atom({"X1": 1}, Cmp.GE, 1)
+        for f in (EF(EG(p)), EG(EF(p)), EF(ENext("a", p)), AF(EF(p))):
+            with pytest.raises(MixedFormula):
+                check(triangle, (1, 0, 0), f, 3, SolverConfig(BUNDLED_COMMAND, 10.0))

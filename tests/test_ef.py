@@ -7,13 +7,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from bppcheck import ef
+from bppcheck import ctl, smt
 from bppcheck.core import Bpp, Rule, fire
-from bppcheck.ctl import And, Cmp, EF, EG, Not
+from bppcheck.ctl import And, Cmp, EF, EG, Not, check
 from bppcheck.ef import (
     atoms_to_node,
-    check_ef,
-    check_ef_detailed,
     encode_flow,
     encode_reachability,
     realize_firing_counts,
@@ -120,7 +118,7 @@ class TestEncoding:
 
 class TestCheckEf:
     def test_grower_reaches_y_one(self, grower):
-        verdict = check_ef(grower, (1, 0, 0), EF(atom({"Y": 1}, Cmp.EQ, 1)), REF)
+        verdict = check(grower, (1, 0, 0), EF(atom({"Y": 1}, Cmp.EQ, 1)), 0, REF)
         assert verdict.result == "holds"
         assert verdict.engine == "ef"
         assert verdict.k is None
@@ -128,34 +126,45 @@ class TestCheckEf:
 
     def test_ruleless_zero_firing(self):
         bpp = Bpp(("X",), ())
-        verdict = check_ef(bpp, (1,), EF(atom({"X": 1}, Cmp.GE, 1)), REF)
+        verdict = check(bpp, (1,), EF(atom({"X": 1}, Cmp.GE, 1)), 0, REF)
         assert verdict.result == "holds"
 
     def test_source_symbol_never_grows(self, grower):
-        verdict = check_ef(grower, (1, 0, 0), EF(atom({"S": 1}, Cmp.GE, 2)), REF)
+        verdict = check(grower, (1, 0, 0), EF(atom({"S": 1}, Cmp.GE, 2)), 0, REF)
         assert verdict.result == "not-holds"
 
     def test_boolean_combination(self, grower):
         f = And(EF(atom({"Y": 1}, Cmp.GE, 3)), Not(EF(atom({"S": 1}, Cmp.GE, 2))))
-        verdict, _, rounds = check_ef_detailed(grower, (1, 0, 0), f, REF)
+        scripts = []
+        verdict = check(grower, (1, 0, 0), f, 0, REF, on_script=scripts.append)
         assert verdict.result == "holds"
         # The first model for Y >= 3 fires X -> X Y but not S -> X; one cut
         # later it is realizable. S >= 2 already fails the flow equations.
-        assert [len(node) for node in rounds] == [2, 1]
+        bodies = ["(>= x_Y 3)" in s.text for s in scripts]
+        assert bodies == [True, True, False]
         assert verdict.stats["ef_rounds"] == 3
 
     def test_atom_only_formula_needs_no_solver(self, grower):
-        verdict, _, results = check_ef_detailed(grower, (1, 0, 0), atom({"S": 1}, Cmp.GE, 1), REF)
+        verdict = check(grower, (1, 0, 0), atom({"S": 1}, Cmp.GE, 1), 0, REF)
         assert verdict.result == "holds"
-        assert results == []
+        assert verdict.stats["solver_calls"] == 0
+
+    def test_no_statistics_without_a_solver_call(self, grower):
+        # No EF node is met, so no flow equations are encoded or counted.
+        f = Not(atom({"S": 1}, Cmp.GE, 2))
+        verdict = check(grower, (1, 0, 0), f, 0, REF)
+        stats = verdict.stats
+        assert (stats["n_vars"], stats["n_asserts"], stats["ef_rounds"]) == (0, 0, 0)
+        assert stats["solver_calls"] == 0
 
     def test_mixed_formula_rejected(self, grower):
+        # An EF body must be propositional: EF(EG ...) has no engine.
         with pytest.raises(MixedFormula):
-            check_ef(grower, (1, 0, 0), EG(atom({"S": 1}, Cmp.GE, 1)), REF)
+            check(grower, (1, 0, 0), EF(EG(atom({"S": 1}, Cmp.GE, 1))), 3, REF)
 
     def test_unknown_solver_maps_to_unknown(self, grower):
         fake = SolverConfig((sys.executable, "-c", "print('unknown')"), 5)
-        verdict = check_ef(grower, (1, 0, 0), EF(atom({"Y": 1}, Cmp.GE, 1)), fake)
+        verdict = check(grower, (1, 0, 0), EF(atom({"Y": 1}, Cmp.GE, 1)), 0, fake)
         assert verdict.result == "unknown"
         assert verdict.witness is None
 
@@ -171,7 +180,7 @@ class TestCheckEf:
         )
         fake = SolverConfig((sys.executable, "-c", lie), 5)
         with pytest.raises(SolverProtocolError):
-            check_ef(grower, (1, 0, 0), EF(atom({"Y": 1}, Cmp.EQ, 1)), fake)
+            check(grower, (1, 0, 0), EF(atom({"Y": 1}, Cmp.EQ, 1)), 0, fake)
 
 
 class TestRealize:
@@ -257,7 +266,8 @@ class TestDifferential:
             init = random_marking(rng, bpp)
             psi = random_atom(rng, bpp)
             expected = check_ef_oracle(bpp, init, psi, budget)
-            verdict, flow, _ = check_ef_detailed(bpp, init, EF(psi), REF)
+            verdict = check(bpp, init, EF(psi), 0, REF)
+            flow = encode_flow(bpp, init)
             assert verdict.result in ("holds", "not-holds")
             if expected.is_definite:
                 got = verdict.result == "holds"
@@ -276,8 +286,8 @@ class TestDifferential:
             bpp = random_bpp(rng, max_symbols=5, max_rules=8, max_rhs=3)
             init = random_marking(rng, bpp)
             psi = random_atom(rng, bpp)
-            verdict, _, (rounds,) = check_ef_detailed(bpp, init, EF(psi), BUNDLED)
-            refined += len(rounds) > 1
+            verdict = check(bpp, init, EF(psi), 0, BUNDLED)
+            refined += verdict.stats["ef_rounds"] > 1
             enc = encode_reachability(bpp, init)
             node = conj(list(enc.constraints) + [atoms_to_node(psi, enc.vars.x)])
             one_shot = run_solver(to_smtlib(node, enc.declarations), BUNDLED).status
@@ -323,10 +333,12 @@ class TestSiphonCut:
 
 class TestRefinementDeadline:
     def test_rounds_share_the_node_budget(self, monkeypatch):
-        # ring8_seed3 needs 5 rounds. A fake clock in ef advances 0.4 s per
-        # round, so a 1 s budget gives rounds 0.4 s apart with 1.0, 0.6 and
+        # ring8_seed3 needs 5 rounds. A fake clock advances 0.4 s per solver
+        # call, so a 1 s budget gives rounds 0.4 s apart with 1.0, 0.6 and
         # 0.2 s left, then runs out between rounds: the node answers unknown
-        # with reason timeout. The second EF node starts a budget of its own.
+        # with reason timeout. The second EF node shares the check's
+        # deadline, so it gets what is left, nothing, and answers timeout
+        # without a solver call.
         problem = parse_problem((DATA / "ring8_seed3.bpp").read_text())
         now = [100.0]
         budgets: list[float] = []
@@ -336,18 +348,14 @@ class TestRefinementDeadline:
             now[0] += 0.4
             return run_solver(script, BUNDLED)
 
-        monkeypatch.setattr(ef, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-        monkeypatch.setattr(ef, "run_solver", slow)
+        monkeypatch.setattr(ctl, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(smt, "run_solver", slow)
         f = And(problem.formula, EF(atom({"P0": 1}, Cmp.GE, 1)))
-        verdict, _, rounds = check_ef_detailed(
-            problem.bpp, problem.initial, f, SolverConfig(BUNDLED_COMMAND, 1.0)
-        )
+        verdict = check(problem.bpp, problem.initial, f, 0, SolverConfig(BUNDLED_COMMAND, 1.0))
         assert verdict.result == "unknown"
         assert verdict.stats["reason_unknown"] == "timeout"
-        first, second = rounds
-        assert len(first) == 3 and len(second) == 1
-        assert verdict.stats["ef_rounds"] == 4
-        assert budgets == pytest.approx([1.0, 0.6, 0.2, 1.0])
+        assert verdict.stats["ef_rounds"] == verdict.stats["solver_calls"] == 3
+        assert budgets == pytest.approx([1.0, 0.6, 0.2])
 
 
 class TestHardInstances:
@@ -361,7 +369,8 @@ class TestHardInstances:
         bpp, init, psi = problem.bpp, problem.initial, problem.formula.sub
         expected = check_ef_oracle(bpp, init, psi, ExplorationBudget(max_states=100_000))
         assert expected.is_definite
-        verdict, flow, _ = check_ef_detailed(bpp, init, problem.formula, BUNDLED)
+        verdict = check(bpp, init, problem.formula, 0, BUNDLED)
+        flow = encode_flow(bpp, init)
         assert verdict.result == ("holds" if expected.value else "not-holds")
         if verdict.result == "holds":
             assert_witness_replays(bpp, init, psi, flow, verdict.witness)
@@ -370,7 +379,7 @@ class TestHardInstances:
         # Dead-generator 8x8 seed 2: no D symbol is derivable from L0, so the
         # flow equations pin every D rule and round 1 is unsat by propagation.
         problem = parse_problem((DATA / "dead8x8_seed2.bpp").read_text())
-        verdict = check_ef(problem.bpp, problem.initial, problem.formula, BUNDLED)
+        verdict = check(problem.bpp, problem.initial, problem.formula, 0, BUNDLED)
         assert verdict.result == "not-holds"
         assert verdict.stats["ef_rounds"] == 1
         assert verdict.stats["solver_omega_calls"] == 0

@@ -5,13 +5,12 @@ import time
 
 import pytest
 
-from bppcheck import eg
+from bppcheck import smt
 from bppcheck.core import Bpp, Rule, enabled_rules, fire, rule_delta
-from bppcheck.ctl import AF, EF, EG, And, ANext, Cmp, ENext, Imp, Not, Or, walk
+from bppcheck.ctl import AF, EF, EG, And, ANext, Cmp, ENext, Imp, Not, Or, check, walk
 from bppcheck.eg import (
     WINDOW,
     VarAllocator,
-    check_eg,
     encode_eg,
     path_constraint,
     t_minus,
@@ -37,16 +36,16 @@ NON_GROUND = "non-ground quantified subformula"
 
 @pytest.fixture
 def solver_reasons(monkeypatch) -> list:
-    """The reason_unknown of every solver call check_eg makes."""
+    """The reason_unknown of every solver call a check makes."""
     reasons = []
-    run_solver = eg.run_solver
+    run_solver = smt.run_solver
 
     def recording(script, config):
         outcome = run_solver(script, config)
         reasons.append(outcome.reason_unknown)
         return outcome
 
-    monkeypatch.setattr(eg, "run_solver", recording)
+    monkeypatch.setattr(smt, "run_solver", recording)
     return reasons
 
 
@@ -173,53 +172,53 @@ class TestTrans:
         assert {"u0_X_b2", "u0b2_X"} <= set(enc.declared)
         expected = eval_bounded(f, init, k, bpp)
         assert expected.is_definite
-        verdict = check_eg(bpp, init, f, k, REF)
+        verdict = check(bpp, init, f, k, REF)
         assert verdict.result == ("holds" if expected.value else "not-holds")
 
 
 class TestCheckEg:
     def test_self_loop_keeps_invariant(self):
         bpp = Bpp(("X",), (Rule(0, "X", "a", ("X",)),))
-        verdict = check_eg(bpp, (1,), EG(atom({"X": 1}, Cmp.GE, 1)), 3, REF)
+        verdict = check(bpp, (1,), EG(atom({"X": 1}, Cmp.GE, 1)), 3, REF)
         assert verdict.result == "holds"
         assert verdict.engine == "eg-bounded"
         assert verdict.k == 3
 
     def test_deadlocked_init_at_k0(self):
         bpp = Bpp(("X", "Y"), (Rule(0, "Y", "a", ("Y",)),))
-        verdict = check_eg(bpp, (1, 0), EG(atom({"X": 1}, Cmp.GE, 1)), 0, REF)
+        verdict = check(bpp, (1, 0), EG(atom({"X": 1}, Cmp.GE, 1)), 0, REF)
         assert verdict.result == "holds"
 
     def test_deadlock_cannot_extend_path(self):
         bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("Y",)),))
         always = atom({"X": 1, "Y": 1}, Cmp.GE, 0)
-        assert check_eg(bpp, (1, 0), EG(always), 1, REF).result == "holds"
-        assert check_eg(bpp, (1, 0), EG(always), 2, REF).result == "not-holds"
+        assert check(bpp, (1, 0), EG(always), 1, REF).result == "holds"
+        assert check(bpp, (1, 0), EG(always), 2, REF).result == "not-holds"
 
     def test_eg_of_next_on_standard_system(self, triangle):
         body = ENext("a", atom({"X2": 1, "X3": 1}, Cmp.GE, 2))
         expected = eval_bounded(EG(body), (1, 0, 0), 5, triangle)
-        verdict = check_eg(triangle, (1, 0, 0), EG(body), 5, REF)
+        verdict = check(triangle, (1, 0, 0), EG(body), 5, REF)
         assert expected.is_definite
         assert (verdict.result == "holds") == expected.value
 
     def test_label_respected(self, labeled_cycle):
         f = ENext("b", atom({"X": 1}, Cmp.GE, 1))
-        assert check_eg(labeled_cycle, (1, 0, 0), f, 2, REF).result == "not-holds"
+        assert check(labeled_cycle, (1, 0, 0), f, 2, REF).result == "not-holds"
         g = ENext("a", atom({"Y": 1}, Cmp.GE, 1))
-        assert check_eg(labeled_cycle, (1, 0, 0), g, 2, REF).result == "holds"
+        assert check(labeled_cycle, (1, 0, 0), g, 2, REF).result == "holds"
 
     def test_sugared_connectives_accepted(self, triangle):
         f = EG(Imp(atom({"X1": 1, "X2": 1}, Cmp.GE, 2),
                    ENext("a", And(atom({"X1": 1}, Cmp.GE, 2), atom({"X3": 1}, Cmp.GE, 1)))))
-        verdict = check_eg(triangle, (1, 0, 0), f, 3, REF)
+        verdict = check(triangle, (1, 0, 0), f, 3, REF)
         expected = eval_bounded(f, (1, 0, 0), 3, triangle)
         assert expected.is_definite
         assert (verdict.result == "holds") == expected.value
 
     def test_witness_exposes_path_variables(self, triangle):
         body = atom({"X1": 1, "X2": 1, "X3": 1}, Cmp.GE, 1)
-        verdict = check_eg(triangle, (1, 0, 0), EG(body), 2, REF)
+        verdict = check(triangle, (1, 0, 0), EG(body), 2, REF)
         assert verdict.result == "holds"
         assert verdict.witness is not None
         assert {"u0_X1", "u1_X1", "u2_X1"} <= verdict.witness.keys()
@@ -290,7 +289,7 @@ class TestNonnegativityEmergence:
         body = ENext("a", atom({"X2": 1, "X3": 1}, Cmp.GE, 2))
         enc = encode_eg(triangle, (1, 1, 1), EG(body), 3)
         assert not re.search(r"\(>= (u\d+_|s\d+_)\w+ 0\)", enc.script.text)
-        verdict = check_eg(triangle, (1, 1, 1), EG(body), 3, REF)
+        verdict = check(triangle, (1, 1, 1), EG(body), 3, REF)
         assert verdict.result == "holds"
         for name, value in verdict.witness.items():
             assert value >= 0, (name, value)
@@ -328,7 +327,7 @@ class TestDifferential:
             k = rng.randint(0, 3)
             f = random_eg_formula(rng, bpp, rng.randint(1, 3))
             expected = eval_bounded(f, init, k, bpp, budget)
-            verdict = check_eg(bpp, init, f, k, REF)
+            verdict = check(bpp, init, f, k, REF)
             assert verdict.stats.get("reason_unknown") != NON_GROUND, (bpp, init, k, f)
             if verdict.result == "unknown":
                 unknowns += 1
@@ -341,7 +340,7 @@ class TestDifferential:
         assert NON_GROUND not in solver_reasons
 
     def test_deep_formulas_leave_no_quantified_goal_non_ground(self, solver_reasons):
-        # Depth 3-4 at k 4-6, through check_eg's per-node scripts and through
+        # Depth 3-4 at k 4-6, through check's per-node scripts and through
         # the root encode_eg script of the whole formula, which quantifies
         # every block under a negation. Undecided is allowed (timeout),
         # non-ground is not, and definite answers agree with each other and
@@ -355,7 +354,7 @@ class TestDifferential:
             init = random_marking(rng, bpp)
             k = rng.randint(4, 6)
             f = random_eg_formula(rng, bpp, rng.randint(3, 4))
-            verdict = check_eg(bpp, init, f, k, config)
+            verdict = check(bpp, init, f, k, config)
             text = encode_eg(bpp, init, f, k).script.text
             quantified += "(exists" in text
             out = solve_text(text, deadline=time.perf_counter() + config.timeout_s)
@@ -375,7 +374,7 @@ class TestDifferential:
 
 
 class _Unrolling(Exception):
-    """Raised from ``on_script`` when check_eg hands over to the unrolling."""
+    """Raised from ``on_script`` when a check hands over to the unrolling."""
 
 
 def _stop_at_unrolling():
@@ -423,7 +422,7 @@ class TestLassoWindow:
                 body = random_eg_formula(rng, bpp, rng.randint(1, 3))
             f = rng.choice((EG, AF))(body)
             try:
-                verdict = check_eg(bpp, init, f, k, REF, on_script=_stop_at_unrolling())
+                verdict = check(bpp, init, f, k, REF, on_script=_stop_at_unrolling())
             except _Unrolling:
                 continue
             by_window += 1
@@ -459,7 +458,7 @@ class TestLassoWindow:
             (EG(AF(body)), 10),  # EG in the body
         ):
             scripts.clear()
-            verdict = check_eg(triangle, (1, 0, 0), f, k, REF,
+            verdict = check(triangle, (1, 0, 0), f, k, REF,
                                on_script=scripts.append)
             assert verdict.stats["bound"] == k
             assert len(scripts) == verdict.stats["solver_calls"] == 1
@@ -469,7 +468,7 @@ class TestLassoWindow:
         # The conjunction is evaluated at the initial marking, and the EG
         # node under it goes to the window.
         body = atom({"X1": 1, "X2": 1, "X3": 1}, Cmp.GE, 1)
-        verdict = check_eg(triangle, (1, 0, 0), And(body, EG(body)), 10, REF)
+        verdict = check(triangle, (1, 0, 0), And(body, EG(body)), 10, REF)
         assert verdict.result == "holds"
         assert verdict.stats["bound"] == "unbounded"
         assert verdict.stats["solver_calls"] == 1
@@ -481,7 +480,7 @@ class TestLassoWindow:
         bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("Y",)), Rule(1, "Y", "a", ())))
         always = atom({"X": 1, "Y": 1}, Cmp.GE, 0)
         scripts = []
-        verdict = check_eg(bpp, (1, 0), EG(always), 10, REF,
+        verdict = check(bpp, (1, 0), EG(always), 10, REF,
                            on_script=scripts.append)
         assert verdict.result == "not-holds"
         assert verdict.stats["bound"] == 10
@@ -495,7 +494,7 @@ class TestLassoWindow:
         # firing the a-rule, which grows Y, so EG fails past one step.
         bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("X", "Y")), Rule(1, "Y", "b", ("Y",))))
         no_b = Not(ENext("b", atom({"X": 1}, Cmp.GE, 0)))
-        verdict = check_eg(bpp, (1, 0), EG(no_b), 10, REF)
+        verdict = check(bpp, (1, 0), EG(no_b), 10, REF)
         assert verdict.result == "not-holds"
         assert verdict.stats["bound"] == 10
         assert eval_bounded(EG(no_b), (1, 0), 10, bpp).value is False
@@ -504,9 +503,9 @@ class TestLassoWindow:
         # X -> X, Y grows Y at every step: a lasso exists for Y >= 0 but
         # not for Y <= 3, which fails after four steps.
         bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("X", "Y")),))
-        grows = check_eg(bpp, (1, 0), EG(atom({"Y": 1}, Cmp.GE, 0)), 10, REF)
+        grows = check(bpp, (1, 0), EG(atom({"Y": 1}, Cmp.GE, 0)), 10, REF)
         assert (grows.result, grows.stats["bound"]) == ("holds", "unbounded")
-        capped = check_eg(bpp, (1, 0), EG(atom({"Y": 1}, Cmp.LE, 3)), 10, REF)
+        capped = check(bpp, (1, 0), EG(atom({"Y": 1}, Cmp.LE, 3)), 10, REF)
         assert (capped.result, capped.stats["bound"]) == ("not-holds", 10)
 
 
@@ -528,12 +527,12 @@ class TestNodesAtConcreteMarkings:
         bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("X", "Y")),))
         phi = atom({"Y": 1}, Cmp.GE, 10)
         scripts = []
-        verdict = check_eg(bpp, (1, 0), AF(phi), 6, REF, on_script=scripts.append)
+        verdict = check(bpp, (1, 0), AF(phi), 6, REF, on_script=scripts.append)
         assert verdict.result == "not-holds"
         assert verdict.stats["bound"] == 6
         assert len(scripts) == verdict.stats["solver_calls"] == 2
         assert_witness_replays(bpp, (1, 0), Not(phi), verdict.witness, 6)
-        holding = check_eg(bpp, (1, 0), AF(atom({"Y": 1}, Cmp.GE, 3)), 6, REF)
+        holding = check(bpp, (1, 0), AF(atom({"Y": 1}, Cmp.GE, 3)), 6, REF)
         assert holding.result == "holds"
         assert holding.witness is None
 
@@ -548,20 +547,20 @@ class TestNodesAtConcreteMarkings:
         ):
             for k in (3, 10):
                 scripts = []
-                verdict = check_eg(liveness, init, f, k, REF, on_script=scripts.append)
+                verdict = check(liveness, init, f, k, REF, on_script=scripts.append)
                 expected = eval_bounded(f, init, k, liveness)
                 assert (verdict.result == "holds") == expected.value, (f, k)
                 assert scripts and {s.logic for s in scripts} == {"QF_LIA"}, (f, k)
         nested = EG(AF(atom({"Z": 1}, Cmp.GE, 1)))
         scripts = []
-        check_eg(liveness, init, nested, 3, REF, on_script=scripts.append)
+        check(liveness, init, nested, 3, REF, on_script=scripts.append)
         assert [s.logic for s in scripts] == ["LIA"]
 
     def test_next_without_eg_needs_no_solver(self, liveness):
         f = ENext("a", ANext("b", atom({"X": 1}, Cmp.GE, 1)))
         for k in (0, 1, 3):
             scripts = []
-            verdict = check_eg(liveness, (1, 0, 0), f, k, REF, on_script=scripts.append)
+            verdict = check(liveness, (1, 0, 0), f, k, REF, on_script=scripts.append)
             assert verdict.stats["solver_calls"] == len(scripts) == 0
             assert verdict.stats["bound"] == k
             assert verdict.witness is None
@@ -573,12 +572,12 @@ class TestNodesAtConcreteMarkings:
         # on a lasso. AF(sum >= 3) holds since every path reaches sum 3
         # within three steps, which the window cannot show.
         both = And(EG(everything), AF(Not(everything)))
-        verdict = check_eg(liveness, (1, 0, 0), both, 10, REF)
+        verdict = check(liveness, (1, 0, 0), both, 10, REF)
         assert (verdict.result, verdict.stats["bound"]) == ("not-holds", "unbounded")
         assert verdict.stats["solver_calls"] == 2
         assert verdict.stats["n_asserts"] == 2
         one_unrolled = And(EG(everything), AF(atom({"X": 1, "Y": 1, "Z": 1}, Cmp.GE, 3)))
-        verdict = check_eg(liveness, (1, 0, 0), one_unrolled, 10, REF)
+        verdict = check(liveness, (1, 0, 0), one_unrolled, 10, REF)
         assert (verdict.result, verdict.stats["bound"]) == ("holds", 10)
         assert verdict.stats["solver_calls"] == 3
         # The witness is the first EG node's lasso, pumped to k steps.

@@ -1,8 +1,9 @@
 """End-to-end fuzz of the command line: problem files written from the whole
 surface grammar go through ``cli.main`` in process. No exception may
-escape, the exit code must match the JSON report, a mixed formula must be
-rejected with exit 3, and a decided verdict must agree with the
-explicit-state oracles wherever they are definite."""
+escape, the exit code must match the JSON report, a formula no engine
+compiles (``classify`` says MIXED) must be rejected with exit 3, and a
+decided verdict must agree with the explicit-state oracles wherever they
+are definite: EF nodes beside EG and E<a> included."""
 
 import contextlib
 import io
@@ -141,9 +142,12 @@ def test_cli_agrees_with_the_oracles(problem):
     result = payload["result"]
     assert EXIT_OF[result] == code
     if payload["engine"] == "eg-bounded":
-        # A witness is the path u0..uk of an EG node that holds, or null.
+        # A witness is the path u0..uk of an EG node that holds, the model
+        # of an EF node that holds (x and y counts), or null.
         path = {f"u{j}_{sym}" for j in range(k + 1) for sym in pf.bpp.symbols}
-        assert payload["witness"] is None or path <= payload["witness"].keys(), text
+        model = {f"x_{sym}" for sym in pf.bpp.symbols} | {f"y_{r.rid + 1}" for r in pf.bpp.rules}
+        witness = payload["witness"]
+        assert witness is None or path <= witness.keys() or model <= witness.keys(), text
     if result == "unknown":
         return
     if cls == FormulaClass.EF_CLASS:

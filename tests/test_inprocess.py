@@ -15,8 +15,7 @@ import pytest
 
 from bppcheck import refsolver
 from bppcheck.cli import main
-from bppcheck.ctl import EF, EG, And, ENext, FormulaClass, classify
-from bppcheck.ef import check_ef_detailed
+from bppcheck.ctl import EF, EG, And, ENext, FormulaClass, check, classify
 from bppcheck.eg import encode_eg
 from bppcheck.errors import SolverProtocolError
 from bppcheck.parsing import parse_problem
@@ -61,8 +60,8 @@ def demo_scripts() -> list[str]:
     for path in DEMO_INPUTS:
         problem = parse_problem(path.read_text(encoding="utf-8"))
         if classify(problem.formula) == FormulaClass.EF_CLASS:
-            check_ef_detailed(
-                problem.bpp, problem.initial, problem.formula, BUNDLED,
+            check(
+                problem.bpp, problem.initial, problem.formula, 0, BUNDLED,
                 on_script=lambda script: texts.append(script.text),
             )
         else:
@@ -77,8 +76,8 @@ def random_scripts(count: int) -> list[str]:
         bpp = random_bpp(rng, max_symbols=4, max_rules=5)
         init = random_marking(rng, bpp)
         if len(texts) % 2 == 0:
-            check_ef_detailed(
-                bpp, init, EF(random_atom(rng, bpp)), BUNDLED,
+            check(
+                bpp, init, EF(random_atom(rng, bpp)), 0, BUNDLED,
                 on_script=lambda script: texts.append(script.text),
             )
         else:

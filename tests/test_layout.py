@@ -1,6 +1,6 @@
 """Package layout: the bundled solver child loads only its own modules, a
 CLI run that never reaches a check loads only the CLI, a check loads only
-the engine it runs, every demo runs against the package as laid out in this
+the engines its formula's nodes need, every demo runs against the package as laid out in this
 checkout, and the README lists the CLI's flags."""
 
 import os
@@ -126,14 +126,16 @@ def test_bundled_solver_is_loaded_before_the_first_call(problem):
     assert proc.stdout.split() == ["0", "True", "True"]
 
 
-@pytest.mark.parametrize("args, unused", [
-    ([DATA / "reach.bpp"], {"acs", "eg", "oracle"}),
-    ([DATA / "liveness.bpp"], {"ef", "acs", "oracle", "refsolver.omega"}),
-    ([DATA / "pingpong.acs", DATA / "q0_twice.prop", "--acs"], {"eg", "oracle"}),
-], ids=["ef", "eg", "acs"])
-def test_check_loads_only_its_engine(args, unused):
+@pytest.mark.parametrize("args, engines, unused", [
+    ([DATA / "reach.bpp"], {"ef"}, {"acs", "oracle"}),
+    ([DATA / "liveness.bpp"], {"eg"}, {"acs", "oracle", "refsolver.omega"}),
+    ([DATA / "pingpong.acs", DATA / "q0_twice.prop", "--acs"], {"ef"}, {"oracle"}),
+    ([DATA / "mixed.bpp"], {"ef", "eg"}, {"acs", "oracle"}),
+], ids=["ef", "eg", "acs", "mixed"])
+def test_check_loads_only_its_engine(args, engines, unused):
     # Every module a check imports adds to each start, and creating a
     # dataclass costs about a millisecond, so the package uses neither.
+    # An engine is loaded where evaluation first meets one of its nodes.
     proc = run_fresh(
         "-c",
         "import contextlib, io, sys\n"
@@ -146,6 +148,7 @@ def test_check_loads_only_its_engine(args, unused):
     code, *modules = proc.stdout.split()
     assert code in ("0", "1")
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("bppcheck.")}
+    assert loaded & {"ef", "eg"} == engines
     assert loaded & unused == set()
     assert {"dataclasses", "inspect"}.isdisjoint(modules)
 

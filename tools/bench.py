@@ -35,6 +35,10 @@ time from spawn to exit and the exit codes seen. The machine block records
 whether ``PYTHONDONTWRITEBYTECODE`` was set: with it, each run compiles
 every package module it imports.
 
+The summary also records ``src_lines``, the summed line count of the
+measured tree's ``bppcheck/**/*.py``, since net line count is a reported
+metric.
+
 Exits 1 when a decided EF verdict (family or scaled) disagrees with the
 reference, a liveness row does not hold or a start-up run fails (an exit
 code other than 0 or 1), else 0. Standard library only.
@@ -122,10 +126,8 @@ def run_cli(problem: Path, src: Path) -> dict:
     if report is None:
         return {**row, "result": "error", "reason": None, "ef_rounds": None}
     stats = report["stats"]
-    # A one-shot engine reports no ef_rounds: its one call per EF node is one round.
-    rounds = stats.get("ef_rounds", stats.get("solver_calls"))
     return {**row, "result": report["result"], "reason": stats.get("reason_unknown"),
-            "time_ms": report["time_ms"], "ef_rounds": rounds,
+            "time_ms": report["time_ms"], "ef_rounds": stats.get("ef_rounds"),
             "solver_branches": stats.get("solver_branches"), "script_bytes": script_bytes}
 
 
@@ -208,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         "liveness_not_holding": [r["k"] for r in liveness if r["result"] != "holds"],
         "startup_failed": [r["row"] for r in startup if set(r["exits"]) - {0, 1}],
         "run_s": round(time.perf_counter() - start, 1),
+        "src_lines": sum(len(path.read_text(encoding="utf-8").splitlines())
+                         for path in (src / "bppcheck").rglob("*.py")),
     }
     payload = {
         "label": opts.label,
