@@ -28,24 +28,13 @@ class Nop(Record):
 class Spawn(Record):
     __slots__ = __match_args__ = ("state",)
 
-    def __init__(self, state: str):
-        setfield(self, "state", state)
-
 
 class Send(Record):
     __slots__ = __match_args__ = ("proc", "msg")
 
-    def __init__(self, proc: str, msg: str):
-        setfield(self, "proc", proc)
-        setfield(self, "msg", msg)
-
 
 class Recv(Record):
     __slots__ = __match_args__ = ("proc", "msg")
-
-    def __init__(self, proc: str, msg: str):
-        setfield(self, "proc", proc)
-        setfield(self, "msg", msg)
 
 
 AcsOp = Union[Nop, Spawn, Send, Recv]
@@ -53,12 +42,6 @@ AcsOp = Union[Nop, Spawn, Send, Recv]
 
 class AcsRule(Record):
     __slots__ = __match_args__ = ("rid", "src", "op", "dst")
-
-    def __init__(self, rid: int, src: str, op: AcsOp, dst: str):
-        setfield(self, "rid", rid)
-        setfield(self, "src", src)
-        setfield(self, "op", op)
-        setfield(self, "dst", dst)
 
 
 class Acs(Record):
@@ -152,13 +135,6 @@ class ConvertedBpp(Record):
     """Conversion result plus the name maps back into the actor system."""
 
     __slots__ = __match_args__ = ("acs", "bpp", "in_symbol", "out_symbol")
-
-    def __init__(self, acs: Acs, bpp: Bpp, in_symbol: dict[tuple[str, str], str],
-                 out_symbol: dict[tuple[str, str], str]):
-        setfield(self, "acs", acs)
-        setfield(self, "bpp", bpp)
-        setfield(self, "in_symbol", in_symbol)
-        setfield(self, "out_symbol", out_symbol)
 
 
 def convert(acs: Acs) -> ConvertedBpp:

@@ -38,12 +38,6 @@ class Rule(Record):
 
     __slots__ = __match_args__ = ("rid", "lhs", "action", "rhs")
 
-    def __init__(self, rid: int, lhs: str, action: str, rhs: tuple[str, ...]):
-        setfield(self, "rid", rid)
-        setfield(self, "lhs", lhs)
-        setfield(self, "action", action)
-        setfield(self, "rhs", rhs)
-
 
 class Bpp(Record):
     # The instance dict holds the cached properties, outside equality.

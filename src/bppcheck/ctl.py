@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Union
 
 from .core import Bpp, Marking, successors
 from .errors import MixedFormula, UnknownSymbol
-from .record import Record, setfield
+from .record import Record
 
 if TYPE_CHECKING:  # the solver back end is imported where a check starts
     from .smt import SmtScript, SolverConfig, SolverOutcome, Verdict
@@ -50,11 +50,6 @@ class LinearAtom(Record):
 
     __slots__ = __match_args__ = ("terms", "cmp", "bound")
 
-    def __init__(self, terms: tuple[tuple[str, int], ...], cmp: Cmp, bound: int):
-        setfield(self, "terms", terms)
-        setfield(self, "cmp", cmp)
-        setfield(self, "bound", bound)
-
     def evaluate(self, m: Marking, bpp: Bpp) -> bool:
         total = 0
         for sym, c in self.terms:
@@ -68,15 +63,9 @@ class LinearAtom(Record):
 class Atom(Record):
     __slots__ = __match_args__ = ("atom",)
 
-    def __init__(self, atom: LinearAtom):
-        setfield(self, "atom", atom)
-
 
 class _Unary(Record):
     __slots__ = __match_args__ = ("sub",)
-
-    def __init__(self, sub: Formula):
-        setfield(self, "sub", sub)
 
 
 # Not, EG and EF share the one-child shape; equality tells the types apart
@@ -88,17 +77,9 @@ class Not(_Unary):
 class And(Record):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-
 
 class ENext(Record):
     __slots__ = __match_args__ = ("action", "sub")
-
-    def __init__(self, action: str, sub: Formula):
-        setfield(self, "action", action)
-        setfield(self, "sub", sub)
 
 
 class EG(_Unary):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .core import Bpp, Marking, Rule, fire, rule_delta
 from .ctl import EF, And, Atom, CheckRun, Formula, Not
 from .errors import MixedFormula, SolverProtocolError, UnknownSymbol
-from .record import Record, setfield
+from .record import Record
 from .smt import Node, conj, disj, eval_node, lin, neg, to_smtlib
 
 _CMP_TO_SMT = {"==": "=", "!=": "!=", ">=": ">=", "<=": "<=", ">": ">", "<": "<"}
@@ -33,21 +33,12 @@ class EfVars(Record):
 
     __slots__ = __match_args__ = ("x", "y", "z")
 
-    def __init__(self, x: dict[str, str], y: dict[int, str], z: dict[str, str]):
-        setfield(self, "x", x)
-        setfield(self, "y", y)
-        setfield(self, "z", z)
-
     def ordered(self) -> tuple[str, ...]:
         return tuple(self.x.values()) + tuple(self.y.values()) + tuple(self.z.values())
 
 
 class ReachabilityEncoding(Record):
     __slots__ = __match_args__ = ("vars", "constraints")
-
-    def __init__(self, vars: EfVars, constraints: tuple[Node, ...]):
-        setfield(self, "vars", vars)
-        setfield(self, "constraints", constraints)
 
     @property
     def declarations(self) -> tuple[str, ...]:

@@ -32,9 +32,6 @@ class OracleAnswer(Record):
 
     __slots__ = __match_args__ = ("value",)
 
-    def __init__(self, value: bool | None):
-        setfield(self, "value", value)
-
     @classmethod
     def definitely(cls, value: bool) -> "OracleAnswer":
         return cls(bool(value))

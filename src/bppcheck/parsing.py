@@ -3,16 +3,17 @@ actor-level property formulas.
 
 The problem grammar is the hand-written recursive-descent kind: whitespace
 and newlines are insignificant between tokens, ``#`` starts a comment,
-keywords (initial, rules, formula, nil) are reserved. Numbers accept 0 in
-addition to the positive decimals of the base grammar. Every parse error
-carries a 1-based line/column pointing at the first offending token.
+keywords (initial, rules, formula, nil) are reserved. Numbers are ASCII
+decimals and accept 0 in addition to the positive ones of the base grammar.
+Every parse error carries a 1-based line/column pointing at the first
+offending token.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .core import TAU, Bpp, Marking, Rule, parikh
+from .core import TAU, Bpp, Rule, parikh
 from .ctl import (
     AF,
     EF,
@@ -29,7 +30,7 @@ from .ctl import (
     Or,
 )
 from .errors import ParseError
-from .record import Record, setfield
+from .record import Record
 
 if TYPE_CHECKING:
     from .acs import Acs, AcsPlace, AcsRule, ConvertedBpp
@@ -48,16 +49,14 @@ MAX_FORMULA_DEPTH = 100
 
 
 class Token(Record):
+    # kind is ident, number, punct or eof.
     __slots__ = __match_args__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        setfield(self, "kind", kind)  # ident | number | punct | eof
-        setfield(self, "text", text)
-        setfield(self, "line", line)
-        setfield(self, "col", col)
 
 
 _PUNCT = ("->", "==", "!=", ">=", "<=", "(", ")", ",", "*", "+", "-", ">", "<", ":", "!", "?")
+# Numbers are ASCII decimals: str.isdigit also accepts "²" and "①", which
+# int() then refuses.
+_DIGITS = "0123456789"
 
 
 def tokenize(text: str) -> list[Token]:
@@ -91,9 +90,9 @@ def tokenize(text: str) -> list[Token]:
             i += len(matched)
             col += len(matched)
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             word = text[i:j]
             if len(word) > 1 and word[0] == "0":
@@ -168,11 +167,6 @@ class _Cursor:
 
 class ProblemFile(Record):
     __slots__ = __match_args__ = ("bpp", "initial", "formula")
-
-    def __init__(self, bpp: Bpp, initial: Marking, formula: Formula):
-        setfield(self, "bpp", bpp)
-        setfield(self, "initial", initial)
-        setfield(self, "formula", formula)
 
 
 def _expect_var(cur: _Cursor, expected: str = "a symbol name") -> Token:
@@ -491,59 +485,3 @@ def parse_property(text: str, cb: ConvertedBpp) -> Formula:
     if cur.peek().kind != "eof":
         raise cur.fail("end of input")
     return formula
-
-
-# ---------------------------------------------------------------------------
-# Pretty-printing (round-trip support and converted-system export)
-# ---------------------------------------------------------------------------
-
-
-def atom_to_text(atom: LinearAtom) -> str:
-    if not atom.terms:
-        raise ValueError("cannot print an atom with no terms")
-    if atom.terms[0][1] < 0:
-        raise ValueError("cannot print an atom whose first coefficient is negative")
-    parts: list[str] = []
-    for i, (sym, coeff) in enumerate(atom.terms):
-        mag = abs(coeff)
-        mult = sym if mag == 1 else f"{sym} * {mag}"
-        if i == 0:
-            parts.append(mult)
-        else:
-            parts.append(("+ " if coeff >= 0 else "- ") + mult)
-    return " ".join(parts) + f" {atom.cmp.value} {atom.bound}"
-
-
-def formula_to_text(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return atom_to_text(f.atom)
-    if isinstance(f, Not):
-        return f"Neg({formula_to_text(f.sub)})"
-    if isinstance(f, And):
-        return f"Conj({formula_to_text(f.left)}, {formula_to_text(f.right)})"
-    if isinstance(f, ENext):
-        return f"EX({f.action}, {formula_to_text(f.sub)})"
-    if isinstance(f, EG):
-        return f"EG({formula_to_text(f.sub)})"
-    if isinstance(f, EF):
-        return f"EF({formula_to_text(f.sub)})"
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def problem_to_text(pf: ProblemFile) -> str:
-    """Render a problem so that parsing it back gives an equal ProblemFile."""
-    if sum(pf.initial) == 0:
-        raise ValueError("cannot print an empty initial expression")
-    initial_syms: list[str] = []
-    for sym, count in zip(pf.bpp.symbols, pf.initial):
-        initial_syms.extend([sym] * count)
-    lines = ["initial", ", ".join(initial_syms), "rules"]
-    for rule in pf.bpp.rules:
-        rhs = ", ".join(rule.rhs) if rule.rhs else "nil"
-        if rule.action == TAU:
-            lines.append(f"{rule.lhs} -> {rhs}")
-        else:
-            lines.append(f"{rule.lhs} -> {rule.action} -> {rhs}")
-    lines.append("formula")
-    lines.append(formula_to_text(pf.formula))
-    return "\n".join(lines) + "\n"

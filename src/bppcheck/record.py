@@ -1,7 +1,10 @@
 """Immutable value records: the shared base of formula, model and term nodes.
 
-A record class names its fields in ``__match_args__``, stores them in
-``__slots__`` and sets them in an explicit ``__init__`` through ``setfield``,
+A record class names its fields in ``__match_args__`` and stores them in
+``__slots__``. The shared ``__init__`` takes the fields in that order,
+positionally and then by name, and raises ``TypeError`` for a missing,
+surplus or unknown one. A class writes its own ``__init__`` only to check
+its input or fill a default, and sets its fields there through ``setfield``,
 since assignment raises once the record exists. Two records are equal when
 they have the same type and equal fields, and equal records hash equal, so
 ``EG(p) != EF(p)``. A class that also slots ``__dict__`` keeps there what
@@ -20,6 +23,20 @@ setfield = object.__setattr__
 
 class Record:
     __slots__ = __match_args__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            setfield(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            setfield(self, name, kwargs.pop(name))
+        if kwargs:
+            extra = next(iter(kwargs))
+            raise TypeError(f"{type(self).__name__} got unknown or repeated field {extra!r}")
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import IllFormedFormula
-from ..record import Record, setfield
+from ..record import Record
 from .terms import _NAME_RE, Node, free_vars, has_quantifier, to_sexpr
 
 QF_LOGIC = "QF_LIA"
@@ -19,11 +19,6 @@ class SmtScript(Record):
     """
 
     __slots__ = __match_args__ = ("logic", "declarations", "text")
-
-    def __init__(self, logic: str, declarations: tuple[str, ...], text: str):
-        setfield(self, "logic", logic)
-        setfield(self, "declarations", declarations)
-        setfield(self, "text", text)
 
 
 def to_smtlib(node: Node, declarations: tuple[str, ...]) -> SmtScript:

@@ -22,9 +22,6 @@ OPS = (">=", "<=", ">", "<", "=", "!=")
 class BoolConst(Record):
     __slots__ = __match_args__ = ("value",)
 
-    def __init__(self, value: bool):
-        setfield(self, "value", value)
-
 
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
@@ -53,30 +50,17 @@ class Lin(Record):
 class NotF(Record):
     __slots__ = __match_args__ = ("sub",)
 
-    def __init__(self, sub: "Node"):
-        setfield(self, "sub", sub)
-
 
 class AndF(Record):
     __slots__ = __match_args__ = ("items",)
-
-    def __init__(self, items: tuple["Node", ...]):
-        setfield(self, "items", items)
 
 
 class OrF(Record):
     __slots__ = __match_args__ = ("items",)
 
-    def __init__(self, items: tuple["Node", ...]):
-        setfield(self, "items", items)
-
 
 class Exists(Record):
     __slots__ = __match_args__ = ("names", "body")
-
-    def __init__(self, names: tuple[str, ...], body: "Node"):
-        setfield(self, "names", names)
-        setfield(self, "body", body)
 
 
 Node = Union[BoolConst, Lin, NotF, AndF, OrF, Exists]

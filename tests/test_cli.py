@@ -92,6 +92,28 @@ class TestExitCodes:
         assert "parse error" in err
         assert "line 1" in err
 
+    @pytest.mark.parametrize("front, old, new", [
+        ("problem", "EF(Y == 1)", "EF(Y == \u00b2)"),
+        ("acs", "init q0:1", "init q0:\u2460"),
+        ("property", "EF(q0 >= 2)", "EF(q0 >= 1\u00b2)"),
+    ], ids=["problem", "acs", "property"])
+    def test_non_ascii_digit_is_parse_error(self, capsys, tmp_path, front, old, new):
+        # str.isdigit accepts superscript and circled digits, which int()
+        # refuses; numbers are read from ASCII digits only.
+        files = {"problem": DATA / "reach.bpp", "acs": DATA / "pingpong.acs",
+                 "property": DATA / "q0_twice.prop"}
+        text = files[front].read_text()
+        assert old in text
+        files[front] = tmp_path / files[front].name
+        files[front].write_text(text.replace(old, new))
+        args = (files["problem"],) if front == "problem" else (
+            files["acs"], files["property"], "--acs")
+        code, out, err = run(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error:")
+        assert "Traceback" not in err
+
     def test_mixed_formula_is_three(self, capsys, tmp_path):
         # An EF inside an EG body: no engine compiles it.
         problem = tmp_path / "ef_under_eg.bpp"

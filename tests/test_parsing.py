@@ -2,19 +2,16 @@ import random
 
 import pytest
 
-from bppcheck.acs import AcsPlace, Nop, Recv, Send, Spawn, convert
+from bppcheck.acs import AcsPlace, Nop, Recv, Send, Spawn, convert, convert_place
 from bppcheck.core import TAU
 from bppcheck.ctl import EF, EG, And, Atom, Cmp, ENext, LinearAtom, Not, walk
-from bppcheck.errors import ParseError
+from bppcheck.errors import BppCheckError, ParseError
 from bppcheck.parsing import (
     MAX_FORMULA_DEPTH,
     ProblemFile,
-    atom_to_text,
-    formula_to_text,
     parse_acs,
     parse_problem,
     parse_property,
-    problem_to_text,
 )
 
 LABELED = """\
@@ -131,6 +128,10 @@ REJECT_CORPUS = [
     ("missing_comma_arg", "initial X rules X -> a -> X formula EX(a X >= 1)", 1, 42),
     ("lonely_connect", "initial X\nrules\nX -> X\nformula\nX + >= 1\n", 5, 5),
     ("bad_char", "initial X rules X -> X formula X @ 1", 1, 34),
+    # Numbers are ASCII decimals; str.isdigit also takes these, int() does not.
+    ("superscript_bound", "initial X rules X -> X formula X >= \u00b2", 1, 37),
+    ("circled_bound", "initial X rules X -> X formula X >= \u2460", 1, 37),
+    ("superscript_after_digit", "initial X rules X -> X formula X >= 1\u00b2", 1, 38),
     ("tau_as_symbol", "initial _tau rules X -> X formula X >= 1", 1, 9),
     # Coefficients only come after the symbol: NUMBER * VAR is not a term.
     ("number_times_var", "initial X rules X -> X formula 2 * X >= 2", 1, 32),
@@ -169,6 +170,59 @@ class TestGrammarCorpus:
         with pytest.raises(ParseError) as err:
             parse_problem(text)
         assert (err.value.line, err.value.column) == (line, col), err.value
+
+
+# Printers for the round-trip tests: parsing a printed problem gives it back.
+
+
+def atom_to_text(atom):
+    if not atom.terms:
+        raise ValueError("cannot print an atom with no terms")
+    if atom.terms[0][1] < 0:
+        raise ValueError("cannot print an atom whose first coefficient is negative")
+    parts = []
+    for i, (sym, coeff) in enumerate(atom.terms):
+        mag = abs(coeff)
+        mult = sym if mag == 1 else f"{sym} * {mag}"
+        if i == 0:
+            parts.append(mult)
+        else:
+            parts.append(("+ " if coeff >= 0 else "- ") + mult)
+    return " ".join(parts) + f" {atom.cmp.value} {atom.bound}"
+
+
+def formula_to_text(f):
+    if isinstance(f, Atom):
+        return atom_to_text(f.atom)
+    if isinstance(f, Not):
+        return f"Neg({formula_to_text(f.sub)})"
+    if isinstance(f, And):
+        return f"Conj({formula_to_text(f.left)}, {formula_to_text(f.right)})"
+    if isinstance(f, ENext):
+        return f"EX({f.action}, {formula_to_text(f.sub)})"
+    if isinstance(f, EG):
+        return f"EG({formula_to_text(f.sub)})"
+    if isinstance(f, EF):
+        return f"EF({formula_to_text(f.sub)})"
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def problem_to_text(pf):
+    if sum(pf.initial) == 0:
+        raise ValueError("cannot print an empty initial expression")
+    initial_syms = []
+    for sym, count in zip(pf.bpp.symbols, pf.initial):
+        initial_syms.extend([sym] * count)
+    lines = ["initial", ", ".join(initial_syms), "rules"]
+    for rule in pf.bpp.rules:
+        rhs = ", ".join(rule.rhs) if rule.rhs else "nil"
+        if rule.action == TAU:
+            lines.append(f"{rule.lhs} -> {rhs}")
+        else:
+            lines.append(f"{rule.lhs} -> {rule.action} -> {rhs}")
+    lines.append("formula")
+    lines.append(formula_to_text(pf.formula))
+    return "\n".join(lines) + "\n"
 
 
 class TestRoundTrip:
@@ -345,6 +399,7 @@ FRONT_END_REJECT_CORPUS = [
      6, 11, "a fresh init entry"),
     ("acs_init_bad_entry", "acs", _ACS_RULE + "init 5\n", 6, 6, "an init entry"),
     ("acs_trailing_garbage", "acs", _ACS_RULE + "init q:1 extra\n", 6, 10, "end of input"),
+    ("acs_init_superscript_count", "acs", _ACS_RULE + "init q:\u00b2\n", 6, 8, "a token"),
     ("acs_rule_undeclared_source", "acs", _ACS_HEAD + "r -> nop -> q\ninit q:1\n",
      5, 1, "a declared state"),
     ("acs_rule_missing_operation", "acs", _ACS_HEAD + "q -> 5 -> q\ninit q:1\n",
@@ -376,12 +431,15 @@ FRONT_END_REJECT_CORPUS = [
     ("property_missing_comparison", "property", "EF(q0 * 2 1)", 1, 11, "a comparison operator"),
     ("property_missing_bound", "property", "EF(q0 >= q1)", 1, 10, "a number"),
     ("property_trailing_garbage", "property", "EF(q0 >= 1) q1", 1, 13, "end of input"),
+    ("property_circled_bound", "property", "EF(q0 >= \u2460)", 1, 10, "a token"),
     ("problem_number_term", "problem", "initial X rules X -> X formula X + 1 >= 1",
      1, 36, "a symbol name"),
     ("problem_undeclared_term", "problem", "initial X rules X -> X formula X - Y >= 1",
      1, 36, "a declared symbol"),
     ("problem_missing_comparison", "problem", "initial X rules X -> X formula X * 2 1",
      1, 38, "a comparison operator"),
+    ("problem_superscript_coefficient", "problem",
+     "initial X rules X -> X formula X * \u00b2 >= 1", 1, 36, "a token"),
 ]
 
 
@@ -420,3 +478,51 @@ class TestRandomRoundTrip:
             seed_pf = ProblemFile(bpp=bpp, initial=tuple(init), formula=f)
             canonical = parse_problem(problem_to_text(seed_pf))
             assert parse_problem(problem_to_text(canonical)) == canonical
+
+
+#: The grammar's punctuation, digits and letters, plus characters that
+#: str.isdigit, str.isalpha or a decoder treat specially.
+_MUTATION_ALPHABET = "->=!<>(),*+:?#_ \n0123456789aqmpXYZS\u00b2\u2460\u00e9\x00\ufeff"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One to three random insertions, replacements and deletions."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(3)
+        i = rng.randrange(len(chars) + 1)
+        if op == 0 or not chars:
+            chars.insert(i, rng.choice(_MUTATION_ALPHABET))
+        elif op == 1:
+            chars[min(i, len(chars) - 1)] = rng.choice(_MUTATION_ALPHABET)
+        else:
+            del chars[min(i, len(chars) - 1)]
+    return "".join(chars)
+
+
+def test_mutated_inputs_raise_only_package_errors():
+    """A seeded mutation fuzz of the three front ends: whatever the input,
+    only a BppCheckError (a parse error, exit 3) may escape."""
+    cb = convert(parse_acs(ACS_TEXT)[0])
+
+    def acs_front(text):
+        acs, place = parse_acs(text)
+        convert_place(convert(acs), place)
+
+    fronts = [
+        ([LABELED, UNLABELED] + [text for _, text, _ in ACCEPT_CORPUS], parse_problem),
+        ([ACS_TEXT], acs_front),
+        (["EF(q0 >= 2)", "AF(mail(p, m) == 0)",
+          "EX(_tau, Conj(q1 > 0, Neg(q0 * 2 - p_m_in <= 1)))"],
+         lambda text: parse_property(text, cb)),
+    ]
+    rng = random.Random(2024)
+    for seeds, parse in fronts:
+        for _ in range(3000):
+            text = _mutate(rng, rng.choice(seeds))
+            try:
+                parse(text)
+            except BppCheckError:
+                pass
+            except Exception as err:
+                pytest.fail(f"{type(err).__name__}: {err} on {text!r}")

@@ -73,3 +73,22 @@ def test_records_pickle_round_trip():
     copy = pickle.loads(pickle.dumps(problem))
     assert copy == problem
     assert copy.bpp.index == {"X": 0, "Y": 1}
+
+
+def test_shared_constructor_takes_fields_by_position_and_name():
+    rule = Rule(0, "X", action="a", rhs=("Y",))
+    assert rule == Rule(rid=0, lhs="X", action="a", rhs=("Y",)) == Rule(0, "X", "a", ("Y",))
+    assert (rule.rid, rule.lhs, rule.action, rule.rhs) == (0, "X", "a", ("Y",))
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0, "X", "a"), {}, "Rule is missing field 'rhs'"),
+    ((0, "X", "a", (), 5), {}, "Rule takes 4 fields, got 5"),
+    ((0, "X", "a", ()), {"label": "b"}, "Rule got unknown or repeated field 'label'"),
+    ((0, "X", "a", ()), {"rid": 1}, "Rule got unknown or repeated field 'rid'"),
+])
+def test_shared_constructor_rejects_a_missing_surplus_or_unknown_field(args, kwargs, message):
+    with pytest.raises(TypeError) as err:
+        Rule(*args, **kwargs)
+    assert str(err.value) == message
+

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from bppcheck.core import Bpp, Rule
-from bppcheck.ctl import EG, And, ENext
+from bppcheck.ctl import EG, And, ENext, check
 from bppcheck.eg import encode_eg
 from bppcheck.oracle import eval_bounded
 from bppcheck.parsing import parse_problem
@@ -20,6 +20,8 @@ from bppcheck import refsolver
 from bppcheck.refsolver import _Engine, omega, solve_text
 from bppcheck.refsolver.omega import OmegaBudgetExceeded, omega_solve
 from bppcheck.refsolver.search import _FreeVars
+from bppcheck.smt import SolverConfig
+from bppcheck.smt.runner import BUNDLED_COMMAND
 from bppcheck.sexpr import parse_all
 
 from .conftest import pipe_driver, random_atom, random_marking
@@ -437,6 +439,23 @@ class TestBranchOnValues:
         pairs = dict(zip(stats[::2], stats[1::2]))
         assert pairs[":failed-memo-hits"] == "1"
         assert pairs[":branches"] == "4"  # d = 0, then c = 0 and 1, then d = 1
+
+
+class TestFailureMemo:
+    def test_concurrent_interleavings_share_failures(self):
+        # Ten A and ten C tokens fire once each, so every run is an
+        # interleaving of at most 20 steps and no path reaches k = 21. Two
+        # interleavings of the same steps leave the same residual problem:
+        # the failure memo refutes it once (230 branches, 81 memo hits),
+        # while a search without it walks the orderings and answers unknown
+        # at this test's 10 s timeout.
+        problem = parse_problem("initial " + ", ".join(["A"] * 10 + ["C"] * 10)
+                                + " rules A -> a -> B C -> a -> D formula EG(A + C >= 0)")
+        verdict = check(problem.bpp, problem.initial, problem.formula, 21,
+                        SolverConfig(BUNDLED_COMMAND, 10.0))
+        assert verdict.result == "not-holds"
+        assert verdict.stats["solver_branches"] <= 1000
+        assert verdict.stats["solver_failed_memo_hits"] > 0
 
 
 class TestGetInfo:
