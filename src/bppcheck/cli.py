@@ -142,7 +142,7 @@ def _dispatch(opts) -> int:
     spawn = multiprocessing.get_context("spawn")  # fork is unsafe with threads
     try:
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            results = list(pool.map(_run_problem, opts.inputs, [opts] * len(opts.inputs)))
+            results = list(pool.map(_run_named, opts.inputs, [opts] * len(opts.inputs)))
     except BrokenProcessPool as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ENVIRONMENT
@@ -173,6 +173,15 @@ def _run_problem(path: str, opts) -> tuple[str, int]:
 
     problem = parse_problem(text)
     return _check(problem.bpp, problem.initial, problem.formula, opts)
+
+
+def _run_named(path: str, opts) -> tuple[str, int]:
+    """``_run_problem`` for a batch worker: an error names its input."""
+    try:
+        return _run_problem(path, opts)
+    except BppCheckError as err:
+        err.args = (f"{path}: {err}",)
+        raise
 
 
 def _run_acs(system_path: str, property_path: str, opts) -> tuple[str, int]:

@@ -117,7 +117,7 @@ def enabled_rules(m: Marking, bpp: Bpp) -> list[int]:
     return [rule.rid for rule in bpp.rules if m[index[rule.lhs]] >= 1]
 
 
-def fire(m: Marking, rule_id: int, bpp: Bpp, cap: int = MARKING_CAP) -> Marking:
+def fire(m: Marking, rule_id: int, bpp: Bpp) -> Marking:
     """Apply one rule: remove a token of the left symbol, add the right side."""
     bpp.check_marking(m)
     rule = bpp.rules[rule_id]
@@ -130,8 +130,8 @@ def fire(m: Marking, rule_id: int, bpp: Bpp, cap: int = MARKING_CAP) -> Marking:
     for sym in rule.rhs:
         i = index[sym]
         out[i] += 1
-        if out[i] > cap:
-            raise MarkingCapExceeded(f"component {sym} exceeded cap {cap}")
+        if out[i] > MARKING_CAP:
+            raise MarkingCapExceeded(f"component {sym} exceeded cap {MARKING_CAP}")
     return tuple(out)
 
 

@@ -3,15 +3,17 @@ actor-level property formulas.
 
 The problem grammar is the hand-written recursive-descent kind: whitespace
 and newlines are insignificant between tokens, ``#`` starts a comment,
-keywords (initial, rules, formula, nil) are reserved. Numbers are ASCII
-decimals and accept 0 in addition to the positive ones of the base grammar.
+keywords (initial, rules, formula, nil) are reserved. Identifiers and
+numbers are ASCII; numbers are decimals and accept 0 in addition to the
+positive ones of the base grammar.
 Every parse error carries a 1-based line/column pointing at the first
 offending token.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+import re
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .core import TAU, Bpp, Rule, parikh
 from .ctl import (
@@ -35,6 +37,7 @@ from .record import Record
 if TYPE_CHECKING:
     from .acs import Acs, AcsPlace, AcsRule, ConvertedBpp
 
+T = TypeVar("T")
 KEYWORDS = ("initial", "rules", "formula", "nil")
 UNARY_OPS = {"Neg": Not, "EG": EG, "AF": AF, "EF": EF}
 BINARY_OPS = {"Conj": And, "Disj": Or, "Imp": Imp}
@@ -53,70 +56,39 @@ class Token(Record):
     __slots__ = __match_args__ = ("kind", "text", "line", "col")
 
 
-_PUNCT = ("->", "==", "!=", ">=", "<=", "(", ")", ",", "*", "+", "-", ">", "<", ":", "!", "?")
-# Numbers are ASCII decimals: str.isdigit also accepts "²" and "①", which
-# int() then refuses.
-_DIGITS = "0123456789"
+#: One token or gap, tried in this order: a newline, blanks or a ``#``
+#: comment (no group: skipped), a punctuation mark (two-character ones
+#: first), a number with a leading zero, a number, an identifier, and any
+#: other character. Numbers and identifiers are ASCII; an identifier starts
+#: with a letter or the reserved action name, and may carry underscores at
+#: the model level (converted in/out symbols), which the strict
+#: surface-grammar contexts reject one level up, with the token's position.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<punct>->|==|!=|>=|<=|[(),*+\-><:!?])"
+    r"|(?P<zeros>0[0-9]+)|(?P<number>[0-9]+)|(?P<ident>(?:[A-Za-z]|" + TAU + r")[A-Za-z0-9_]*)"
+    r"|(?P<bad>.)"
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = None
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                matched = punct
-                break
-        if matched:
-            tokens.append(Token("punct", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            word = text[i:j]
-            if len(word) > 1 and word[0] == "0":
-                raise ParseError(line, col, "a number without leading zeros", word)
-            tokens.append(Token("number", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or text.startswith(TAU, i):
-            # Identifiers may carry underscores at the model level (converted
-            # in/out symbols); the strict surface-grammar contexts reject
-            # them one level up, with the token's position.
-            j = i
-            if text.startswith(TAU, i):
-                j = i + len(TAU)
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(line, col, "a token", ch)
-    tokens.append(Token("eof", "", line, col))
+    line, start = 1, 0  # start: offset of the line's first character
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, start = line + 1, match.end()
+        elif kind is not None:
+            col = match.start() - start + 1
+            if kind == "bad":
+                raise ParseError(line, col, "a token", match.group())
+            if kind == "zeros":
+                raise ParseError(line, col, "a number without leading zeros", match.group())
+            tokens.append(Token(kind, match.group(), line, col))
+    # A comment takes no column: the end of input sits where it starts. No
+    # token holds a '#', so the last line's first one starts its comment.
+    last = text[start:]
+    end = last.find("#")
+    tokens.append(Token("eof", "", line, (len(last) if end < 0 else end) + 1))
     return tokens
 
 
@@ -158,25 +130,38 @@ class _Cursor:
         self.next()
         return int(tok.text)
 
+    def expect_end(self) -> None:
+        if self.peek().kind != "eof":
+            raise self.fail("end of input")
+
     def at_ident(self, text: str | None = None) -> bool:
         tok = self.peek()
         if tok.kind != "ident":
             return False
         return text is None or tok.text == text
 
+    def comma_list(self, read: Callable[[], T]) -> list[T]:
+        """read() once, then once more after each ','."""
+        items = [read()]
+        while self.peek().text == ",":
+            self.next()
+            items.append(read())
+        return items
+
+    def rule_section(self, end: str, read: Callable[[int], T]) -> list[T]:
+        """One or more read(rule id) up to the keyword end, which is consumed."""
+        first = self.peek()
+        items: list[T] = []
+        while self.at_ident() and not self.at_ident(end):
+            items.append(read(len(items)))
+        if not items:
+            raise self.fail("a rule", first)
+        self.expect_keyword(end)
+        return items
+
 
 class ProblemFile(Record):
     __slots__ = __match_args__ = ("bpp", "initial", "formula")
-
-
-def _expect_var(cur: _Cursor, expected: str = "a symbol name") -> Token:
-    # Problem-file VAR is strict: letter first, letters and digits only.
-    tok = cur.peek()
-    if tok.kind != "ident" or not tok.text[0].isalpha() or "_" in tok.text:
-        raise cur.fail(expected)
-    if tok.text in KEYWORDS:
-        raise cur.fail(expected)
-    return cur.next()
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -184,24 +169,18 @@ def parse_problem(text: str) -> ProblemFile:
     cur = _Cursor(tokenize(text))
     declared: dict[str, None] = {}
 
+    def var() -> str:
+        # A problem-file symbol is strict: letter first, letters and digits only.
+        tok = cur.peek()
+        if tok.kind != "ident" or "_" in tok.text or tok.text in KEYWORDS:
+            raise cur.fail("a symbol name")
+        declared.setdefault(tok.text)
+        return cur.next().text
+
     cur.expect_keyword("initial")
-    initial_syms = [_expect_var(cur).text]
-    declared.setdefault(initial_syms[0])
-    while cur.peek().text == ",":
-        cur.next()
-        sym = _expect_var(cur).text
-        initial_syms.append(sym)
-        declared.setdefault(sym)
-
+    initial_syms = cur.comma_list(var)
     cur.expect_keyword("rules")
-    rules: list[Rule] = []
-    first_rule_tok = cur.peek()
-    while cur.at_ident() and not cur.at_ident("formula"):
-        rules.append(_parse_rule(cur, len(rules), declared))
-    if not rules:
-        raise cur.fail("a rule", first_rule_tok)
-
-    cur.expect_keyword("formula")
+    rules = cur.rule_section("formula", lambda rid: _parse_rule(cur, rid, var))
     bpp = Bpp(tuple(declared), tuple(rules))
 
     def symbol(cur: _Cursor) -> list[tuple[str, int]]:
@@ -210,49 +189,29 @@ def parse_problem(text: str) -> ProblemFile:
         return [(cur.next().text, 1)]
 
     formula = _parse_formula(cur, bpp.actions, lambda: _parse_atom(cur, symbol, "a symbol name"))
-    tok = cur.peek()
-    if tok.kind != "eof":
-        raise cur.fail("end of input")
+    cur.expect_end()
     return ProblemFile(bpp=bpp, initial=parikh(initial_syms, bpp), formula=formula)
 
 
-def _parse_rule(cur: _Cursor, rid: int, declared: dict[str, None]) -> Rule:
-    lhs = _expect_var(cur).text
-    declared.setdefault(lhs)
+def _parse_rule(cur: _Cursor, rid: int, var: Callable[[], str]) -> Rule:
+    lhs = var()
     cur.expect_punct("->")
+    tok = cur.peek()
+    if tok.kind != "ident" or (tok.text in KEYWORDS and tok.text != "nil"):
+        raise cur.fail("a symbol, label, or 'nil'")
     action = TAU
-    rhs: list[str] = []
-
+    if tok.text != "nil" and cur.peek(1).text == "->":
+        # A label: the base identifier shape, or the reserved action
+        # written out explicitly.
+        if tok.text != TAU and "_" in tok.text:
+            raise cur.fail("an action label")
+        action = tok.text
+        cur.next()
+        cur.next()
     if cur.at_ident("nil"):
         cur.next()
         return Rule(rid, lhs, action, ())
-
-    tok = cur.peek()
-    if tok.kind != "ident" or tok.text in KEYWORDS:
-        raise cur.fail("a symbol, label, or 'nil'")
-    first = cur.next().text
-    if cur.peek().text == "->":
-        # A label: the base identifier shape, or the reserved action
-        # written out explicitly.
-        if first != TAU and (not first[0].isalpha() or "_" in first):
-            raise cur.fail("an action label", tok)
-        action = first
-        cur.next()
-        if cur.at_ident("nil"):
-            cur.next()
-            return Rule(rid, lhs, action, ())
-        rhs.append(_expect_var(cur).text)
-    else:
-        if not first[0].isalpha() or "_" in first:
-            raise cur.fail("a symbol name", tok)
-        rhs.append(first)
-    declared.setdefault(rhs[0])
-    while cur.peek().text == ",":
-        cur.next()
-        sym = _expect_var(cur).text
-        rhs.append(sym)
-        declared.setdefault(sym)
-    return Rule(rid, lhs, action, tuple(rhs))
+    return Rule(rid, lhs, action, tuple(cur.comma_list(var)))
 
 
 def _parse_formula(
@@ -335,23 +294,19 @@ def parse_acs(text: str) -> tuple[Acs, AcsPlace]:
 
     cur = _Cursor(tokenize(text))
 
-    def ident_list(what: str) -> list[str]:
-        names = [_expect_acs_name(cur, what)]
-        while cur.peek().text == ",":
-            cur.next()
-            names.append(_expect_acs_name(cur, what))
-        return names
+    def names(what: str) -> list[str]:
+        return cur.comma_list(lambda: _expect_acs_name(cur, what))
 
     cur.expect_keyword("states")
-    states = ident_list("a state name")
+    states = names("a state name")
     procs: list[str] = []
     msgs: list[str] = []
     if cur.at_ident("procs"):
         cur.next()
-        procs = ident_list("a process name")
+        procs = names("a process name")
     if cur.at_ident("msgs"):
         cur.next()
-        msgs = ident_list("a message name")
+        msgs = names("a message name")
 
     cur.expect_keyword("rules")
     state_set = set(states)
@@ -359,50 +314,36 @@ def parse_acs(text: str) -> tuple[Acs, AcsPlace]:
     msg_set = set(msgs)
     if len(states) != len(state_set) or len(procs) != len(proc_set) or len(msgs) != len(msg_set):
         raise cur.fail("distinct declarations", cur.tokens[0])
-
-    rules: list[AcsRule] = []
-    first_rule_tok = cur.peek()
-    while cur.at_ident() and not cur.at_ident("init"):
-        rules.append(_parse_acs_rule(cur, len(rules), state_set, proc_set, msg_set))
-    if not rules:
-        raise cur.fail("a rule", first_rule_tok)
-
-    cur.expect_keyword("init")
+    rules = cur.rule_section(
+        "init", lambda rid: _parse_acs_rule(cur, rid, state_set, proc_set, msg_set))
     acs = Acs(tuple(states), tuple(procs), tuple(msgs), tuple(rules))
-    u = [0] * len(states)
-    v = [0] * len(acs.pairs)
-    seen: set = set()
-    while True:
+
+    counts: dict[str | tuple[str, str], int] = {}
+
+    def entry() -> None:
+        # state:count or (proc,msg):count, each named at most once.
         tok = cur.peek()
         if tok.text == "(":
             cur.next()
-            p_tok = cur.peek()
+            tok = cur.peek()
             p = _expect_declared(cur, proc_set, "a declared process")
             cur.expect_punct(",")
-            m = _expect_declared(cur, msg_set, "a declared message")
+            key = (p, _expect_declared(cur, msg_set, "a declared message"))
             cur.expect_punct(")")
-            cur.expect_punct(":")
-            count = cur.expect_number()
-            if ("pair", p, m) in seen:
-                raise cur.fail("a fresh init entry", p_tok)
-            seen.add(("pair", p, m))
-            v[acs.pair_index[(p, m)]] = count
         elif tok.kind == "ident":
-            q = _expect_declared(cur, state_set, "a declared state")
-            cur.expect_punct(":")
-            count = cur.expect_number()
-            if ("state", q) in seen:
-                raise cur.fail("a fresh init entry", tok)
-            seen.add(("state", q))
-            u[acs.state_index[q]] = count
+            key = _expect_declared(cur, state_set, "a declared state")
         else:
             raise cur.fail("an init entry")
-        if cur.peek().text != ",":
-            break
-        cur.next()
-    if cur.peek().kind != "eof":
-        raise cur.fail("end of input")
-    return acs, AcsPlace(tuple(u), tuple(v))
+        cur.expect_punct(":")
+        count = cur.expect_number()
+        if key in counts:
+            raise cur.fail("a fresh init entry", tok)
+        counts[key] = count
+
+    cur.comma_list(entry)
+    cur.expect_end()
+    u = tuple(counts.get(q, 0) for q in states)
+    return acs, AcsPlace(u, tuple(counts.get(pm, 0) for pm in acs.pairs))
 
 
 def _expect_acs_name(cur: _Cursor, what: str) -> str:
@@ -482,6 +423,5 @@ def parse_property(text: str, cb: ConvertedBpp) -> Formula:
 
     what = "a state, symbol, or mail(p, m) term"
     formula = _parse_formula(cur, cb.bpp.actions, lambda: _parse_atom(cur, term, what))
-    if cur.peek().kind != "eof":
-        raise cur.fail("end of input")
+    cur.expect_end()
     return formula

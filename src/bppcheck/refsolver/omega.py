@@ -24,6 +24,10 @@ from math import gcd
 
 Lit = tuple[str, dict[str, int], int]
 
+#: Steps one omega_solve call may take: one per sub-problem and one per
+#: generated shadow row.
+BUDGET = 200_000
+
 
 class OmegaBudgetExceeded(Exception):
     """The step budget or the deadline ran out; the message says which."""
@@ -92,15 +96,14 @@ def _pick(los, ups, witness: dict[str, int]) -> int:
 
 
 class _Solver:
-    def __init__(self, budget: int, deadline: float | None):
-        self.budget = budget
+    def __init__(self, deadline: float | None):
         self.deadline = deadline
         self.steps = 0
         self.fresh = 0
 
     def charge(self, units: int = 1) -> None:
         self.steps += units
-        if self.steps > self.budget:
+        if self.steps > BUDGET:
             raise OmegaBudgetExceeded("omega budget exhausted")
         if self.deadline is not None and time.perf_counter() >= self.deadline:
             raise OmegaBudgetExceeded("timeout")
@@ -237,16 +240,13 @@ class _Solver:
                 yield ("eq", eq_coeffs, -a_k - i)
 
 
-def omega_solve(
-    lits: list, budget: int = 200_000, deadline: float | None = None
-) -> dict[str, int] | None:
+def omega_solve(lits: list, deadline: float | None = None) -> dict[str, int] | None:
     """Decide a conjunction of integer-linear literals; return a witness
     covering every variable that occurs, or None when infeasible.
 
     Coefficients may be given as dicts or as (var, coeff) pair sequences.
-    Raises OmegaBudgetExceeded past ``budget`` steps (one per sub-problem
-    and one per generated shadow row) or past ``deadline`` (a
-    ``time.perf_counter()`` value).
+    Raises OmegaBudgetExceeded past ``BUDGET`` steps or past ``deadline``
+    (a ``time.perf_counter()`` value).
     """
     lits = [
         (kind, dict(coeffs) if not isinstance(coeffs, dict) else coeffs, const)
@@ -255,7 +255,7 @@ def omega_solve(
     rows: list[Lit] | None = []
     if not all(_put(rows, *lit) for lit in lits):
         rows = None
-    witness = _Solver(budget, deadline).solve(rows)
+    witness = _Solver(deadline).solve(rows)
     if witness is None:
         return None
     out: dict[str, int] = {}

@@ -92,14 +92,18 @@ class TestExitCodes:
         assert "parse error" in err
         assert "line 1" in err
 
-    @pytest.mark.parametrize("front, old, new", [
-        ("problem", "EF(Y == 1)", "EF(Y == \u00b2)"),
-        ("acs", "init q0:1", "init q0:\u2460"),
-        ("property", "EF(q0 >= 2)", "EF(q0 >= 1\u00b2)"),
-    ], ids=["problem", "acs", "property"])
-    def test_non_ascii_digit_is_parse_error(self, capsys, tmp_path, front, old, new):
+    @pytest.mark.parametrize("front, old, new, where", [
+        ("problem", "EF(Y == 1)", "EF(Y == \u00b2)", "line 7, column 9"),
+        ("acs", "init q0:1", "init q0:\u2460", "line 8, column 9"),
+        ("property", "EF(q0 >= 2)", "EF(q0 >= 1\u00b2)", "line 1, column 11"),
+        ("problem", "X -> X, Y", "X\u00e9 -> X, Y", "line 5, column 2"),
+        ("acs", "states q0, q1", "states q0, q1, q\u00e9", "line 2, column 17"),
+        ("property", "EF(q0 >= 2)", "EF(q\u00e9 >= 2)", "line 1, column 5"),
+    ], ids=["problem", "acs", "property", "problem-letter", "acs-letter", "property-letter"])
+    def test_non_ascii_digit_is_parse_error(self, capsys, tmp_path, front, old, new, where):
         # str.isdigit accepts superscript and circled digits, which int()
-        # refuses; numbers are read from ASCII digits only.
+        # refuses, and str.isalpha accepts accented letters; numbers and
+        # identifiers are read from ASCII characters only.
         files = {"problem": DATA / "reach.bpp", "acs": DATA / "pingpong.acs",
                  "property": DATA / "q0_twice.prop"}
         text = files[front].read_text()
@@ -111,7 +115,7 @@ class TestExitCodes:
         code, out, err = run(capsys, *args)
         assert code == 3
         assert out == ""
-        assert err.startswith("parse error:")
+        assert err.startswith(f"parse error: {where}:")
         assert "Traceback" not in err
 
     def test_mixed_formula_is_three(self, capsys, tmp_path):

@@ -254,4 +254,6 @@ class TestBatchWorkers:
         code = main([str(DATA / "reach.bpp"), str(bad), "--jobs", "2"])
         captured = capsys.readouterr()
         assert code == 3
-        assert "parse error: line 1" in captured.err
+        # The message names the input it came from.
+        assert captured.err == (
+            f"parse error: {bad}: line 1, column 9: expected a symbol name, found rules\n")

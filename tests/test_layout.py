@@ -1,8 +1,10 @@
 """Package layout: the bundled solver child loads only its own modules, a
 CLI run that never reaches a check loads only the CLI, a check loads only
 the engines its formula's nodes need, every demo runs against the package as laid out in this
-checkout, and the README lists the CLI's flags."""
+checkout, the package imports only the standard library, and the README lists the CLI's
+flags."""
 
+import ast
 import os
 import re
 import subprocess
@@ -170,3 +172,20 @@ def test_readme_flags_match_the_cli():
     documented = {span.split()[0] for span in spans}
     options = {opt for action in build_parser()._actions for opt in action.option_strings}
     assert documented == options - {"-h", "--help"}
+
+
+def test_package_imports_only_the_standard_library():
+    # The checker, its bundled solver and the Omega test need nothing to be
+    # installed: every absolute import names a standard-library module.
+    outside = set()
+    for path in (ROOT / "src" / "bppcheck").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside |= {(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == set()

@@ -133,6 +133,14 @@ REJECT_CORPUS = [
     ("circled_bound", "initial X rules X -> X formula X >= \u2460", 1, 37),
     ("superscript_after_digit", "initial X rules X -> X formula X >= 1\u00b2", 1, 38),
     ("tau_as_symbol", "initial _tau rules X -> X formula X >= 1", 1, 9),
+    ("tau_prefix_label", "initial X rules X -> _tau2 -> X formula X >= 1", 1, 22),
+    ("minus_before_arrow", "initial X rules X --> X formula X >= 1", 1, 19),
+    # nil ends a rule even where a label could stand.
+    ("nil_before_arrow", "initial X rules X -> nil -> X formula X >= 1", 1, 26),
+    # Identifiers are ASCII: a superscript digit ends the name and is no token.
+    ("superscript_in_name", "initial X\u00b2 rules X -> X formula X >= 1", 1, 10),
+    # A comment takes no column: the end of input sits where it starts.
+    ("end_after_comment", "initial X\nrules X -> X\nformula X >=  # no bound", 3, 15),
     # Coefficients only come after the symbol: NUMBER * VAR is not a term.
     ("number_times_var", "initial X rules X -> X formula 2 * X >= 2", 1, 32),
     # 101 nested operators: the error points at the one past the limit.
