@@ -10,11 +10,11 @@ Each piece of the pipeline is imported where a run first reaches it, so
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import (
     BppCheckError,
-    MixedFormula,
     ParseError,
     SolverCrashed,
     SolverNotFound,
@@ -83,32 +83,44 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         opts = parser.parse_args(argv)
-        return _dispatch(opts)
+        report, code = _dispatch(opts)
     except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error("usage error", err, EXIT_USAGE)
     except (ParseError, _NotUtf8) as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except MixedFormula as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error("parse error", err, EXIT_USAGE)
     except (SolverNotFound, SolverCrashed, SolverProtocolError) as err:
-        print(f"solver error: {err}", file=sys.stderr)
-        return EXIT_ENVIRONMENT
-    except BppCheckError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error("solver error", err, EXIT_ENVIRONMENT)
+    except BppCheckError as err:  # MixedFormula among them
+        return _error("error", err, EXIT_USAGE)
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ENVIRONMENT
+        return _error("error", err, EXIT_ENVIRONMENT)
     except (MemoryError, RecursionError) as err:
         limit = "out of memory" if isinstance(err, MemoryError) else "recursion depth exceeded"
-        print(f"error: {limit}", file=sys.stderr)
-        return EXIT_ENVIRONMENT
+        return _error("error", limit, EXIT_ENVIRONMENT)
+    try:
+        print(report, flush=True)
+    except OSError as err:
+        # Nobody reads the report. The flush at shutdown must not fail
+        # again and turn the exit code into another one.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _error("error", f"cannot write the report: {err}", EXIT_ENVIRONMENT)
+    return code
 
 
-def _dispatch(opts) -> int:
+def _error(prefix: str, err: object, code: int) -> int:
+    """Print an error message and return its exit code, which a closed
+    stderr does not change."""
+    try:
+        print(f"{prefix}: {err}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
+    return code
+
+
+def _dispatch(opts) -> tuple[str, int]:
+    """The report to print and the exit code."""
     if opts.k < 0:
         raise _UsageError("k must be >= 0")
     if opts.jobs < 1:
@@ -119,14 +131,10 @@ def _dispatch(opts) -> int:
     if opts.acs:
         if len(opts.inputs) != 2:
             raise _UsageError("--acs takes exactly two files: system and property")
-        text, code = _run_acs(opts.inputs[0], opts.inputs[1], opts)
-        print(text)
-        return code
+        return _run_acs(opts.inputs[0], opts.inputs[1], opts)
 
     if len(opts.inputs) == 1:
-        text, code = _run_problem(opts.inputs[0], opts)
-        print(text)
-        return code
+        return _run_problem(opts.inputs[0], opts)
 
     # Batch mode: independent checks on worker processes, since the bundled
     # solver runs in the checking process and holds the GIL while it solves.
@@ -143,20 +151,17 @@ def _dispatch(opts) -> int:
     try:
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             results = list(pool.map(_run_named, opts.inputs, [opts] * len(opts.inputs)))
-    except BrokenProcessPool as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ENVIRONMENT
-    code = EXIT_HOLDS
-    for path, (text, file_code) in zip(opts.inputs, results):
+    except BrokenProcessPool as err:  # a worker died: an environment failure
+        raise OSError(str(err)) from None
+    lines = []
+    for path, (text, _) in zip(opts.inputs, results):
         if opts.format == "json":  # one report object per line, in input order
             import json
 
-            print(json.dumps({"file": path, **json.loads(text)}))
+            lines.append(json.dumps({"file": path, **json.loads(text)}))
         else:
-            print(f"== {path} ==")
-            print(text)
-        code = max(code, file_code)
-    return code
+            lines += [f"== {path} ==", text]
+    return "\n".join(lines), max(code for _, code in results)
 
 
 def _read(path: str) -> str:

@@ -8,6 +8,7 @@ source of truth for vector indices everywhere in the package.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import cached_property
 from typing import Iterable
@@ -31,6 +32,10 @@ MARKING_CAP = 2**31 - 1
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 Marking = tuple[int, ...]
+
+#: The one table of comparisons: SMT-LIB spelling to truth on two integers.
+COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt,
+           "=": operator.eq, "!=": operator.ne}
 
 
 class Rule(Record):

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterator, Union
 
-from .core import Bpp, Marking, successors
+from .core import COMPARE, Bpp, Marking, successors
 from .errors import MixedFormula, UnknownSymbol
 from .record import Record
 
@@ -24,25 +24,14 @@ if TYPE_CHECKING:  # the solver back end is imported where a check starts
 
 
 class Cmp(enum.Enum):
+    """A comparison, valued by its SMT-LIB spelling (a key of ``core.COMPARE``)."""
+
     GE = ">="
     LE = "<="
     GT = ">"
     LT = "<"
-    EQ = "=="
+    EQ = "="
     NE = "!="
-
-    def holds(self, lhs: int, rhs: int) -> bool:
-        if self is Cmp.GE:
-            return lhs >= rhs
-        if self is Cmp.LE:
-            return lhs <= rhs
-        if self is Cmp.GT:
-            return lhs > rhs
-        if self is Cmp.LT:
-            return lhs < rhs
-        if self is Cmp.EQ:
-            return lhs == rhs
-        return lhs != rhs
 
 
 class LinearAtom(Record):
@@ -57,7 +46,7 @@ class LinearAtom(Record):
                 total += c * m[bpp.index[sym]]
             except KeyError:
                 raise UnknownSymbol(sym) from None
-        return self.cmp.holds(total, self.bound)
+        return COMPARE[self.cmp.value](total, self.bound)
 
 
 class Atom(Record):

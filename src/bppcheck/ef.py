@@ -23,8 +23,6 @@ from .errors import MixedFormula, SolverProtocolError, UnknownSymbol
 from .record import Record
 from .smt import Node, conj, disj, eval_node, lin, neg, to_smtlib
 
-_CMP_TO_SMT = {"==": "=", "!=": "!=", ">=": ">=", "<=": "<=", ">": ">", "<": "<"}
-
 
 class EfVars(Record):
     """Variable naming: x_<sym> reached count, y_<i+1> firing count per rule
@@ -135,7 +133,7 @@ def atoms_to_node(psi: Formula, name_of: dict[str, str]) -> Node:
             terms = [(name_of[sym], c) for sym, c in psi.atom.terms]
         except KeyError as exc:
             raise UnknownSymbol(str(exc.args[0])) from None
-        return lin(terms, _CMP_TO_SMT[psi.atom.cmp.value], psi.atom.bound)
+        return lin(terms, psi.atom.cmp.value, psi.atom.bound)
     if isinstance(psi, Not):
         return neg(atoms_to_node(psi.sub, name_of))
     if isinstance(psi, And):

@@ -27,16 +27,16 @@ falls back to the k-step unrolling.
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import Bpp, Marking, Rule, rule_delta
 from .ctl import And, Atom, CheckRun, EG, ENext, Formula, Not, evaluate, walk
 from .errors import EncodingTimeout, MixedFormula, SolverProtocolError, UnknownSymbol
+from .record import Record
 from .smt import (
     FALSE,
     TRUE,
     Node,
-    SmtScript,
     conj,
     disj,
     eval_node,
@@ -60,8 +60,10 @@ class VarAllocator:
     Path position j of the first EG block is u<j>_<sym>, of the n-th block
     u<j>b<n>_<sym>; the n-th step target is s<n>_<sym>. The text before the
     first ``_`` names the state and every symbol starts with a letter, so
-    no two names collide. ``declared`` collects, in the order they are
-    made, the blocks that the script declares as constants.
+    no two names collide. ``blocks`` keeps every EG block as its list of
+    states; ``declared`` collects, in the order they are made, the names
+    the script declares as constants. ``path_vars``,
+    ``declared_path_vars`` and ``target_vars`` count the variables made.
 
     With a deadline (a ``time.perf_counter()`` value), ``check_deadline``
     raises EncodingTimeout once it has passed. The encoder calls it for
@@ -70,10 +72,9 @@ class VarAllocator:
 
     def __init__(self, deadline: float | None = None):
         self.declared: list[str] = []
-        self.path_blocks: list[list[str]] = []
-        self.target_blocks: list[list[str]] = []
+        self.blocks: list[list[State]] = []
+        self.path_vars = self.declared_path_vars = self.target_vars = 0
         self.deadline = deadline
-        self._eg_serial = 0
         self._ex_serial = 0
 
     def check_deadline(self) -> None:
@@ -81,46 +82,44 @@ class VarAllocator:
             raise EncodingTimeout("encoding ran past the deadline")
 
     def path_block(self, k: int, symbols: Sequence[str], declare: bool) -> list[State]:
-        self._eg_serial += 1
-        tag = "" if self._eg_serial == 1 else f"b{self._eg_serial}"
+        tag = f"b{len(self.blocks) + 1}" if self.blocks else ""
         block: list[State] = []
         for j in range(k + 1):
             self.check_deadline()
             block.append(tuple(f"u{j}{tag}_{sym}" for sym in symbols))
-        self.path_blocks.append([name for state in block for name in state])
+        self.blocks.append(block)
+        self.path_vars += (k + 1) * len(symbols)
         if declare:
-            self.declared.extend(self.path_blocks[-1])
+            self.declared_path_vars += (k + 1) * len(symbols)
+            self.declared.extend(name for state in block for name in state)
         return block
 
     def target_state(self, symbols: Sequence[str], declare: bool) -> State:
         self.check_deadline()
         names = tuple(f"s{self._ex_serial}_{sym}" for sym in symbols)
         self._ex_serial += 1
-        self.target_blocks.append(list(names))
+        self.target_vars += len(names)
         if declare:
             self.declared.extend(names)
         return names
 
 
-def _component_eq(s_i: "str | int", t_i: "str | int", delta: int) -> Node:
-    """Equality  s_i + delta = t_i  over variable or constant components."""
+def _lin_at(pairs: Iterable[tuple["str | int", int]], op: str, bound: int) -> Node:
+    """The atom  sum(c * component) op bound  over (component, c) pairs of
+    state components: a concrete component folds into the bound."""
     terms: list[tuple[str, int]] = []
-    bound = delta
-    if isinstance(t_i, str):
-        terms.append((t_i, 1))
-    else:
-        bound -= t_i
-    if isinstance(s_i, str):
-        terms.append((s_i, -1))
-    else:
-        bound += s_i
-    return lin(terms, "=", bound)
+    for comp, c in pairs:
+        if isinstance(comp, int):
+            bound -= c * comp
+        else:
+            terms.append((comp, c))
+    return lin(terms, op, bound)
 
 
 def t_minus(s: State, t: State, rule: Rule, bpp: Bpp) -> Node:
     """Per-component marking change of one rule application."""
     delta = rule_delta(rule, bpp)
-    return conj(_component_eq(s[i], t[i], delta[i]) for i in range(bpp.n))
+    return conj(_lin_at([(t[i], 1), (s[i], -1)], "=", delta[i]) for i in range(bpp.n))
 
 
 def _enabled(s: State, rule: Rule, bpp: Bpp) -> Node:
@@ -153,18 +152,11 @@ def path_constraint(u: Sequence[State], bpp: Bpp, alloc: VarAllocator | None = N
 
 
 def _atom_at(f: Atom, s: State, bpp: Bpp) -> Node:
-    terms: list[tuple[str, int]] = []
-    bound = f.atom.bound
-    for sym, c in f.atom.terms:
-        if sym not in bpp.index:
-            raise UnknownSymbol(sym)
-        comp = s[bpp.index[sym]]
-        if isinstance(comp, int):
-            bound -= c * comp
-        else:
-            terms.append((comp, c))
-    op = {"==": "=", "!=": "!="}.get(f.atom.cmp.value, f.atom.cmp.value)
-    return lin(terms, op, bound)
+    try:
+        pairs = [(s[bpp.index[sym]], c) for sym, c in f.atom.terms]
+    except KeyError as exc:
+        raise UnknownSymbol(str(exc.args[0])) from None
+    return _lin_at(pairs, f.atom.cmp.value, f.atom.bound)
 
 
 def trans(f: Formula, s: State, k: int, bpp: Bpp, alloc: VarAllocator, top: bool = True) -> Node:
@@ -188,7 +180,7 @@ def trans(f: Formula, s: State, k: int, bpp: Bpp, alloc: VarAllocator, top: bool
     if isinstance(f, EG):
         u = alloc.path_block(k, bpp.symbols, top)
         parts: list[Node] = [path_constraint(u, bpp, alloc)]
-        parts.extend(_component_eq(s[i], u[0][i], 0) for i in range(bpp.n))
+        parts.extend(_lin_at([(u[0][i], 1), (s[i], -1)], "=", 0) for i in range(bpp.n))
         for j in range(k + 1):
             alloc.check_deadline()
             parts.append(trans(f.sub, u[j], k, bpp, alloc, top))
@@ -197,45 +189,27 @@ def trans(f: Formula, s: State, k: int, bpp: Bpp, alloc: VarAllocator, top: bool
     raise MixedFormula(f"bounded engine cannot compile {f!r}")
 
 
-class EgEncoding:
-    __slots__ = ("script", "alloc", "declared")
+class EgEncoding(Record):
+    """A compiled script and the counters it adds to a verdict: its
+    variables (declared, plus path variables under ``exists``), its path
+    variables declared and in all, and its target-state variables."""
 
-    def __init__(self, script: SmtScript, alloc: VarAllocator, declared: tuple[str, ...]):
-        self.script = script
-        self.alloc = alloc
-        self.declared = declared
-
-    @property
-    def path_vars_declared(self) -> int:
-        declared = set(self.declared)
-        return sum(1 for block in self.alloc.path_blocks for v in block if v in declared)
-
-    @property
-    def path_vars_quantified(self) -> int:
-        return self.path_vars_total - self.path_vars_declared
-
-    @property
-    def path_vars_total(self) -> int:
-        return sum(len(block) for block in self.alloc.path_blocks)
-
-    @property
-    def target_vars_total(self) -> int:
-        return sum(len(block) for block in self.alloc.target_blocks)
+    __slots__ = __match_args__ = (
+        "script", "eg_vars", "path_vars_declared", "path_vars_total", "target_vars")
 
     def counts(self) -> dict[str, int]:
-        """What the script adds to a verdict's counters: it is one assertion."""
-        return {"eg_vars": len(self.declared) + self.path_vars_quantified, "n_asserts": 1,
-                "path_vars_declared": self.path_vars_declared,
-                "path_vars_total": self.path_vars_total,
-                "target_vars": self.target_vars_total}
+        """What the script adds to a verdict's counters: every field but
+        the script, and one assertion."""
+        return dict(zip(self.__match_args__[1:], self._fields()[1:]), n_asserts=1)
 
 
 def _finish(node: Node, alloc: VarAllocator) -> EgEncoding:
     """Serialize and check the deadline once the script is done."""
-    declared = tuple(alloc.declared)
-    script = to_smtlib(node, declared)
+    script = to_smtlib(node, tuple(alloc.declared))
     alloc.check_deadline()
-    return EgEncoding(script=script, alloc=alloc, declared=declared)
+    quantified = alloc.path_vars - alloc.declared_path_vars
+    return EgEncoding(script, len(alloc.declared) + quantified, alloc.declared_path_vars,
+                      alloc.path_vars, alloc.target_vars)
 
 
 def encode_eg(
@@ -256,8 +230,8 @@ def encode_eg(
 
 #: The sign a drift must have on an atom's linear form so that adding it
 #: keeps the atom true: the form grows for >= and >, shrinks for <= and <,
-#: and stays put for == and !=.
-_DRIFT_SIGN = {">=": ">=", ">": ">=", "<=": "<=", "<": "<=", "==": "=", "!=": "="}
+#: and stays put for = and !=.
+_DRIFT_SIGN = {">=": ">=", ">": ">=", "<=": "<=", "<": "<=", "=": "=", "!=": "="}
 _FLIPPED = {">=": "<=", "<=": ">=", "=": "="}
 
 
@@ -289,8 +263,7 @@ def _encode_window(
     k > WINDOW use it, so E<a> compiles as at any k >= 1."""
     alloc = VarAllocator(deadline)
     block = trans(EG(body), tuple(init), WINDOW, bpp, alloc)
-    flat = alloc.path_blocks[0]
-    u = [tuple(flat[j * bpp.n : (j + 1) * bpp.n]) for j in range(WINDOW + 1)]
+    u = alloc.blocks[0]
     # Every component may only grow: d >= 0. An atom sign on a single
     # symbol that says the same thing is the same key, so it is kept once.
     signs: dict = {(((sym, 1),), ">="): None for sym in bpp.symbols}

@@ -348,7 +348,7 @@ def parse_acs(text: str) -> tuple[Acs, AcsPlace]:
 
 def _expect_acs_name(cur: _Cursor, what: str) -> str:
     tok = cur.peek()
-    if tok.kind != "ident" or tok.text == TAU:
+    if tok.kind != "ident" or tok.text.startswith(TAU):
         raise cur.fail(what)
     return cur.next().text
 

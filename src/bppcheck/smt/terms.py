@@ -10,13 +10,11 @@ from __future__ import annotations
 import re
 from typing import Iterable, Union
 
+from ..core import COMPARE
 from ..errors import IllFormedFormula
 from ..record import Record, setfield
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-#: Comparison operators accepted on linear atoms.
-OPS = (">=", "<=", ">", "<", "=", "!=")
 
 
 class BoolConst(Record):
@@ -33,7 +31,7 @@ class Lin(Record):
     __slots__ = __match_args__ = ("terms", "op", "bound")
 
     def __init__(self, terms: tuple[tuple[str, int], ...], op: str, bound: int):
-        if op not in OPS:
+        if op not in COMPARE:
             raise IllFormedFormula(f"bad comparison {op!r}")
         for name, coeff in terms:
             if not _NAME_RE.match(name):
@@ -198,17 +196,7 @@ def eval_node(node: Node, env: dict[str, int]) -> bool:
         total = 0
         for name, coeff in node.terms:
             total += coeff * env[name]
-        if node.op == ">=":
-            return total >= node.bound
-        if node.op == "<=":
-            return total <= node.bound
-        if node.op == ">":
-            return total > node.bound
-        if node.op == "<":
-            return total < node.bound
-        if node.op == "=":
-            return total == node.bound
-        return total != node.bound
+        return COMPARE[node.op](total, node.bound)
     if isinstance(node, NotF):
         return not eval_node(node.sub, env)
     if isinstance(node, AndF):

@@ -267,8 +267,8 @@ class TestCriterion6VariableCountLaw:
         for k in (5, 11):
             enc = encode_eg(bpp, (1, 0, 0), PHI3, k)
             assert enc.path_vars_declared == (k + 1) * n
-            assert enc.path_vars_quantified == (k + 1) ** 2 * n
-            counts[k] = enc.path_vars_quantified
+            counts[k] = enc.path_vars_total - enc.path_vars_declared
+            assert counts[k] == (k + 1) ** 2 * n
         assert counts[11] == counts[5] * 4  # (12/6)^2
         report(6, "nested EG quantified path variables follow (k+1)^2 growth")
 

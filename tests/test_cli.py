@@ -59,6 +59,26 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["stats"]["reason_unknown"] == "incomplete"
 
+    @pytest.mark.parametrize("name", ["reach.bpp", "unreach.bpp", "no-such-file.bpp"],
+                             ids=["holds", "not-holds", "missing-input"])
+    def test_closed_pipes_never_read_as_not_holds(self, name):
+        # Nobody reads stdout or stderr: the report cannot be written and
+        # the error message is lost, which is an environment failure, never
+        # exit code 1.
+        ends = []
+        for _ in range(2):
+            read, write = os.pipe()
+            os.close(read)
+            ends.append(write)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "bppcheck", str(DATA / name)],
+                                  stdout=ends[0], stderr=ends[1], env=env, timeout=120)
+        finally:
+            for fd in ends:
+                os.close(fd)
+        assert proc.returncode == 4
+
     def test_eg_encoding_stops_at_the_timeout(self, tmp_path):
         # AF nested 50 deep allocates (k+1)^50 path blocks; encoding shares
         # the solver's deadline, so the check ends as unknown instead.

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bppcheck import ef, eg
 from bppcheck.core import Bpp, Rule
 from bppcheck.ctl import (
     AF,
@@ -25,6 +26,7 @@ from bppcheck.ctl import (
 )
 from bppcheck.errors import MixedFormula, UnknownSymbol
 from bppcheck.oracle import ExplorationBudget, eval_bounded
+from bppcheck.smt import eval_node
 from bppcheck.smt.runner import BUNDLED_COMMAND, SolverConfig
 
 from .conftest import atom, random_atom, random_bpp, random_marking
@@ -62,7 +64,7 @@ class TestDesugar:
 
 class TestClassify:
     def test_ef_atom(self):
-        assert classify(EF(lam(Y=1, _cmp="=="))) == FormulaClass.EF_CLASS
+        assert classify(EF(lam(Y=1, _cmp="="))) == FormulaClass.EF_CLASS
 
     def test_eg_with_next(self):
         f = EG(ENext("a", lam(X2=1, X3=1, _bound=2)))
@@ -130,6 +132,9 @@ class TestEvalAtomic:
         assert eval_atomic(a, (1, 2, 0), bpp) is False
 
     def test_all_comparators(self):
+        # One comparison table serves the evaluator and both encoders: the
+        # EF encoding over the reached counts x and the bounded encoding at
+        # the concrete marking, which folds the atom to a constant.
         bpp = Bpp(("X",), (Rule(0, "X", "a", ()),))
         m = (2,)
         table = [
@@ -143,6 +148,8 @@ class TestEvalAtomic:
         for cmp, bound, expected in table:
             a = LinearAtom((("X", 1),), cmp, bound)
             assert eval_atomic(a, m, bpp) is expected
+            assert eval_node(ef.atoms_to_node(Atom(a), {"X": "x_X"}), {"x_X": 2}) is expected
+            assert eval_node(eg._atom_at(Atom(a), m, bpp), {}) is expected
 
     def test_unknown_symbol(self):
         bpp = Bpp(("X",), (Rule(0, "X", "a", ()),))

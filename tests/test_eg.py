@@ -146,7 +146,7 @@ class TestTrans:
     def test_top_block_is_declared_where_made(self, triangle):
         alloc = VarAllocator()
         node = trans(EG(atom({"X1": 1}, Cmp.GE, 0)), (1, 0, 0), 2, triangle, alloc)
-        assert alloc.declared == alloc.path_blocks[0]
+        assert alloc.declared == [name for state in alloc.blocks[0] for name in state]
         assert alloc.declared[:3] == ["u0_X1", "u0_X2", "u0_X3"]
         assert not has_quantifier(node)
 
@@ -155,7 +155,7 @@ class TestTrans:
         node = trans(Not(EG(atom({"X1": 1}, Cmp.GE, 0))), (1, 0, 0), 2, triangle, alloc)
         assert alloc.declared == []
         assert isinstance(node, NotF) and isinstance(node.sub, Exists)
-        assert list(node.sub.names) == alloc.path_blocks[0]
+        assert list(node.sub.names) == [name for state in alloc.blocks[0] for name in state]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_names_stay_distinct_when_a_symbol_looks_like_a_block(self, k):
@@ -166,10 +166,11 @@ class TestTrans:
         init = (1, 0)
         f = And(EG(atom({"X": 1}, Cmp.LE, 1)), EG(AF(atom({"X": 1}, Cmp.GE, 1))))
         enc = encode_eg(bpp, init, f, k)
-        names = [n for block in enc.alloc.path_blocks + enc.alloc.target_blocks for n in block]
+        # Every declared constant and every exists binder: each names one
+        # path or target variable.
+        names = re.findall(r"\((?:declare-const )?(\w+) Int\)", enc.script.text)
         assert len(set(names)) == len(names)
-        assert len(set(enc.declared)) == len(enc.declared)
-        assert {"u0_X_b2", "u0b2_X"} <= set(enc.declared)
+        assert {"u0_X_b2", "u0b2_X"} <= set(enc.script.declarations)
         expected = eval_bounded(f, init, k, bpp)
         assert expected.is_definite
         verdict = check(bpp, init, f, k, REF)
@@ -249,14 +250,15 @@ class TestVariableCountLaw:
         f = EG(AF(atom({"X1": 1, "X2": 1}, Cmp.GE, 2)))
         enc = encode_eg(triangle, (1, 0, 0), f, k)
         assert enc.path_vars_declared == (k + 1) * n
-        assert enc.path_vars_quantified == (k + 1) ** 2 * n
+        assert enc.path_vars_total - enc.path_vars_declared == (k + 1) ** 2 * n
         assert enc.path_vars_total == (k + 1) * (k + 2) * n
 
     def test_nested_eg_quadratic_ratio(self, triangle):
         f = EG(AF(atom({"X1": 1, "X2": 1}, Cmp.GE, 2)))
         counts = {
-            k: encode_eg(triangle, (1, 0, 0), f, k).path_vars_quantified
+            k: enc.path_vars_total - enc.path_vars_declared
             for k in (1, 3, 7)
+            for enc in [encode_eg(triangle, (1, 0, 0), f, k)]
         }
         assert counts[3] / counts[1] == pytest.approx(4.0)  # (4/2)^2
         assert counts[7] / counts[3] == pytest.approx(4.0)  # (8/4)^2

@@ -34,7 +34,7 @@ from bppcheck.ctl import (
     eval_atomic,
 )
 from bppcheck.oracle import ExplorationBudget, check_ef_oracle, eval_bounded
-from bppcheck.parsing import parse_problem
+from bppcheck.parsing import CMP_TOKENS, parse_problem
 
 SYMBOLS = ("X", "Y", "Z")
 UNARY = {"Neg": Not, "EG": EG, "AF": AF, "EF": EF}
@@ -61,7 +61,8 @@ def atoms(draw, symbols):
     text = _term(*terms[0]) + "".join(
         (" + " if c >= 0 else " - ") + _term(sym, abs(c)) for sym, c in terms[1:]
     )
-    return f"{text} {cmp.value} {bound}", Atom(LinearAtom(tuple(terms), cmp, bound))
+    spelling = next(tok for tok, c in CMP_TOKENS.items() if c is cmp)
+    return f"{text} {spelling} {bound}", Atom(LinearAtom(tuple(terms), cmp, bound))
 
 
 @st.composite

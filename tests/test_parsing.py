@@ -7,6 +7,7 @@ from bppcheck.core import TAU
 from bppcheck.ctl import EF, EG, And, Atom, Cmp, ENext, LinearAtom, Not, walk
 from bppcheck.errors import BppCheckError, ParseError
 from bppcheck.parsing import (
+    CMP_TOKENS,
     MAX_FORMULA_DEPTH,
     ProblemFile,
     parse_acs,
@@ -196,7 +197,8 @@ def atom_to_text(atom):
             parts.append(mult)
         else:
             parts.append(("+ " if coeff >= 0 else "- ") + mult)
-    return " ".join(parts) + f" {atom.cmp.value} {atom.bound}"
+    spelling = next(tok for tok, cmp in CMP_TOKENS.items() if cmp is atom.cmp)
+    return " ".join(parts) + f" {spelling} {atom.bound}"
 
 
 def formula_to_text(f):
@@ -395,6 +397,8 @@ FRONT_END_REJECT_CORPUS = [
      1, 1, "distinct declarations"),
     ("acs_state_name_tau", "acs", "states _tau\nrules\n_tau -> nop -> _tau\ninit _tau:1\n",
      1, 8, "a state name"),
+    ("acs_state_name_tau_prefixed", "acs",
+     "states q_1, _taux\nrules\nq_1 -> nop -> _taux\ninit q_1:1\n", 1, 13, "a state name"),
     ("acs_no_rules", "acs", _ACS_HEAD + "init q:1\n", 5, 1, "a rule"),
     ("acs_init_undeclared_process", "acs", _ACS_RULE + "init (r, m):1\n",
      6, 7, "a declared process"),
