@@ -215,15 +215,15 @@ class CheckRun:
         self.reason: str | None = None
         self._smt, self._command, self._on_script = smt, config.command, on_script
 
-    def left(self, until: float | None = None) -> float:
-        """Seconds left before the deadline, or before ``until``."""
-        return (self.deadline if until is None else until) - time.perf_counter()
+    def left(self) -> float:
+        """Seconds left before the deadline."""
+        return self.deadline - time.perf_counter()
 
-    def solve(self, script: SmtScript, until: float | None = None) -> SolverOutcome:
-        """One solver call, with the time left before the deadline or ``until``."""
+    def solve(self, script: SmtScript) -> SolverOutcome:
+        """One solver call, with the time left before the deadline."""
         if self._on_script is not None:
             self._on_script(script)
-        config = self._smt.SolverConfig(self._command, self.left(until))
+        config = self._smt.SolverConfig(self._command, self.left())
         self.outcomes.append(self._smt.run_solver(script, config))
         return self.outcomes[-1]
 

@@ -14,14 +14,16 @@ models expose it; a block under a negation is wrapped in ``exists`` where
 it is made.
 
 An EG φ node whose body has no EG is first tried on a window, at
-k > WINDOW: the EG block of ``WINDOW`` steps, conjoined with a lasso, a
-position i < WINDOW with u_i ≤ u_WINDOW in every component, where the drift
-d = u_WINDOW − u_i moves no atom of φ (in negation normal form) towards
-false. BPP firing is monotone, so the segment from u_i fires again from
-u_WINDOW forever (u_t = u_{t−L} + d), φ holds at every position, and EG φ
-holds at every bound. ``decide`` pumps the window's model to k steps and
-replays it concretely before it counts; a window that does not decide
-falls back to the k-step unrolling.
+k > WINDOW: a depth-first search over the rule paths of ``WINDOW`` steps
+from the node's concrete marking, with φ evaluated at every position, for
+a lasso, a position i < WINDOW with u_i ≤ u_WINDOW in every component,
+where the drift d = u_WINDOW − u_i moves no atom of φ (in negation normal
+form) towards false. BPP firing is monotone, so the segment from u_i fires
+again from u_WINDOW forever (u_t = u_{t−L} + d), φ holds at every
+position, and EG φ holds at every bound. ``decide`` pumps the path to k
+steps and replays it concretely before it counts; a window that finds no
+lasso before its deadline falls back to the k-step unrolling, the only EG
+path that reaches a solver.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import time
 from typing import Iterable, Sequence
 
 from .core import Bpp, Marking, Rule, rule_delta
-from .ctl import And, Atom, CheckRun, EG, ENext, Formula, Not, evaluate, walk
+from .ctl import And, Atom, CheckRun, Cmp, EG, ENext, Formula, LinearAtom, Not, evaluate, walk
 from .errors import EncodingTimeout, MixedFormula, SolverProtocolError, UnknownSymbol
 from .record import Record
 from .smt import (
@@ -39,7 +41,6 @@ from .smt import (
     Node,
     conj,
     disj,
-    eval_node,
     exists,
     lin,
     neg,
@@ -49,8 +50,9 @@ from .smt import (
 #: One symbolic marking: a solver variable or a concrete count per symbol.
 State = tuple["str | int", ...]
 
-#: Steps of the lasso window. With no lasso the solver may try every rule
-#: path of the window, so its cost grows like (rules ** WINDOW).
+#: Steps of the lasso window. With no lasso the search tries every rule
+#: path of the window, so its cost grows like (rules ** WINDOW); it runs
+#: under half of the time the check has left.
 WINDOW = 4
 
 
@@ -60,9 +62,8 @@ class VarAllocator:
     Path position j of the first EG block is u<j>_<sym>, of the n-th block
     u<j>b<n>_<sym>; the n-th step target is s<n>_<sym>. The text before the
     first ``_`` names the state and every symbol starts with a letter, so
-    no two names collide. ``blocks`` keeps every EG block as its list of
-    states; ``declared`` collects, in the order they are made, the names
-    the script declares as constants. ``path_vars``,
+    no two names collide. ``declared`` collects, in the order they are
+    made, the names the script declares as constants. ``path_vars``,
     ``declared_path_vars`` and ``target_vars`` count the variables made.
 
     With a deadline (a ``time.perf_counter()`` value), ``check_deadline``
@@ -72,22 +73,21 @@ class VarAllocator:
 
     def __init__(self, deadline: float | None = None):
         self.declared: list[str] = []
-        self.blocks: list[list[State]] = []
         self.path_vars = self.declared_path_vars = self.target_vars = 0
         self.deadline = deadline
-        self._ex_serial = 0
+        self._blocks = self._ex_serial = 0
 
     def check_deadline(self) -> None:
         if self.deadline is not None and time.perf_counter() >= self.deadline:
             raise EncodingTimeout("encoding ran past the deadline")
 
     def path_block(self, k: int, symbols: Sequence[str], declare: bool) -> list[State]:
-        tag = f"b{len(self.blocks) + 1}" if self.blocks else ""
+        tag = f"b{self._blocks + 1}" if self._blocks else ""
         block: list[State] = []
         for j in range(k + 1):
             self.check_deadline()
             block.append(tuple(f"u{j}{tag}_{sym}" for sym in symbols))
-        self.blocks.append(block)
+        self._blocks += 1
         self.path_vars += (k + 1) * len(symbols)
         if declare:
             self.declared_path_vars += (k + 1) * len(symbols)
@@ -204,11 +204,12 @@ class EgEncoding(Record):
 
 
 def _finish(node: Node, alloc: VarAllocator) -> EgEncoding:
-    """Serialize and check the deadline once the script is done."""
+    """Serialize and check the deadline once the script is done. Every
+    variable made is declared or bound under ``exists``, so ``eg_vars``
+    counts the path and target variables made."""
     script = to_smtlib(node, tuple(alloc.declared))
     alloc.check_deadline()
-    quantified = alloc.path_vars - alloc.declared_path_vars
-    return EgEncoding(script, len(alloc.declared) + quantified, alloc.declared_path_vars,
+    return EgEncoding(script, alloc.path_vars + alloc.target_vars, alloc.declared_path_vars,
                       alloc.path_vars, alloc.target_vars)
 
 
@@ -236,12 +237,13 @@ _FLIPPED = {">=": "<=", "<=": ">=", "=": "="}
 
 
 def _drift_signs(f: Formula, positive: bool, bpp: Bpp, out: dict) -> None:
-    """Collect (terms, sign) for every atom of f in negation normal form,
-    the enabledness atom u[lhs] >= 1 of each rule an E<a> can take
-    included (u[lhs] <= 0 under a negation, so no rule becomes enabled)."""
+    """Collect, as the atom ``terms sign 0`` over a drift, the sign of every
+    atom of f in negation normal form, the enabledness atom u[lhs] >= 1 of
+    each rule an E<a> can take included (u[lhs] <= 0 under a negation, so
+    no rule becomes enabled)."""
     if isinstance(f, Atom):
         sign = _DRIFT_SIGN[f.atom.cmp.value]
-        out[(f.atom.terms, sign if positive else _FLIPPED[sign])] = None
+        out[LinearAtom(f.atom.terms, Cmp(sign if positive else _FLIPPED[sign]), 0)] = None
     elif isinstance(f, Not):
         _drift_signs(f.sub, not positive, bpp, out)
     elif isinstance(f, And):
@@ -250,39 +252,51 @@ def _drift_signs(f: Formula, positive: bool, bpp: Bpp, out: dict) -> None:
     elif isinstance(f, ENext):
         for rule in bpp.rules:
             if rule.action == f.action:
-                out[(((rule.lhs, 1),), ">=" if positive else "<=")] = None
+                out[LinearAtom(((rule.lhs, 1),), Cmp.GE if positive else Cmp.LE, 0)] = None
         _drift_signs(f.sub, positive, bpp, out)
 
 
-def _encode_window(
-    bpp: Bpp, init: Marking, body: Formula, deadline: float
-) -> tuple[EgEncoding, list[State], list[Node]]:
-    """The lasso window script for EG body: the EG block of WINDOW steps
-    from init, and the disjunction over i < WINDOW of the lasso conditions,
-    which are also returned one per i with the block's states. Only bounds
-    k > WINDOW use it, so E<a> compiles as at any k >= 1."""
-    alloc = VarAllocator(deadline)
-    block = trans(EG(body), tuple(init), WINDOW, bpp, alloc)
-    u = alloc.blocks[0]
+def _window_path(
+    bpp: Bpp, m: Marking, body: Formula, deadline: float
+) -> tuple[list[Marking], int] | None:
+    """The lasso window for EG body at m, found by depth-first search: a
+    path u_0..u_WINDOW from m with body at every position and the first
+    i < WINDOW whose drift u_WINDOW - u_i passes every sign of
+    ``_drift_signs``, or None when no such path exists. Only bounds
+    k > WINDOW use it, so E<a> is evaluated as at any k >= 1. Raises
+    EncodingTimeout past the deadline, which is checked at every position."""
     # Every component may only grow: d >= 0. An atom sign on a single
     # symbol that says the same thing is the same key, so it is kept once.
-    signs: dict = {(((sym, 1),), ">="): None for sym in bpp.symbols}
+    signs: dict = {LinearAtom(((sym, 1),), Cmp.GE, 0): None for sym in bpp.symbols}
     _drift_signs(body, True, bpp, signs)
-    lassos = []
-    for i in range(WINDOW):
-        drifts = []
-        for terms, sign in signs:
-            diff: list[tuple[str, int]] = []
-            for sym, c in terms:  # trans has checked every symbol
-                diff += [(u[WINDOW][bpp.index[sym]], c), (u[i][bpp.index[sym]], -c)]
-            drifts.append(lin(diff, sign, 0))
-        lassos.append(conj(drifts))
-    return _finish(conj([block, disj(lassos)]), alloc), u, lassos
+    moves = list(dict.fromkeys((bpp.index[rule.lhs], rule_delta(rule, bpp))
+                               for rule in bpp.rules))
+    memo: dict = {}
+
+    def extend(path: list[Marking]) -> tuple[list[Marking], int] | None:
+        if time.perf_counter() >= deadline:
+            raise EncodingTimeout("the lasso window ran past the deadline")
+        u = path[-1]
+        if not evaluate(body, u, bpp, WINDOW, memo=memo):
+            return None
+        if len(path) > WINDOW:
+            for i in range(WINDOW):
+                drift = tuple(b - a for a, b in zip(path[i], u))
+                if all(sign.evaluate(drift, bpp) for sign in signs):
+                    return path, i
+            return None
+        for lhs, delta in moves:
+            if u[lhs] >= 1:
+                found = extend(path + [tuple(a + b for a, b in zip(u, delta))])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([m])
 
 
 def _pump(
-    bpp: Bpp, init: Marking, body: Formula, window: list[Marking], start: int, k: int,
-    deadline: float,
+    bpp: Bpp, body: Formula, window: list[Marking], start: int, k: int, deadline: float
 ) -> list[Marking]:
     """Pump the lasso window[start:] to a k-step path and replay it.
 
@@ -294,8 +308,6 @@ def _pump(
     loop = WINDOW - start
     drift = tuple(b - a for a, b in zip(window[start], window[WINDOW]))
     moves = [(bpp.index[rule.lhs], rule_delta(rule, bpp)) for rule in bpp.rules]
-    if window[0] != tuple(init):
-        raise SolverProtocolError("lasso path does not start at the initial marking")
     path = [window[0]]
     memo: dict = {}
     for j in range(k + 1):
@@ -323,34 +335,27 @@ def decide(run: CheckRun, node: EG, m: Marking) -> bool | None:
     """Decide the EG node at the concrete marking m for ``ctl.check``.
 
     At k > WINDOW a node whose body has no EG is first tried on the lasso
-    window, which decides it at every bound; otherwise, or when the window
-    does not decide, ``encode_eg`` of the node at m decides it at bound k.
-    The witness is a pumped lasso (its loop goes with it) or the
-    unrolling's model. The window gets half of the time the check has left
-    when it starts, the unrolling what is left; an encoding, pumping or
-    replay that runs past the deadline leaves the node unknown (reason
-    ``timeout``) without another solver call, and one that runs out of
-    memory leaves it unknown too (reason ``out of memory``)."""
+    window, which decides it at every bound with no solver call; otherwise,
+    or when the window does not decide, ``encode_eg`` of the node at m
+    decides it at bound k. The witness is a pumped lasso (its loop goes
+    with it) or the unrolling's model. The window search gets half of the
+    time the check has left when it starts, the unrolling what is left; an
+    encoding, pumping or replay that runs past the deadline leaves the node
+    unknown (reason ``timeout``) without a solver call, and one that runs
+    out of memory leaves it unknown too (reason ``out of memory``)."""
     bpp, k = run.bpp, run.k
     run.counts.update(eg_nodes=1)
     try:
         if k > WINDOW and not any(isinstance(g, EG) for g in walk(node.sub)):
             now = time.perf_counter()
-            until = now + (run.deadline - now) / 2
             try:
-                enc, u, lassos = _encode_window(bpp, m, node.sub, until)
+                found = _window_path(bpp, m, node.sub, now + (run.deadline - now) / 2)
             except EncodingTimeout:
-                model = None
-            else:
-                model = run.solve(enc.script, until).model  # a model comes with sat only
-            if model is not None:
-                start = next((i for i, lasso in enumerate(lassos)
-                              if eval_node(lasso, model)), None)
-                if start is None:
-                    raise SolverProtocolError("lasso window model closes no lasso")
-                window = [tuple(model[name] for name in state) for state in u]
-                path = _pump(bpp, m, node.sub, window, start, k, run.deadline)
-                run.counts.update(enc.counts(), lasso_nodes=1)
+                found = None
+            if found is not None:
+                window, start = found
+                path = _pump(bpp, node.sub, window, start, k, run.deadline)
+                run.counts.update(lasso_nodes=1)
                 return run.holds({f"u{j}_{sym}": p[c] for j, p in enumerate(path)
                                   for c, sym in enumerate(bpp.symbols)}, [start, WINDOW])
         enc = encode_eg(bpp, m, node, k, run.deadline)

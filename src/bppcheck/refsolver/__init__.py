@@ -8,9 +8,10 @@ over stdin/stdout like any other solver on the other end of a pipe.
 ``(get-info :reason-unknown)`` and ``(get-info :all-statistics)`` report
 on the last check-sat: why it gave up, and its steps, propagate rounds,
 branches, Omega calls, failed-memo hits and solving time (``:time``,
-seconds). Since nothing kills a solve in process, the engine stops itself:
-at a deadline (reason ``timeout``), at its step budget, and at
-``RECURSION_LIMIT`` or an exhausted memory (unknown, never a traceback).
+seconds, without loading the Omega test). Since nothing kills a solve in
+process, the engine stops itself: at a deadline (reason ``timeout``), at
+its step budget, and at ``RECURSION_LIMIT`` or an exhausted memory
+(unknown, never a traceback).
 
 This module reads the script into negation normal form; ``search.py``
 decides it, branching only over disjunctions, and the Omega test
@@ -299,7 +300,9 @@ def _check(script: _Script, deadline: float | None) -> None:
             reason = str(exc)
         except (RecursionError, MemoryError) as exc:
             reason = _limit_reason(exc)
-    script.last_stats = dict(engine.statistics(), time=time.perf_counter() - start)
+    # :time is solving: importing the Omega test at the first leaf is left out.
+    script.last_stats = dict(engine.statistics(),
+                             time=time.perf_counter() - start - engine.load_s)
     script.last_status = status
     script.last_reason = reason
     script.last_model = None

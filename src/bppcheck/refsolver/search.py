@@ -208,6 +208,7 @@ class _Engine:
         self.failed: dict[int, set[tuple[int, ...]]] = {}  # residual hash -> keys
         self.entry_ids: dict = {}  # failure-memo entries, interned
         self.rounds = self.branches = self.omega_calls = self.memo_hits = 0
+        self.load_s = 0.0  # importing the Omega test, which is not solving
 
     def charge(self, units: int = 1) -> None:
         self.steps += units
@@ -475,9 +476,11 @@ class _Engine:
         """The witness once only literals are left, which Omega decides."""
         witness = {}
         if trail.live_lits:
+            loading = time.perf_counter()
             from . import omega_solve  # looked up there, so a wrapper applies
             from .omega import OmegaBudgetExceeded
 
+            self.load_s += time.perf_counter() - loading
             self.omega_calls += 1
             lits = [item.entry for item in trail.items if item.alive and item.node is None]
             try:

@@ -96,8 +96,7 @@ def default_solver_command() -> tuple[str, ...]:
 
 def resolve_solver(command_line: str | None = None, timeout_s: float = 60.0) -> SolverConfig:
     """Build a solver config from an explicit command line, the
-    BPPCHECK_SOLVER environment variable, or the built-in default. The bundled
-    solver is imported here, outside every call's wall time and deadline."""
+    BPPCHECK_SOLVER environment variable, or the built-in default."""
     source = command_line or os.environ.get(ENV_SOLVER)
     if source:
         import shlex
@@ -107,8 +106,6 @@ def resolve_solver(command_line: str | None = None, timeout_s: float = 60.0) -> 
             raise SolverNotFound(source)
     else:
         command = default_solver_command()
-    if command == BUNDLED_COMMAND:
-        from .. import refsolver  # noqa: F401
     return SolverConfig(command, timeout_s)
 
 
@@ -117,12 +114,15 @@ def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:
 
     The bundled solver solves in this process; any other command is spawned.
     Either way the same script text goes in and the same code decodes the
-    printed answer.
+    printed answer. The bundled solver is imported at its first call, before
+    the call's clock starts, so a check that calls no solver never loads it
+    and compiling it counts in no call's wall time or deadline.
     """
-    start = time.perf_counter()
-    if config.command == BUNDLED_COMMAND:
+    bundled = config.command == BUNDLED_COMMAND
+    if bundled:
         from ..refsolver import solve_text
-
+    start = time.perf_counter()
+    if bundled:
         raw = solve_text(script.text, deadline=start + config.timeout_s)
         returncode = 0
     else:

@@ -46,12 +46,18 @@ class TestExitCodes:
         assert code == 2
         assert "result: unknown" in out
 
-    def test_unknown_carries_the_solver_reason(self, capsys):
+    def test_unknown_carries_the_solver_reason(self, capsys, tmp_path):
         fake = (
             f"{sys.executable} -c \"print('unknown'); "
             "print('(:reason-unknown incomplete)')\""
         )
-        code, out, _ = run(capsys, DATA / "liveness.bpp", "--solver", fake, "--stats")
+        # No lasso keeps X + Y + Z <= 3, so the unrolling calls the solver.
+        problem = tmp_path / "bounded.bpp"
+        problem.write_text(
+            (DATA / "liveness.bpp").read_text().split("formula")[0]
+            + "formula\nEG(X + Y + Z <= 3)\n"
+        )
+        code, out, _ = run(capsys, problem, "--solver", fake, "--stats")
         assert code == 2
         assert "reason_unknown: incomplete" in out
         assert "reason_unknown=incomplete" in out
@@ -268,19 +274,15 @@ class TestOutOfMemory:
     bounded encoding that does leaves its node unknown, and anywhere else
     the CLI prints one error line and exits 4."""
 
-    #: The window is unsat (P2 only grows), so the check goes on to the
-    #: unrolling, whose encoding at this k outgrows any memory.
+    #: The window finds no lasso (P2 only grows), so the check goes on to
+    #: the unrolling, whose encoding at this k outgrows any memory.
     GROWER = "initial P1 rules P1 -> a -> P1, P2 formula EG(P2 <= 3)\n"
 
     def test_unrolling_encoding_is_unknown(self, tmp_path, capsys, monkeypatch):
-        from bppcheck.eg import WINDOW, VarAllocator
-
-        path_block = VarAllocator.path_block
+        from bppcheck.eg import VarAllocator
 
         def out_of_memory(self, k, symbols, declare):
-            if k > WINDOW:
-                raise MemoryError
-            return path_block(self, k, symbols, declare)
+            raise MemoryError
 
         monkeypatch.setattr(VarAllocator, "path_block", out_of_memory)
         problem = tmp_path / "grower.bpp"
@@ -290,7 +292,7 @@ class TestOutOfMemory:
         report = json.loads(out)
         assert report["result"] == "unknown"
         assert report["stats"]["reason_unknown"] == "out of memory"
-        assert report["stats"]["solver_calls"] == 1  # the window only
+        assert report["stats"]["solver_calls"] == 0  # the window calls no solver
         assert err == ""
 
     @pytest.mark.parametrize("error, message", [
@@ -360,12 +362,20 @@ class TestTextReport:
         assert "\nk: 3\nbound: 3\n" in out
         assert "lasso" not in out
 
-    def test_stats_flag(self, capsys):
+    def test_stats_flag(self, capsys, tmp_path):
         code, out, _ = run(capsys, DATA / "unreach.bpp", "--stats")
         assert code == 1
         assert "stats:" in out
         assert "constraints:" in out
         assert "(set-logic" in out
+        # n_vars counts the 6 declared path variables of EG at k = 2 and the
+        # 6 target variables AX binds under exists, one state per position.
+        problem = tmp_path / "next.bpp"
+        problem.write_text("initial X\nrules X -> a -> X, Y\nformula EG(AX(a, Y >= 1))\n")
+        code, out, _ = run(capsys, problem, "-k", "2", "--stats")
+        assert code == 0
+        assert "stats: n_vars=12 n_asserts=1 " in out
+        assert "path_vars_declared=6 path_vars_total=6 target_vars=6 " in out
 
 
 class TestJsonReport:
@@ -416,7 +426,7 @@ class TestJsonReport:
         assert payload["k"] == 50
         assert payload["stats"]["bound"] == "unbounded"
         assert payload["stats"]["lasso"][1] == 4
-        assert payload["stats"]["solver_calls"] == 1
+        assert payload["stats"]["solver_calls"] == 0
         # The witness is the window's path pumped to k steps.
         assert {f"u{j}_X" for j in range(51)} <= payload["witness"].keys()
 
@@ -485,10 +495,10 @@ class TestEmitAndDot:
         assert "z_" not in first.read_text()
         assert second.read_text().count("(or ") == first.read_text().count("(or ") + 1
 
-    def test_emit_smt_writes_the_window_then_the_unrolling(self, tmp_path, capsys):
+    def test_emit_smt_writes_only_the_unrolling(self, tmp_path, capsys):
         # Every X or Y firing adds a token and only Z -> X keeps the count,
         # so no path keeps X + Y + Z <= 3 for long: the window finds no
-        # lasso and the unrolling refutes the bound.
+        # lasso, with no script, and the unrolling refutes the bound.
         problem = tmp_path / "bounded.bpp"
         problem.write_text(
             (DATA / "liveness.bpp").read_text().split("formula")[0]
@@ -498,12 +508,16 @@ class TestEmitAndDot:
         code, out, _ = run(capsys, problem, "--emit-smt", emitted, "--format", "json")
         assert code == 1
         stats = json.loads(out)["stats"]
-        assert stats["solver_calls"] == 2
+        assert stats["solver_calls"] == 1
         assert stats["bound"] == 10
-        window, unrolling = ((tmp_path / f"q.{i}.smt2").read_text() for i in range(2))
-        assert not emitted.exists() and not (tmp_path / "q.2.smt2").exists()
-        assert "u4_X" in window and "u5_X" not in window
-        assert "u10_X" in unrolling
+        assert "u10_X" in emitted.read_text()
+        assert not (tmp_path / "q.0.smt2").exists()
+        # The liveness demo's window decides it: nothing is written.
+        lasso = tmp_path / "lasso.smt2"
+        code, out, _ = run(capsys, DATA / "liveness.bpp", "--emit-smt", lasso, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["stats"]["bound"] == "unbounded"
+        assert list(tmp_path.glob("lasso*")) == []
 
     def test_dot_export(self, tmp_path, capsys):
         dot = tmp_path / "graph.dot"

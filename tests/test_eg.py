@@ -146,7 +146,7 @@ class TestTrans:
     def test_top_block_is_declared_where_made(self, triangle):
         alloc = VarAllocator()
         node = trans(EG(atom({"X1": 1}, Cmp.GE, 0)), (1, 0, 0), 2, triangle, alloc)
-        assert alloc.declared == [name for state in alloc.blocks[0] for name in state]
+        assert alloc.declared == [f"u{j}_{sym}" for j in range(3) for sym in triangle.symbols]
         assert alloc.declared[:3] == ["u0_X1", "u0_X2", "u0_X3"]
         assert not has_quantifier(node)
 
@@ -155,7 +155,8 @@ class TestTrans:
         node = trans(Not(EG(atom({"X1": 1}, Cmp.GE, 0))), (1, 0, 0), 2, triangle, alloc)
         assert alloc.declared == []
         assert isinstance(node, NotF) and isinstance(node.sub, Exists)
-        assert list(node.sub.names) == [name for state in alloc.blocks[0] for name in state]
+        names = [f"u{j}_{sym}" for j in range(3) for sym in triangle.symbols]
+        assert list(node.sub.names) == names
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_names_stay_distinct_when_a_symbol_looks_like_a_block(self, k):
@@ -380,13 +381,11 @@ class _Unrolling(Exception):
 
 
 def _stop_at_unrolling():
-    """An ``on_script`` that lets the first (window) script through."""
-    seen = []
+    """An ``on_script`` that raises on any script: the window calls no
+    solver, so every script is an unrolling."""
 
     def on_script(script):
-        if seen:
-            raise _Unrolling
-        seen.append(script)
+        raise _Unrolling
 
     return on_script
 
@@ -410,8 +409,14 @@ class TestLassoWindow:
 
     N_INSTANCES = 300
 
-    def test_window_verdicts_match_the_bounded_oracle(self, solver_reasons):
-        rng = random.Random(4711)
+    def test_window_verdicts_match_the_bounded_oracle(self):
+        # A check that makes any script is stopped, so each one counted
+        # here was decided by a window with no solver call.
+        for seed in (4711, 99):
+            self.check_window_verdicts(seed)
+
+    def check_window_verdicts(self, seed):
+        rng = random.Random(seed)
         budget = ExplorationBudget(max_states=30_000)
         start = time.perf_counter()
         by_window = compared = 0
@@ -444,13 +449,12 @@ class TestLassoWindow:
             for bound in (k, 3 * k):
                 expected = eval_bounded(f, init, bound, bpp, budget)
                 if expected.is_definite:
-                    assert (verdict.result == "holds") == expected.value, (i, bound, f)
+                    assert (verdict.result == "holds") == expected.value, (seed, i, bound, f)
                     compared += 1
         elapsed = time.perf_counter() - start
-        assert NON_GROUND not in solver_reasons  # the windows that did not decide too
-        assert by_window >= 60, by_window
-        assert compared >= by_window * 1.8, (compared, by_window)
-        assert elapsed < 5.0, f"took {elapsed:.1f}s"
+        assert by_window >= 60, (seed, by_window)
+        assert compared >= by_window * 1.8, (seed, compared, by_window)
+        assert elapsed < 5.0, f"seed {seed} took {elapsed:.1f}s"
 
     def test_shapes_the_window_leaves_to_the_unrolling(self, triangle):
         body = atom({"X1": 1, "X2": 1, "X3": 1}, Cmp.GE, 1)
@@ -473,12 +477,12 @@ class TestLassoWindow:
         verdict = check(triangle, (1, 0, 0), And(body, EG(body)), 10, REF)
         assert verdict.result == "holds"
         assert verdict.stats["bound"] == "unbounded"
-        assert verdict.stats["solver_calls"] == 1
+        assert verdict.stats["solver_calls"] == 0
         assert_witness_replays(triangle, (1, 0, 0), body, verdict.witness, 10)
 
     def test_no_lasso_falls_back_to_the_unrolling(self):
-        # X -> Y -> nil: every path dies after two steps, so the window is
-        # unsat and the unrolling refutes EG at k = 10.
+        # X -> Y -> nil: every path dies after two steps, so the window
+        # finds no lasso and the unrolling refutes EG at k = 10.
         bpp = Bpp(("X", "Y"), (Rule(0, "X", "a", ("Y",)), Rule(1, "Y", "a", ())))
         always = atom({"X": 1, "Y": 1}, Cmp.GE, 0)
         scripts = []
@@ -487,8 +491,8 @@ class TestLassoWindow:
         assert verdict.result == "not-holds"
         assert verdict.stats["bound"] == 10
         assert "lasso" not in verdict.stats
-        assert verdict.stats["solver_calls"] == len(scripts) == 2
-        assert scripts[1] == encode_eg(bpp, (1, 0), EG(always), 10).script
+        assert verdict.stats["solver_calls"] == len(scripts) == 1
+        assert scripts[0] == encode_eg(bpp, (1, 0), EG(always), 10).script
 
     def test_negated_next_needs_a_constant_enabledness(self):
         # X -a-> X, Y and Y -b-> Y: AX(b, false) holds at X alone, and a
@@ -512,9 +516,9 @@ class TestLassoWindow:
 
 
 class TestNodesAtConcreteMarkings:
-    """Only EG nodes reach the solver: each one at the concrete marking
-    where the evaluator meets it, as a script with no negation above its
-    block."""
+    """Only EG unrollings reach the solver: each one at the concrete
+    marking where the evaluator meets it, as a script with no negation
+    above its block."""
 
     @pytest.fixture
     def liveness(self):
@@ -532,7 +536,7 @@ class TestNodesAtConcreteMarkings:
         verdict = check(bpp, (1, 0), AF(phi), 6, REF, on_script=scripts.append)
         assert verdict.result == "not-holds"
         assert verdict.stats["bound"] == 6
-        assert len(scripts) == verdict.stats["solver_calls"] == 2
+        assert len(scripts) == verdict.stats["solver_calls"] == 1
         assert_witness_replays(bpp, (1, 0), Not(phi), verdict.witness, 6)
         holding = check(bpp, (1, 0), AF(atom({"Y": 1}, Cmp.GE, 3)), 6, REF)
         assert holding.result == "holds"
@@ -552,7 +556,9 @@ class TestNodesAtConcreteMarkings:
                 verdict = check(liveness, init, f, k, REF, on_script=scripts.append)
                 expected = eval_bounded(f, init, k, liveness)
                 assert (verdict.result == "holds") == expected.value, (f, k)
-                assert scripts and {s.logic for s in scripts} == {"QF_LIA"}, (f, k)
+                # A check with no script had every EG node decided by a window.
+                assert scripts or verdict.stats["bound"] == "unbounded", (f, k)
+                assert {s.logic for s in scripts} <= {"QF_LIA"}, (f, k)
         nested = EG(AF(atom({"Z": 1}, Cmp.GE, 1)))
         scripts = []
         check(liveness, init, nested, 3, REF, on_script=scripts.append)
@@ -576,12 +582,12 @@ class TestNodesAtConcreteMarkings:
         both = And(EG(everything), AF(Not(everything)))
         verdict = check(liveness, (1, 0, 0), both, 10, REF)
         assert (verdict.result, verdict.stats["bound"]) == ("not-holds", "unbounded")
-        assert verdict.stats["solver_calls"] == 2
-        assert verdict.stats["n_asserts"] == 2
+        assert verdict.stats["solver_calls"] == 0
+        assert verdict.stats["n_asserts"] == 0
         one_unrolled = And(EG(everything), AF(atom({"X": 1, "Y": 1, "Z": 1}, Cmp.GE, 3)))
         verdict = check(liveness, (1, 0, 0), one_unrolled, 10, REF)
         assert (verdict.result, verdict.stats["bound"]) == ("holds", 10)
-        assert verdict.stats["solver_calls"] == 3
+        assert verdict.stats["solver_calls"] == 1
         # The witness is the first EG node's lasso, pumped to k steps.
         assert verdict.stats["lasso"][1] == WINDOW
         assert_witness_replays(liveness, (1, 0, 0), everything, verdict.witness, 10)

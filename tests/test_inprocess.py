@@ -46,7 +46,7 @@ def unrolled_liveness(tmp_path, body: str, k: int) -> Path:
     EG(Conj(X + Y + Z <= k + 1, body)). No path of k steps breaks the
     added conjunct, since a step adds at most one token. No lasso keeps it
     either: every rule but Z -> X adds a token, and a loop of Z -> X alone
-    drains Z. So the window is unsat and the k-step unrolling decides."""
+    drains Z. So the window finds no lasso and the k-step unrolling decides."""
     problem = tmp_path / "liveness.bpp"
     problem.write_text(
         (DATA / "liveness.bpp").read_text(encoding="utf-8").split("formula")[0]
@@ -116,7 +116,7 @@ class TestDeadline:
         # Z = 3 at every one of 100 steps splits each position into Z < 3
         # and Z > 3, and the search tries tens of thousands of such paths.
         # Nothing kills an in-process solve, so the solver must stop itself.
-        # Two solver calls, the window's and the unrolling's, show the
+        # One solver call, the unrolling's (the window calls none), shows the
         # encoder finished in time and the solver, not the encoder's own
         # deadline check, gave up.
         problem = unrolled_liveness(tmp_path, "Neg(Z == 3)", 100)
@@ -128,13 +128,13 @@ class TestDeadline:
         assert code == 2
         stats = json.loads(out)["stats"]
         assert stats["reason_unknown"] == "timeout"
-        assert stats["solver_calls"] == 2
+        assert stats["solver_calls"] == 1
         assert elapsed < 2.5
 
     def test_long_unrolling_stops_the_encoder(self, capsys, tmp_path):
         # At k = 100,000 the path block alone has 300,003 names; the encoder
         # checks the deadline at every step, so it gives up close to it and
-        # never starts the solver on it: the one call is the window's.
+        # never starts the solver on it; the window calls none.
         problem = unrolled_liveness(tmp_path, "EX(a, Y + Z >= 2)", 100_000)
         start = time.perf_counter()
         code, out = run_cli(
@@ -145,13 +145,13 @@ class TestDeadline:
         assert code == 2
         stats = json.loads(out)["stats"]
         assert stats["reason_unknown"] == "timeout"
-        assert stats["solver_calls"] == 1
+        assert stats["solver_calls"] == 0
         assert elapsed < 1.5
 
     def test_long_lasso_stops_at_the_timeout(self, capsys):
         # The window finds the liveness demo's lasso at once; pumping it to
         # ten million steps and replaying them checks the deadline at every
-        # step, so the check ends as unknown close to it.
+        # step, so the check ends as unknown close to it, with no solver call.
         start = time.perf_counter()
         code, out = run_cli(
             capsys, ROOT / "demos" / "inputs" / "liveness.bpp", "-k", "10000000",
@@ -161,7 +161,7 @@ class TestDeadline:
         assert code == 2
         stats = json.loads(out)["stats"]
         assert stats["reason_unknown"] == "timeout"
-        assert stats["solver_calls"] == 1
+        assert stats["solver_calls"] == 0
         assert elapsed < 1.5
 
     def test_past_deadline_is_timeout(self):

@@ -103,17 +103,22 @@ def test_batch_parent_loads_only_the_cli():
     assert set(modules) == CLI_ONLY - {"bppcheck.__main__"}
 
 
-@pytest.mark.parametrize("problem", ["reach.bpp", "liveness.bpp"], ids=["ef", "eg"])
-def test_bundled_solver_is_loaded_before_the_first_call(problem):
-    # Compiling the bundled solver belongs to start-up, not to the first
-    # call's wall time or deadline.
+def test_bundled_solver_is_loaded_at_the_first_call():
+    # A check that calls no solver never compiles the bundled one, and
+    # compiling it counts in no call's wall time or deadline: it is loaded
+    # inside the first call, before that call's clock starts.
     proc = run_fresh(
         "-c",
-        "import contextlib, io, sys\n"
+        "import contextlib, io, sys, time, types\n"
         "from bppcheck import cli, smt\n"
         "from bppcheck.smt import runner\n"
         "runner.default_solver_command = lambda: runner.BUNDLED_COMMAND\n"
         "first, real = [], runner.run_solver\n"
+        "def clock():\n"
+        "    if len(first) == 2:\n"
+        "        first.append('bppcheck.refsolver' in sys.modules)\n"
+        "    return time.perf_counter()\n"
+        "runner.time = types.SimpleNamespace(perf_counter=clock)\n"
         "def spy(script, config):\n"
         "    if not first:\n"
         "        first.append(config.command == runner.BUNDLED_COMMAND)\n"
@@ -121,16 +126,44 @@ def test_bundled_solver_is_loaded_before_the_first_call(problem):
         "    return real(script, config)\n"
         "smt.run_solver = runner.run_solver = spy\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main([{str(DATA / problem)!r}])\n"
+        f"    code = cli.main([{str(DATA / 'reach.bpp')!r}])\n"
         "print(code, *first)",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "True", "True"]
+    assert proc.stdout.split() == ["0", "True", "False", "True"]
+
+
+def test_solving_time_leaves_out_loading_the_omega_test():
+    # The first search leaf that hands the Omega test literals loads it. A
+    # finder that makes that take 0.3 s shows the load in the call's wall
+    # time and not in the solving time the solver reports as :time.
+    proc = run_fresh(
+        "-c",
+        "import contextlib, io, json, sys, time\n"
+        "class Slow:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'bppcheck.refsolver.omega':\n"
+        "            time.sleep(0.3)\n"
+        "sys.meta_path.insert(0, Slow())\n"
+        "from bppcheck import cli\n"
+        "from bppcheck.smt import runner\n"
+        "runner.default_solver_command = lambda: runner.BUNDLED_COMMAND\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = cli.main([{str(DATA / 'reach.bpp')!r}, '--format', 'json'])\n"
+        "stats = json.loads(out.getvalue())['stats']\n"
+        "print(code, stats['solver_omega_calls'], stats['solver_ms'], stats['solver_wall_ms'])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, omega_calls, solver_ms, wall_ms = proc.stdout.split()
+    assert code == "0" and int(omega_calls) >= 1
+    assert float(solver_ms) < 300.0 <= float(wall_ms)
 
 
 @pytest.mark.parametrize("args, engines, unused", [
     ([DATA / "reach.bpp"], {"ef"}, {"acs", "oracle"}),
-    ([DATA / "liveness.bpp"], {"eg"}, {"acs", "oracle", "refsolver.omega"}),
+    ([DATA / "liveness.bpp"], {"eg"},
+     {"acs", "oracle", "refsolver", "refsolver.search", "refsolver.omega"}),
     ([DATA / "pingpong.acs", DATA / "q0_twice.prop", "--acs"], {"ef"}, {"oracle"}),
     ([DATA / "mixed.bpp"], {"ef", "eg"}, {"acs", "oracle"}),
 ], ids=["ef", "eg", "acs", "mixed"])
