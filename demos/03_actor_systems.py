@@ -8,10 +8,9 @@ transfers back to the actor system.
 Run:  python demos/03_actor_systems.py
 """
 
-from bppcheck.acs import acs_successors, convert, convert_place
+from bppcheck.acs import acs_successors, convert, convert_place, parse_acs, parse_property
 from bppcheck.core import enabled_rules
 from bppcheck.ctl import check
-from bppcheck.parsing import parse_acs, parse_property
 from bppcheck.smt import resolve_solver
 
 SYSTEM = """\

@@ -1,4 +1,5 @@
-"""Actor communicating systems and their over-approximating conversion.
+"""Actor communicating systems: their text format, their over-approximating
+conversion, and properties over the converted system.
 
 An actor system has finite control states, process classes, and messages;
 configurations count processes per state and messages per mailbox. The
@@ -7,8 +8,11 @@ receive, which would need two tokens on the left side, becomes a single
 left symbol plus an out token on the right. The converted system admits
 every original behavior, so unreachability transfers back. A property over
 an actor system is an ordinary formula over the converted symbols:
-``parsing.parse_property`` reads state names, in/out symbol names and
-mailbox terms mail(p, m) straight into atoms over them.
+``parse_property`` reads state names, in/out symbol names and mailbox terms
+mail(p, m) straight into atoms over them, with the formula grammar of
+``parsing.parse_problem``. ``parse_acs`` and ``parse_property`` share the
+problem front end's tokenizer, cursor and formula and atom readers; the CLI
+loads this module only for ``--acs``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from functools import cached_property
 from typing import Union
 
 from .core import TAU, Bpp, Marking, Rule
+from .ctl import Formula
 from .errors import NameCollision, UnknownReference
+from .parsing import _Cursor, _parse_atom, _parse_formula, tokenize
 from .record import Record, setfield
 
 
@@ -189,3 +195,148 @@ def mailbox_content(cb: ConvertedBpp, marking: Marking, proc: str, msg: str) -> 
     i = cb.bpp.index[cb.in_symbol[(proc, msg)]]
     o = cb.bpp.index[cb.out_symbol[(proc, msg)]]
     return marking[i] - marking[o]
+
+
+# ---------------------------------------------------------------------------
+# Actor-system format
+# ---------------------------------------------------------------------------
+
+
+def parse_acs(text: str) -> tuple[Acs, AcsPlace]:
+    """Parse the actor-system description format.
+
+    Sections: ``states`` (required), ``procs`` and ``msgs`` (optional),
+    ``rules`` with one transition per line, and a required ``init`` with
+    ``state:count`` and ``(proc,msg):count`` entries (omitted entries are 0).
+    """
+    cur = _Cursor(tokenize(text))
+
+    def names(what: str) -> list[str]:
+        return cur.comma_list(lambda: _expect_acs_name(cur, what))
+
+    cur.expect_keyword("states")
+    states = names("a state name")
+    procs: list[str] = []
+    msgs: list[str] = []
+    if cur.at_ident("procs"):
+        cur.next()
+        procs = names("a process name")
+    if cur.at_ident("msgs"):
+        cur.next()
+        msgs = names("a message name")
+
+    cur.expect_keyword("rules")
+    state_set = set(states)
+    proc_set = set(procs)
+    msg_set = set(msgs)
+    if len(states) != len(state_set) or len(procs) != len(proc_set) or len(msgs) != len(msg_set):
+        raise cur.fail("distinct declarations", cur.tokens[0])
+    rules = cur.rule_section(
+        "init", lambda rid: _parse_acs_rule(cur, rid, state_set, proc_set, msg_set))
+    acs = Acs(tuple(states), tuple(procs), tuple(msgs), tuple(rules))
+
+    counts: dict[str | tuple[str, str], int] = {}
+
+    def entry() -> None:
+        # state:count or (proc,msg):count, each named at most once.
+        tok = cur.peek()
+        if tok.text == "(":
+            cur.next()
+            tok = cur.peek()
+            p = _expect_declared(cur, proc_set, "a declared process")
+            cur.expect_punct(",")
+            key = (p, _expect_declared(cur, msg_set, "a declared message"))
+            cur.expect_punct(")")
+        elif tok.kind == "ident":
+            key = _expect_declared(cur, state_set, "a declared state")
+        else:
+            raise cur.fail("an init entry")
+        cur.expect_punct(":")
+        count = cur.expect_number()
+        if key in counts:
+            raise cur.fail("a fresh init entry", tok)
+        counts[key] = count
+
+    cur.comma_list(entry)
+    cur.expect_end()
+    u = tuple(counts.get(q, 0) for q in states)
+    return acs, AcsPlace(u, tuple(counts.get(pm, 0) for pm in acs.pairs))
+
+
+def _expect_acs_name(cur: _Cursor, what: str) -> str:
+    tok = cur.peek()
+    if tok.kind != "ident" or tok.text.startswith(TAU):
+        raise cur.fail(what)
+    return cur.next().text
+
+
+def _expect_declared(cur: _Cursor, names: set, what: str) -> str:
+    """An actor-system name from the declared set; what names it."""
+    tok = cur.peek()
+    name = _expect_acs_name(cur, what)
+    if name not in names:
+        raise cur.fail(what, tok)
+    return name
+
+
+def _parse_acs_rule(cur: _Cursor, rid: int, states: set, procs: set, msgs: set) -> AcsRule:
+    src = _expect_declared(cur, states, "a declared state")
+    cur.expect_punct("->")
+
+    tok = cur.peek()
+    if tok.kind != "ident":
+        raise cur.fail("an operation (nop, new, p!m, p?m)")
+    if tok.text == "nop":
+        cur.next()
+        op = Nop()
+    elif tok.text == "new":
+        cur.next()
+        op = Spawn(_expect_declared(cur, states, "a declared state"))
+    else:
+        proc = _expect_declared(cur, procs, "a declared process")
+        kind_tok = cur.peek()
+        if kind_tok.text not in ("!", "?"):
+            raise cur.fail("'!' or '?'")
+        cur.next()
+        msg = _expect_declared(cur, msgs, "a declared message")
+        op = Send(proc, msg) if kind_tok.text == "!" else Recv(proc, msg)
+
+    cur.expect_punct("->")
+    dst = _expect_declared(cur, states, "a declared state")
+    return AcsRule(rid, src, op, dst)
+
+
+# ---------------------------------------------------------------------------
+# Actor-level properties
+# ---------------------------------------------------------------------------
+
+
+def parse_property(text: str, cb: ConvertedBpp) -> Formula:
+    """Parse a property formula over a converted actor system.
+
+    The formula grammar is the problem-file one; a term is a state name, a
+    converted in/out symbol name, or mail(p, m), which reads as
+    ``p_m_in - p_m_out``. The atoms come out over converted symbols.
+    """
+    cur = _Cursor(tokenize(text))
+
+    def term(cur: _Cursor) -> list[tuple[str, int]]:
+        if cur.peek().text == "mail" and cur.peek(1).text == "(":
+            cur.next()
+            cur.expect_punct("(")
+            p_tok = cur.peek()
+            proc = _expect_acs_name(cur, "a declared process")
+            cur.expect_punct(",")
+            msg = _expect_acs_name(cur, "a declared message")
+            cur.expect_punct(")")
+            if (proc, msg) not in cb.acs.pair_index:
+                raise cur.fail("a declared mailbox slot", p_tok)
+            return [(cb.in_symbol[(proc, msg)], 1), (cb.out_symbol[(proc, msg)], -1)]
+        if cur.peek().text not in cb.bpp.index:
+            raise cur.fail("a declared state or converted symbol")
+        return [(cur.next().text, 1)]
+
+    what = "a state, symbol, or mail(p, m) term"
+    formula = _parse_formula(cur, cb.bpp.actions, lambda: _parse_atom(cur, term, what))
+    cur.expect_end()
+    return formula

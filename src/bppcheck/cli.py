@@ -191,8 +191,7 @@ def _run_named(path: str, opts) -> tuple[str, int]:
 
 def _run_acs(system_path: str, property_path: str, opts) -> tuple[str, int]:
     text = _read(system_path)
-    from .acs import convert, convert_place
-    from .parsing import parse_acs, parse_property
+    from .acs import convert, convert_place, parse_acs, parse_property
 
     acs, place = parse_acs(text)
     cb = convert(acs)

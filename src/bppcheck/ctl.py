@@ -19,7 +19,7 @@ from .core import COMPARE, Bpp, Marking, successors
 from .errors import MixedFormula, UnknownSymbol
 from .record import Record
 
-if TYPE_CHECKING:  # the solver back end is imported where a check starts
+if TYPE_CHECKING:  # the solver back end is imported where a check starts and solves
     from .smt import SmtScript, SolverConfig, SolverOutcome, Verdict
 
 
@@ -204,8 +204,6 @@ class CheckRun:
     of the first that is unknown."""
 
     def __init__(self, bpp: Bpp, k: int, config: SolverConfig, on_script: Callable | None):
-        from . import smt
-
         self.bpp, self.k = bpp, k
         self.deadline = time.perf_counter() + config.timeout_s
         self.counts: Counter[str] = Counter()
@@ -213,18 +211,21 @@ class CheckRun:
         self.witness: dict | None = None
         self.lasso: list | None = None
         self.reason: str | None = None
-        self._smt, self._command, self._on_script = smt, config.command, on_script
+        self._command, self._on_script = config.command, on_script
 
     def left(self) -> float:
         """Seconds left before the deadline."""
         return self.deadline - time.perf_counter()
 
     def solve(self, script: SmtScript) -> SolverOutcome:
-        """One solver call, with the time left before the deadline."""
+        """One solver call, with the time left before the deadline. The
+        runner is loaded here, at a check's first call."""
+        from . import smt
+
         if self._on_script is not None:
             self._on_script(script)
-        config = self._smt.SolverConfig(self._command, self.left())
-        self.outcomes.append(self._smt.run_solver(script, config))
+        config = smt.SolverConfig(self._command, self.left())
+        self.outcomes.append(smt.run_solver(script, config))
         return self.outcomes[-1]
 
     def holds(self, witness: dict, lasso: list | None = None) -> bool:
@@ -244,9 +245,9 @@ def check(bpp: Bpp, init: Marking, f: Formula, k: int, config: SolverConfig,
     the engine the verdict reports: ``ef`` (k null) for a formula with no
     EG or E<a>, else ``eg-bounded``. ``evaluate`` hands each EF node it
     meets, at its concrete marking, to ``ef.decide`` (lazy siphon
-    refinement, exact) and each EG node to ``eg.decide`` (the lasso
-    window, then the k-step unrolling); each engine is imported where
-    evaluation first reaches one of its nodes. Every node shares the
+    refinement, exact) and each EG node to ``lasso.decide`` (the lasso
+    window, then the k-step unrolling of ``eg``); each engine is imported
+    where evaluation first reaches one of its nodes. Every node shares the
     config's timeout from the start of the check: each solver call gets
     what is left, and a node that runs out of it is unknown with reason
     ``timeout``. The witness is that of the first node that holds, in
@@ -268,7 +269,7 @@ def check(bpp: Bpp, init: Marking, f: Formula, k: int, config: SolverConfig,
         if isinstance(node, EF):
             from .ef import decide as engine
         else:
-            from .eg import decide as engine
+            from .lasso import decide as engine
         return engine(run, node, m)
 
     value = evaluate(f, tuple(init), bpp, k, decide)

@@ -1,5 +1,6 @@
-"""Text front-ends: the problem language, the actor-system format, and
-actor-level property formulas.
+"""The problem-file front end, and the tokenizer, cursor and formula and
+atom readers that the actor front end (``acs.parse_acs`` and
+``acs.parse_property``) shares with it.
 
 The problem grammar is the hand-written recursive-descent kind: whitespace
 and newlines are insignificant between tokens, ``#`` starts a comment,
@@ -13,7 +14,7 @@ offending token.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import Callable, TypeVar
 
 from .core import TAU, Bpp, Rule, parikh
 from .ctl import (
@@ -33,9 +34,6 @@ from .ctl import (
 )
 from .errors import ParseError
 from .record import Record
-
-if TYPE_CHECKING:
-    from .acs import Acs, AcsPlace, AcsRule, ConvertedBpp
 
 T = TypeVar("T")
 KEYWORDS = ("initial", "rules", "formula", "nil")
@@ -278,150 +276,11 @@ def _parse_atom(
     return Atom(LinearAtom(tuple(terms), CMP_TOKENS[cmp_tok.text], bound))
 
 
-# ---------------------------------------------------------------------------
-# Actor-system format
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    # The actor front end lives in acs. The benchmark's traced pipeline
+    # (clibench/trace.py) still reads its two entry points here.
+    if name in ("parse_acs", "parse_property"):
+        from . import acs
 
-
-def parse_acs(text: str) -> tuple[Acs, AcsPlace]:
-    """Parse the actor-system description format.
-
-    Sections: ``states`` (required), ``procs`` and ``msgs`` (optional),
-    ``rules`` with one transition per line, and a required ``init`` with
-    ``state:count`` and ``(proc,msg):count`` entries (omitted entries are 0).
-    """
-    from .acs import Acs, AcsPlace
-
-    cur = _Cursor(tokenize(text))
-
-    def names(what: str) -> list[str]:
-        return cur.comma_list(lambda: _expect_acs_name(cur, what))
-
-    cur.expect_keyword("states")
-    states = names("a state name")
-    procs: list[str] = []
-    msgs: list[str] = []
-    if cur.at_ident("procs"):
-        cur.next()
-        procs = names("a process name")
-    if cur.at_ident("msgs"):
-        cur.next()
-        msgs = names("a message name")
-
-    cur.expect_keyword("rules")
-    state_set = set(states)
-    proc_set = set(procs)
-    msg_set = set(msgs)
-    if len(states) != len(state_set) or len(procs) != len(proc_set) or len(msgs) != len(msg_set):
-        raise cur.fail("distinct declarations", cur.tokens[0])
-    rules = cur.rule_section(
-        "init", lambda rid: _parse_acs_rule(cur, rid, state_set, proc_set, msg_set))
-    acs = Acs(tuple(states), tuple(procs), tuple(msgs), tuple(rules))
-
-    counts: dict[str | tuple[str, str], int] = {}
-
-    def entry() -> None:
-        # state:count or (proc,msg):count, each named at most once.
-        tok = cur.peek()
-        if tok.text == "(":
-            cur.next()
-            tok = cur.peek()
-            p = _expect_declared(cur, proc_set, "a declared process")
-            cur.expect_punct(",")
-            key = (p, _expect_declared(cur, msg_set, "a declared message"))
-            cur.expect_punct(")")
-        elif tok.kind == "ident":
-            key = _expect_declared(cur, state_set, "a declared state")
-        else:
-            raise cur.fail("an init entry")
-        cur.expect_punct(":")
-        count = cur.expect_number()
-        if key in counts:
-            raise cur.fail("a fresh init entry", tok)
-        counts[key] = count
-
-    cur.comma_list(entry)
-    cur.expect_end()
-    u = tuple(counts.get(q, 0) for q in states)
-    return acs, AcsPlace(u, tuple(counts.get(pm, 0) for pm in acs.pairs))
-
-
-def _expect_acs_name(cur: _Cursor, what: str) -> str:
-    tok = cur.peek()
-    if tok.kind != "ident" or tok.text.startswith(TAU):
-        raise cur.fail(what)
-    return cur.next().text
-
-
-def _expect_declared(cur: _Cursor, names: set, what: str) -> str:
-    """An actor-system name from the declared set; what names it."""
-    tok = cur.peek()
-    name = _expect_acs_name(cur, what)
-    if name not in names:
-        raise cur.fail(what, tok)
-    return name
-
-
-def _parse_acs_rule(cur, rid: int, states: set, procs: set, msgs: set) -> AcsRule:
-    from .acs import AcsRule, Nop, Recv, Send, Spawn
-
-    src = _expect_declared(cur, states, "a declared state")
-    cur.expect_punct("->")
-
-    tok = cur.peek()
-    if tok.kind != "ident":
-        raise cur.fail("an operation (nop, new, p!m, p?m)")
-    if tok.text == "nop":
-        cur.next()
-        op = Nop()
-    elif tok.text == "new":
-        cur.next()
-        op = Spawn(_expect_declared(cur, states, "a declared state"))
-    else:
-        proc = _expect_declared(cur, procs, "a declared process")
-        kind_tok = cur.peek()
-        if kind_tok.text not in ("!", "?"):
-            raise cur.fail("'!' or '?'")
-        cur.next()
-        msg = _expect_declared(cur, msgs, "a declared message")
-        op = Send(proc, msg) if kind_tok.text == "!" else Recv(proc, msg)
-
-    cur.expect_punct("->")
-    dst = _expect_declared(cur, states, "a declared state")
-    return AcsRule(rid, src, op, dst)
-
-
-# ---------------------------------------------------------------------------
-# Actor-level properties
-# ---------------------------------------------------------------------------
-
-
-def parse_property(text: str, cb: ConvertedBpp) -> Formula:
-    """Parse a property formula over a converted actor system.
-
-    The formula grammar is the problem-file one; a term is a state name, a
-    converted in/out symbol name, or mail(p, m), which reads as
-    ``p_m_in - p_m_out``. The atoms come out over converted symbols.
-    """
-    cur = _Cursor(tokenize(text))
-
-    def term(cur: _Cursor) -> list[tuple[str, int]]:
-        if cur.peek().text == "mail" and cur.peek(1).text == "(":
-            cur.next()
-            cur.expect_punct("(")
-            p_tok = cur.peek()
-            proc = _expect_acs_name(cur, "a declared process")
-            cur.expect_punct(",")
-            msg = _expect_acs_name(cur, "a declared message")
-            cur.expect_punct(")")
-            if (proc, msg) not in cb.acs.pair_index:
-                raise cur.fail("a declared mailbox slot", p_tok)
-            return [(cb.in_symbol[(proc, msg)], 1), (cb.out_symbol[(proc, msg)], -1)]
-        if cur.peek().text not in cb.bpp.index:
-            raise cur.fail("a declared state or converted symbol")
-        return [(cur.next().text, 1)]
-
-    what = "a state, symbol, or mail(p, m) term"
-    formula = _parse_formula(cur, cb.bpp.actions, lambda: _parse_atom(cur, term, what))
-    cur.expect_end()
-    return formula
+        return getattr(acs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

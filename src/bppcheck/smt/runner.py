@@ -11,9 +11,6 @@ the text on stdin and is killed at the timeout plus ``KILL_GRACE_S``.
 
 from __future__ import annotations
 
-import os
-import shutil
-import sys
 import time
 
 from ..errors import (
@@ -25,6 +22,7 @@ from ..errors import (
 )
 from ..record import Record, setfield
 from ..sexpr import parse_all
+from . import BUNDLED_COMMAND, SolverConfig
 from .script import SmtScript
 
 #: Extra time a child gets to die after its budget, before we report anyway.
@@ -34,20 +32,6 @@ KILL_GRACE_S = 2.0
 #: waits through ``poll``, whose timeout is a C int of milliseconds (about
 #: 24.8 days), and raises OverflowError past it.
 MAX_WAIT_S = 1e6
-
-ENV_SOLVER = "BPPCHECK_SOLVER"
-
-#: The bundled solver's command line. A config with this command solves in
-#: process; ``python -m bppcheck.refsolver`` serves the same text over a pipe.
-BUNDLED_COMMAND = (sys.executable, "-m", "bppcheck.refsolver")
-
-
-class SolverConfig(Record):
-    __slots__ = __match_args__ = ("command", "timeout_s")
-
-    def __init__(self, command: tuple[str, ...], timeout_s: float = 60.0):
-        setfield(self, "command", command)
-        setfield(self, "timeout_s", timeout_s)
 
 
 class SolverOutcome(Record):
@@ -71,42 +55,6 @@ class SolverOutcome(Record):
         """The solving time the solver reports (``:time``), else the wall time."""
         seconds = self.statistics.get("time")
         return self.wall_ms if seconds is None else seconds * 1000.0
-
-
-class Verdict(Record):
-    """Decoded check result: what holds, which engine said so, and how."""
-
-    __slots__ = __match_args__ = ("result", "engine", "k", "witness", "stats")
-
-    def __init__(self, result: str, engine: str, k: int | None = None,
-                 witness: dict[str, int] | None = None,
-                 stats: dict[str, int | float | str] | None = None):
-        setfield(self, "result", result)  # holds | not-holds | unknown
-        setfield(self, "engine", engine)  # ef | eg-bounded
-        setfield(self, "k", k)
-        setfield(self, "witness", witness)
-        setfield(self, "stats", {} if stats is None else stats)
-
-
-def default_solver_command() -> tuple[str, ...]:
-    if shutil.which("z3"):
-        return ("z3", "-in", "-smt2")
-    return BUNDLED_COMMAND
-
-
-def resolve_solver(command_line: str | None = None, timeout_s: float = 60.0) -> SolverConfig:
-    """Build a solver config from an explicit command line, the
-    BPPCHECK_SOLVER environment variable, or the built-in default."""
-    source = command_line or os.environ.get(ENV_SOLVER)
-    if source:
-        import shlex
-
-        command = tuple(shlex.split(source))
-        if not command:
-            raise SolverNotFound(source)
-    else:
-        command = default_solver_command()
-    return SolverConfig(command, timeout_s)
 
 
 def run_solver(script: SmtScript, config: SolverConfig) -> SolverOutcome:
@@ -167,27 +115,6 @@ def _spawn(script: SmtScript, config: SolverConfig) -> tuple[str, int | None]:
     except subprocess.TimeoutExpired as exc:
         return (exc.stdout or b"").decode(errors="replace"), None
     return proc.stdout.decode(errors="replace"), proc.returncode
-
-
-def solver_stats(outcomes: list[SolverOutcome]) -> dict[str, int | float | str]:
-    """The solver's share of ``Verdict.stats`` over one check's calls.
-
-    ``solver_ms`` sums the solving times the solver reports and
-    ``solver_wall_ms`` the calls' wall times (the whole call in process for
-    the bundled solver, spawn to exit for a child); the integer statistics are
-    summed as ``solver_<name>``.
-    """
-    stats: dict[str, int | float | str] = {
-        "solver_ms": sum(o.solve_ms for o in outcomes),
-        "solver_wall_ms": sum(o.wall_ms for o in outcomes),
-        "solver_calls": len(outcomes),
-    }
-    for outcome in outcomes:
-        for name, value in outcome.statistics.items():
-            if isinstance(value, int):
-                key = "solver_" + name.replace("-", "_")
-                stats[key] = stats.get(key, 0) + value
-    return stats
 
 
 def parse_info(raw: str) -> tuple[str | None, dict[str, int | float]]:

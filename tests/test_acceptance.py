@@ -13,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from bppcheck.acs import acs_successors, convert, convert_place, mailbox_content
+from bppcheck.acs import (
+    acs_successors,
+    convert,
+    convert_place,
+    mailbox_content,
+    parse_acs,
+    parse_property,
+)
 from bppcheck.core import Bpp, Rule
 from bppcheck.ctl import AF, Atom, Cmp, EF, EG, ENext, And, Imp, LinearAtom, check
 from bppcheck.ef import encode_flow, realize_firing_counts
@@ -26,7 +33,7 @@ from bppcheck.oracle import (
     explore,
     reachable_set,
 )
-from bppcheck.parsing import parse_acs, parse_problem, parse_property
+from bppcheck.parsing import parse_problem
 from bppcheck.smt import resolve_solver, run_solver
 
 from .conftest import random_atom, random_bpp, random_marking

@@ -16,12 +16,12 @@ from bppcheck.acs import (
     convert,
     convert_place,
     mailbox_content,
+    parse_property,
 )
 from bppcheck.core import TAU, enabled_rules
 from bppcheck.ctl import Atom, Cmp, EF, LinearAtom, Not, check
 from bppcheck.errors import NameCollision
 from bppcheck.oracle import ExplorationBudget, explore, reachable_set
-from bppcheck.parsing import parse_property
 from bppcheck.smt import SolverConfig
 
 REF = SolverConfig((sys.executable, "-m", "bppcheck.refsolver"), 30.0)

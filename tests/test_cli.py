@@ -376,6 +376,12 @@ class TestTextReport:
         assert code == 0
         assert "stats: n_vars=12 n_asserts=1 " in out
         assert "path_vars_declared=6 path_vars_total=6 target_vars=6 " in out
+        # The solver's times are rounded to three places, as time_ms is.
+        line = next(line for line in out.splitlines() if line.startswith("stats: "))
+        fields = dict(part.split("=", 1) for part in line.split()[1:])
+        assert fields["solver_calls"] == "1"
+        for key in ("solver_ms", "solver_wall_ms"):
+            assert re.fullmatch(r"[0-9]+(\.[0-9]{1,3})?", fields[key]), fields[key]
 
 
 class TestJsonReport:

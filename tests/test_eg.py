@@ -9,7 +9,6 @@ from bppcheck import smt
 from bppcheck.core import Bpp, Rule, enabled_rules, fire, rule_delta
 from bppcheck.ctl import AF, EF, EG, And, ANext, Cmp, ENext, Imp, Not, Or, check, walk
 from bppcheck.eg import (
-    WINDOW,
     VarAllocator,
     encode_eg,
     path_constraint,
@@ -18,6 +17,7 @@ from bppcheck.eg import (
     trans_constraint,
 )
 from bppcheck.errors import MixedFormula
+from bppcheck.lasso import WINDOW
 from bppcheck.oracle import ExplorationBudget, eval_bounded
 from bppcheck.refsolver import solve_text
 from bppcheck.smt import FALSE, TRUE, Exists, NotF, OrF, SolverConfig, eval_node, has_quantifier

@@ -112,7 +112,7 @@ def test_bundled_solver_is_loaded_at_the_first_call():
         "import contextlib, io, sys, time, types\n"
         "from bppcheck import cli, smt\n"
         "from bppcheck.smt import runner\n"
-        "runner.default_solver_command = lambda: runner.BUNDLED_COMMAND\n"
+        "smt.default_solver_command = lambda: smt.BUNDLED_COMMAND\n"
         "first, real = [], runner.run_solver\n"
         "def clock():\n"
         "    if len(first) == 2:\n"
@@ -145,9 +145,8 @@ def test_solving_time_leaves_out_loading_the_omega_test():
         "        if name == 'bppcheck.refsolver.omega':\n"
         "            time.sleep(0.3)\n"
         "sys.meta_path.insert(0, Slow())\n"
-        "from bppcheck import cli\n"
-        "from bppcheck.smt import runner\n"
-        "runner.default_solver_command = lambda: runner.BUNDLED_COMMAND\n"
+        "from bppcheck import cli, smt\n"
+        "smt.default_solver_command = lambda: smt.BUNDLED_COMMAND\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    code = cli.main([{str(DATA / 'reach.bpp')!r}, '--format', 'json'])\n"
@@ -160,17 +159,29 @@ def test_solving_time_leaves_out_loading_the_omega_test():
     assert float(solver_ms) < 300.0 <= float(wall_ms)
 
 
-@pytest.mark.parametrize("args, engines, unused", [
-    ([DATA / "reach.bpp"], {"ef"}, {"acs", "oracle"}),
-    ([DATA / "liveness.bpp"], {"eg"},
-     {"acs", "oracle", "refsolver", "refsolver.search", "refsolver.omega"}),
-    ([DATA / "pingpong.acs", DATA / "q0_twice.prop", "--acs"], {"ef"}, {"oracle"}),
-    ([DATA / "mixed.bpp"], {"ef", "eg"}, {"acs", "oracle"}),
-], ids=["ef", "eg", "acs", "mixed"])
-def test_check_loads_only_its_engine(args, engines, unused):
+#: What a check that makes a script loads: the terms and serializer its
+#: encoder builds the script with, and the runner with its S-expression
+#: reader at the first solver call.
+BACK_END = {"smt.terms", "smt.script", "smt.runner", "sexpr"}
+BUNDLED = {"refsolver", "refsolver.search", "refsolver.omega"}
+
+
+@pytest.mark.parametrize("args, engines, used, unused", [
+    ([DATA / "reach.bpp"], {"ef"}, BACK_END, {"acs", "oracle"}),
+    # The lasso window decides the liveness demo at k = 10 with no script.
+    ([DATA / "liveness.bpp"], {"lasso"}, set(), {"acs", "oracle"} | BACK_END | BUNDLED),
+    # At k <= WINDOW the node goes to the unrolling and the solver.
+    ([DATA / "liveness.bpp", "-k", "3"], {"lasso", "eg"}, BACK_END, {"acs", "oracle"}),
+    ([DATA / "pingpong.acs", DATA / "q0_twice.prop", "--acs"], {"ef"}, {"acs"} | BACK_END,
+     {"oracle"}),
+    ([DATA / "mixed.bpp"], {"ef", "lasso"}, BACK_END, {"acs", "oracle"}),
+], ids=["ef", "eg", "eg-unrolled", "acs", "mixed"])
+def test_check_loads_only_its_engine(args, engines, used, unused):
     # Every module a check imports adds to each start, and creating a
     # dataclass costs about a millisecond, so the package uses neither.
-    # An engine is loaded where evaluation first meets one of its nodes.
+    # An engine is loaded where evaluation first meets one of its nodes,
+    # the unrolling encoder at an EG node's first unrolling, the back end
+    # at the first script and the actor front end only for --acs.
     proc = run_fresh(
         "-c",
         "import contextlib, io, sys\n"
@@ -183,9 +194,31 @@ def test_check_loads_only_its_engine(args, engines, unused):
     code, *modules = proc.stdout.split()
     assert code in ("0", "1")
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("bppcheck.")}
-    assert loaded & {"ef", "eg"} == engines
+    assert loaded & {"ef", "eg", "lasso"} == engines
+    assert used <= loaded
     assert loaded & unused == set()
     assert {"dataclasses", "inspect"}.isdisjoint(modules)
+
+
+def test_actor_front_end_is_readable_from_parsing():
+    # parse_acs and parse_property live in acs; parsing resolves both names
+    # there at first use, for callers that import them from parsing.
+    from bppcheck import acs, parsing
+
+    assert parsing.parse_acs is acs.parse_acs
+    assert parsing.parse_property is acs.parse_property
+
+
+def test_back_end_star_import_is_its_api():
+    # bppcheck.smt resolves most of its names at first use; a star import
+    # brings in every one of them and none of the module's own imports.
+    from bppcheck import smt
+
+    names: dict = {}
+    exec("from bppcheck.smt import *", names)
+    assert {"conj", "lin", "to_smtlib", "run_solver", "resolve_solver"} <= names.keys()
+    assert names.keys() - {"__builtins__"} == set(smt.__all__)
+    assert {"conj", "run_solver"} <= set(dir(smt))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from bppcheck.acs import AcsPlace, Nop, Recv, Send, Spawn, convert, convert_place
+from bppcheck.acs import (
+    AcsPlace,
+    Nop,
+    Recv,
+    Send,
+    Spawn,
+    convert,
+    convert_place,
+    parse_acs,
+    parse_property,
+)
 from bppcheck.core import TAU
 from bppcheck.ctl import EF, EG, And, Atom, Cmp, ENext, LinearAtom, Not, walk
 from bppcheck.errors import BppCheckError, ParseError
@@ -10,9 +20,7 @@ from bppcheck.parsing import (
     CMP_TOKENS,
     MAX_FORMULA_DEPTH,
     ProblemFile,
-    parse_acs,
     parse_problem,
-    parse_property,
 )
 
 LABELED = """\

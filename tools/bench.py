@@ -6,23 +6,26 @@ liveness series, one CLI run per row.
 Run from anywhere; the output lands at the root of this checkout. Every
 check is one ``python -m bppcheck FILE --format json --stats`` process, one
 at a time, with ``PYTHONPATH`` set to ``--src`` (default: this checkout's
-``src``), so the same script measures another checkout's engine.
+``src``), so the same script measures another checkout's engine. Each run
+is started by ``clibench/spawner.py`` (under ``python3 -S``, as the
+benchmark starts its checks), so that this tool's own memory does not show
+in the run's peak RSS, and is killed after ``clibench.harness.CHECK_KILL_S``.
 
 The EF family is ring n in {6, 8, 10, 12, 16} and dead-generator 4x4, seeds
 0-4, built by ``clibench/families.py``, each written as a problem file and
 checked with ``--timeout 10``. A row holds the verdict, the reason for an
-unknown, the wall time from spawn to exit, the ``time_ms`` the CLI reports,
-the EF round count, the bundled solver's branches, the script bytes (the
-summed size of the run's ``--emit-smt`` files, written to a temporary
-directory) and the answer of the benchmark's explicit-state reference (null
-past its state budget).
+unknown, the wall time from spawn to exit, the peak RSS, the ``time_ms`` the
+CLI reports, the EF round count, the bundled solver's branches, the script
+bytes (the summed size of the run's ``--emit-smt`` files, written to a
+temporary directory) and the answer of the benchmark's explicit-state
+reference (null past its state budget).
 The scaled EF rows are built and checked the same way from ring n in
 {24, 32, 48, 64} and dead-generator 6x6 and 8x8, seeds 0-4; the family
 saturates (every row decided in well under a second), these do not.
 
 The liveness series checks ``demos/inputs/liveness.bpp`` at k = 50, 100,
 200 and 400, three runs each. A row holds the verdict, the bound it was
-decided at (``unbounded`` for a lasso), the median wall time and the median
+decided at (``unbounded`` for a lasso), the median wall time, peak RSS and
 ``time_ms`` the CLI reports, and the bundled solver's branches and steps.
 Its ``EG`` holds at every k: the path from the initial marking repeats a
 covering segment forever.
@@ -31,9 +34,9 @@ The start-up series times whole CLI runs that are mostly start-up:
 ``--help``, ``reach.bpp``, ``liveness.bpp -k 10`` and the pingpong actor
 system with ``--acs``, 15 runs each, taken in turn so that a noisy spell of
 the machine is shared. A row holds the median and quartiles of the wall
-time from spawn to exit and the exit codes seen. The machine block records
-whether ``PYTHONDONTWRITEBYTECODE`` was set: with it, each run compiles
-every package module it imports.
+time from spawn to exit, the median peak RSS and the exit codes seen. The
+machine block records whether ``PYTHONDONTWRITEBYTECODE`` was set: with it,
+each run compiles every package module it imports.
 
 The summary also records ``src_lines``, the summed line count of the
 measured tree's ``bppcheck/**/*.py``, since net line count is a reported
@@ -51,7 +54,6 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -60,7 +62,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from clibench import families, reference  # noqa: E402
+from clibench import families, harness, reference  # noqa: E402
 from clibench.model import problem_text  # noqa: E402
 
 RING_SIZES = (6, 8, 10, 12, 16)
@@ -81,6 +83,8 @@ STARTUP = (
     ("pingpong-acs", ("pingpong.acs", "q0_twice.prop"), ("--acs",)),
 )
 STARTUP_RUNS = 15
+#: Flags every CLI run gets after its own.
+CLI_FLAGS = ("--format", "json", "--stats", "--timeout", str(TIMEOUT_S))
 
 
 def instances(ring_sizes, dead_sizes) -> list[tuple[str, object, tuple]]:
@@ -102,26 +106,20 @@ def reference_answer(system, formula) -> str | None:
     return "holds" if reference.eval_ef_class(system, formula, answers) else "not-holds"
 
 
-def spawn(src: Path, *args: str) -> tuple[dict, dict | None]:
-    """One CLI run: its exit code and wall time, and its JSON report."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("BPPCHECK_SOLVER", None)
-    argv = [sys.executable, "-m", "bppcheck", *args, "--format", "json", "--stats",
-            "--timeout", str(TIMEOUT_S)]
-    start = time.perf_counter()
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
-                          timeout=2 * TIMEOUT_S + 30)
-    row = {"exit": proc.returncode,
-           "wall_ms": round((time.perf_counter() - start) * 1000.0, 1)}
+def cli(spawner: harness.Spawner, *args: str) -> tuple[dict, dict | None]:
+    """One CLI run: its exit code, wall time and peak RSS, and its JSON report."""
+    run = spawner.cli([*args, *CLI_FLAGS])
+    row = {"exit": run.code, "wall_ms": round(run.wall_s * 1000.0, 1),
+           "peak_rss_mb": round(run.peak_rss_kb / 1024.0, 2)}
     try:
-        return row, json.loads(proc.stdout)
+        return row, json.loads(run.out)
     except ValueError:
         return row, None
 
 
-def run_cli(problem: Path, src: Path) -> dict:
+def run_cli(problem: Path, spawner: harness.Spawner) -> dict:
     with tempfile.TemporaryDirectory() as scripts:
-        row, report = spawn(src, str(problem), "--emit-smt", str(Path(scripts) / "round.smt2"))
+        row, report = cli(spawner, str(problem), "--emit-smt", str(Path(scripts) / "round.smt2"))
         script_bytes = sum(path.stat().st_size for path in Path(scripts).iterdir())
     if report is None:
         return {**row, "result": "error", "reason": None, "ef_rounds": None}
@@ -131,10 +129,10 @@ def run_cli(problem: Path, src: Path) -> dict:
             "solver_branches": stats.get("solver_branches"), "script_bytes": script_bytes}
 
 
-def ef_row(name: str, system, formula, tmp: str, src: Path) -> dict:
-    problem = Path(tmp) / f"{name}.bpp"
+def ef_row(name: str, system, formula, spawner: harness.Spawner) -> dict:
+    problem = spawner.workdir / f"{name}.bpp"
     problem.write_text(problem_text(system, formula))
-    row = {"instance": name, **run_cli(problem, src),
+    row = {"instance": name, **run_cli(problem, spawner),
            "reference": reference_answer(system, formula)}
     print(json.dumps(row), file=sys.stderr)
     return row
@@ -152,8 +150,8 @@ def summarize(rows: list[dict]) -> dict:
     }
 
 
-def liveness_row(k: int, src: Path) -> dict:
-    runs = [spawn(src, str(LIVENESS), "-k", str(k)) for _ in range(LIVENESS_RUNS)]
+def liveness_row(k: int, spawner: harness.Spawner) -> dict:
+    runs = [cli(spawner, str(LIVENESS), "-k", str(k)) for _ in range(LIVENESS_RUNS)]
     row, report = runs[-1]
     if report is None:
         return {"k": k, **row, "result": "error"}
@@ -164,23 +162,26 @@ def liveness_row(k: int, src: Path) -> dict:
         "bound": stats.get("bound"),
         "wall_ms": round(statistics.median(r["wall_ms"] for r, _ in runs), 1),
         "time_ms": round(statistics.median(rep["time_ms"] for _, rep in runs if rep), 1),
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r, _ in runs),
         "solver_branches": stats.get("solver_branches"),
         "solver_steps": stats.get("solver_steps"),
     }
 
 
-def startup_rows(src: Path) -> list[dict]:
+def startup_rows(spawner: harness.Spawner) -> list[dict]:
     runs = {name: [] for name, _, _ in STARTUP}
     for _ in range(STARTUP_RUNS):
         for name, files, flags in STARTUP:
-            runs[name].append(spawn(src, *(str(DEMO_INPUTS / f) for f in files), *flags)[0])
+            runs[name].append(spawner.cli([*(str(DEMO_INPUTS / f) for f in files), *flags,
+                                           *CLI_FLAGS]))
     rows = []
     for name, files, flags in STARTUP:
-        q1, median, q3 = statistics.quantiles([r["wall_ms"] for r in runs[name]], n=4)
+        q1, median, q3 = statistics.quantiles([r.wall_s * 1000.0 for r in runs[name]], n=4)
+        rss_kb = statistics.median(r.peak_rss_kb for r in runs[name])
         rows.append({"row": name, "args": [*files, *flags], "runs": STARTUP_RUNS,
                      "wall_ms_median": round(median, 1), "wall_ms_q1": round(q1, 1),
-                     "wall_ms_q3": round(q3, 1),
-                     "exits": sorted({r["exit"] for r in runs[name]})})
+                     "wall_ms_q3": round(q3, 1), "peak_rss_mb_median": round(rss_kb / 1024.0, 2),
+                     "exits": sorted({r.code for r in runs[name]})})
     return rows
 
 
@@ -192,15 +193,16 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     src = opts.src.resolve()
-    with tempfile.TemporaryDirectory() as tmp:
-        rows = [ef_row(*case, tmp, src) for case in instances(RING_SIZES, (4,))]
-        scaled = [ef_row(*case, tmp, src)
+    with tempfile.TemporaryDirectory() as tmp, harness.Spawner(Path(tmp)) as spawner:
+        spawner.env["PYTHONPATH"] = str(src)
+        rows = [ef_row(*case, spawner) for case in instances(RING_SIZES, (4,))]
+        scaled = [ef_row(*case, spawner)
                   for case in instances(SCALED_RING_SIZES, SCALED_DEAD_SIZES)]
-    liveness = []
-    for k in LIVENESS_KS:
-        liveness.append(liveness_row(k, src))
-        print(json.dumps(liveness[-1]), file=sys.stderr)
-    startup = startup_rows(src)
+        liveness = []
+        for k in LIVENESS_KS:
+            liveness.append(liveness_row(k, spawner))
+            print(json.dumps(liveness[-1]), file=sys.stderr)
+        startup = startup_rows(spawner)
     for row in startup:
         print(json.dumps(row), file=sys.stderr)
 
