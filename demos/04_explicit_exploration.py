@@ -4,7 +4,7 @@ Both SMT engines are differentially tested against these brute-force
 routines, so they are worth knowing on their own: reachable_set explores
 markings breadth-first under a budget, check_ef_oracle answers reachability
 queries exactly on small systems, and eval_bounded evaluates the k-step
-semantics by direct recursion.
+semantics with ctl.evaluate and explicit deciders for its EG and EF nodes.
 
 Run:  python demos/04_explicit_exploration.py
 """

@@ -190,13 +190,6 @@ def convert_place(cb: ConvertedBpp, place: AcsPlace) -> Marking:
     return tuple(counts[s] for s in cb.bpp.symbols)
 
 
-def mailbox_content(cb: ConvertedBpp, marking: Marking, proc: str, msg: str) -> int:
-    """in-count minus out-count for one mailbox slot of a converted marking."""
-    i = cb.bpp.index[cb.in_symbol[(proc, msg)]]
-    o = cb.bpp.index[cb.out_symbol[(proc, msg)]]
-    return marking[i] - marking[o]
-
-
 # ---------------------------------------------------------------------------
 # Actor-system format
 # ---------------------------------------------------------------------------

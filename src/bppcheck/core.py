@@ -13,21 +13,12 @@ import re
 from functools import cached_property
 from typing import Iterable
 
-from .errors import (
-    DimensionMismatch,
-    MarkingCapExceeded,
-    RuleNotEnabled,
-    UnknownSymbol,
-)
+from .errors import DimensionMismatch, RuleNotEnabled, UnknownSymbol
 from .record import Record, setfield
 
 # Reserved action for rules written without a label. Only usable in a
 # formula when spelled out explicitly.
 TAU = "_tau"
-
-# Markings are arbitrary-precision, but a runaway component usually means a
-# runaway exploration; fire() refuses to cross this cap.
-MARKING_CAP = 2**31 - 1
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -133,10 +124,7 @@ def fire(m: Marking, rule_id: int, bpp: Bpp) -> Marking:
     out[lhs_idx] -= 1
     index = bpp.index
     for sym in rule.rhs:
-        i = index[sym]
-        out[i] += 1
-        if out[i] > MARKING_CAP:
-            raise MarkingCapExceeded(f"component {sym} exceeded cap {MARKING_CAP}")
+        out[index[sym]] += 1
     return tuple(out)
 
 

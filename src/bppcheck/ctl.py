@@ -122,13 +122,7 @@ def walk(f: Formula) -> Iterator[Formula]:
 
 def atoms_only(f: Formula) -> bool:
     """True when f is a propositional combination of atoms."""
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return atoms_only(f.sub)
-    if isinstance(f, And):
-        return atoms_only(f.left) and atoms_only(f.right)
-    return False
+    return all(isinstance(g, (Atom, Not, And)) for g in walk(f))
 
 
 def contains_ef(f: Formula) -> bool:

@@ -42,10 +42,6 @@ class RuleNotEnabled(BppCheckError):
         self.rule_id = rule_id
 
 
-class MarkingCapExceeded(BppCheckError):
-    """A marking component grew beyond the configured cap."""
-
-
 class MixedFormula(BppCheckError):
     """The formula mixes EF with EG/E<a> and no engine decides it exactly."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 
-from .core import Bpp, Marking, rule_delta
+from .core import Bpp, Marking, successors
 from .ctl import EG, And, Atom, CheckRun, Cmp, ENext, Formula, LinearAtom, Not, evaluate, walk
 from .errors import EncodingTimeout, SolverProtocolError
 
@@ -60,7 +60,8 @@ def _drift_signs(f: Formula, positive: bool, bpp: Bpp, out: dict) -> None:
 def _window_path(
     bpp: Bpp, m: Marking, body: Formula, deadline: float
 ) -> tuple[list[Marking], int] | None:
-    """The lasso window for EG body at m, found by depth-first search: a
+    """The lasso window for EG body at m, found by depth-first search over
+    the distinct successor markings of each position, in rule order: a
     path u_0..u_WINDOW from m with body at every position and the first
     i < WINDOW whose drift u_WINDOW - u_i passes every sign of
     ``_drift_signs``, or None when no such path exists. Only bounds
@@ -70,8 +71,6 @@ def _window_path(
     # symbol that says the same thing is the same key, so it is kept once.
     signs: dict = {LinearAtom(((sym, 1),), Cmp.GE, 0): None for sym in bpp.symbols}
     _drift_signs(body, True, bpp, signs)
-    moves = list(dict.fromkeys((bpp.index[rule.lhs], rule_delta(rule, bpp))
-                               for rule in bpp.rules))
     memo: dict = {}
 
     def extend(path: list[Marking]) -> tuple[list[Marking], int] | None:
@@ -86,11 +85,10 @@ def _window_path(
                 if all(sign.evaluate(drift, bpp) for sign in signs):
                     return path, i
             return None
-        for lhs, delta in moves:
-            if u[lhs] >= 1:
-                found = extend(path + [tuple(a + b for a, b in zip(u, delta))])
-                if found is not None:
-                    return found
+        for t in dict.fromkeys(t for _, t in successors(u, bpp)):
+            found = extend(path + [t])
+            if found is not None:
+                return found
         return None
 
     return extend([m])
@@ -108,7 +106,6 @@ def _pump(
     deadline, which is checked at every step."""
     loop = WINDOW - start
     drift = tuple(b - a for a, b in zip(window[start], window[WINDOW]))
-    moves = [(bpp.index[rule.lhs], rule_delta(rule, bpp)) for rule in bpp.rules]
     path = [window[0]]
     memo: dict = {}
     for j in range(k + 1):
@@ -123,10 +120,7 @@ def _pump(
             nxt = window[j + 1]
         else:
             nxt = tuple(a + b for a, b in zip(path[j + 1 - loop], drift))
-        if not any(
-            m[lhs] >= 1 and all(a + b == c for a, b, c in zip(m, delta, nxt))
-            for lhs, delta in moves
-        ):
+        if all(t != nxt for _, t in successors(m, bpp)):
             raise SolverProtocolError(f"lasso path step {j} fires no rule")
         path.append(nxt)
     return path

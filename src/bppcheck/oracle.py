@@ -1,8 +1,9 @@
 """Desk-scale ground truth: explicit-state BFS and direct bounded evaluation.
 
 Both SMT engines are differentially tested against this module, so it stays
-deliberately naive: plain breadth-first search over concrete markings and a
-memoized recursion for the k-step semantics. Budgets make every call total.
+deliberately naive: plain breadth-first search over concrete markings, and
+the k-step semantics evaluated by ``ctl.evaluate`` with explicit deciders
+for its EG and EF nodes. Budgets make every call total.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, TypeVar
 
 from .core import Bpp, Marking, successors
-from .ctl import EF, And, Atom, EG, ENext, Formula, Not, atoms_only, evaluate
+from .ctl import EG, Formula, atoms_only, evaluate
 from .record import Record, setfield
 
 S = TypeVar("S", bound=Hashable)
@@ -150,76 +151,50 @@ def eval_bounded(
     bpp: Bpp,
     budget: ExplorationBudget | None = None,
 ) -> OracleAnswer:
-    """Direct recursive evaluation of the k-step bounded semantics.
+    """The k-step bounded semantics of f at m, by ``ctl.evaluate`` with two
+    explicit deciders.
 
-    Atoms hold when they hold at the marking; E<a> needs k >= 1 and an
-    a-successor satisfying the body (k unchanged); EG needs a rule path of
-    exactly k steps whose every position satisfies the body at the same k;
-    EF, whose body must be propositional, is ``check_ef_oracle`` at the
-    marking. The budget counts distinct (marking, subformula) evaluations,
-    and each EF search's states on their own; the whole call degrades to
-    ExhaustedBudget when either trips.
+    EG needs a rule path of exactly k steps whose every position satisfies
+    the body at the same k, found by a memoized search over (marking, steps
+    left); EF, whose body must be propositional, is ``check_ef_oracle`` at
+    the marking. The budget counts the distinct (marking, steps left) pairs
+    the EG searches visit, and each EF search's states on their own. An EF
+    search that trips leaves its node unknown, as in ``ctl.check``: the
+    answer is ExhaustedBudget when that unknown decides it or sits in an EG
+    body, and when the EG count trips.
     """
     bpp.check_marking(m)
     if k < 0:
         raise ValueError("k must be >= 0")
     budget = budget or ExplorationBudget()
-    memo: dict[tuple, bool] = {}
+    memo: dict[tuple, bool | None] = {}
+    paths: dict[tuple, bool] = {}
     visits = 0
 
-    def charge() -> None:
-        nonlocal visits
-        visits += 1
-        if visits > budget.max_states:
-            raise _Exhausted()
-
-    def ev(g: Formula, mm: Marking) -> bool:
-        key = (id(g), mm)
-        if key in memo:
-            return memo[key]
-        charge()
-        if isinstance(g, Atom):
-            res = g.atom.evaluate(mm, bpp)
-        elif isinstance(g, Not):
-            res = not ev(g.sub, mm)
-        elif isinstance(g, And):
-            res = ev(g.left, mm) and ev(g.right, mm)
-        elif isinstance(g, ENext):
-            if k == 0:
-                res = False
-            else:
-                res = any(
-                    ev(g.sub, t)
-                    for a, t in successors(mm, bpp)
-                    if a == g.action
-                )
-        elif isinstance(g, EG):
-            res = eg_path(g, mm, k)
-        elif isinstance(g, EF) and atoms_only(g.sub):
-            res = check_ef_oracle(bpp, mm, g.sub, budget).value
-            if res is None:
-                raise _Exhausted()
-        else:
-            raise TypeError(f"eval_bounded needs EF bodies over atoms, got {g!r}")
-        memo[key] = res
-        return res
-
     def eg_path(g: EG, mm: Marking, remaining: int) -> bool:
+        nonlocal visits
         key = (id(g), mm, remaining)
-        if key in memo:
-            return memo[key]
-        charge()
-        if not ev(g.sub, mm):
-            res = False
-        elif remaining == 0:
-            res = True
-        else:
-            res = any(eg_path(g, t, remaining - 1) for _, t in successors(mm, bpp))
-        memo[key] = res
-        return res
+        if key not in paths:
+            visits += 1
+            if visits > budget.max_states:
+                raise _Exhausted()
+            body = evaluate(g.sub, mm, bpp, k, decide, memo)
+            if body is None:
+                raise _Exhausted()
+            paths[key] = body and (
+                remaining == 0
+                or any(eg_path(g, t, remaining - 1) for _, t in successors(mm, bpp)))
+        return paths[key]
+
+    def decide(g: Formula, mm: Marking) -> bool | None:
+        if isinstance(g, EG):
+            return eg_path(g, mm, k)
+        if not atoms_only(g.sub):
+            raise TypeError(f"eval_bounded needs EF bodies over atoms, got {g!r}")
+        return check_ef_oracle(bpp, mm, g.sub, budget).value
 
     try:
-        return OracleAnswer.definitely(ev(f, m))
+        return OracleAnswer(evaluate(f, m, bpp, k, decide, memo))
     except _Exhausted:
         return OracleAnswer.exhausted()
 

@@ -15,7 +15,6 @@ from bppcheck.acs import (
     acs_successors,
     convert,
     convert_place,
-    mailbox_content,
     parse_property,
 )
 from bppcheck.core import TAU, enabled_rules
@@ -250,7 +249,9 @@ class TestOverApproximation:
             projected = set()
             for m in markings:
                 u = tuple(m[cb.bpp.index[q]] for q in acs.states)
-                v = tuple(mailbox_content(cb, m, p, msg) for p, msg in acs.pairs)
+                # a mailbox holds its in-count minus its out-count
+                v = tuple(m[cb.bpp.index[cb.in_symbol[pm]]] - m[cb.bpp.index[cb.out_symbol[pm]]]
+                          for pm in acs.pairs)
                 projected.add((u, v))
             for pl in places:
                 assert (pl.u, pl.v) in projected, (acs, init, pl)

@@ -214,6 +214,25 @@ class TestExitCodes:
             assert "parse error" in err
             assert "nested at most 100 operators deep" in err
 
+    def test_markings_past_two_to_the_31_are_no_error(self, tmp_path, capsys):
+        # Markings are unbounded integers: a step past 2**31 - 1 is a step
+        # like any other, in the E<a> evaluation and in the --dot export.
+        system = tmp_path / "spawner.acs"
+        system.write_text("states q0, q1\nrules\nq0 -> new q0 -> q0\ninit q0:2147483647\n")
+        prop = tmp_path / "p.prop"
+        for formula in ("EX(_tau, q0 >= 1)", "EG(q0 >= 1)"):
+            prop.write_text(formula + "\n")
+            code, out, err = run(capsys, system, prop, "--acs", "-k", "3")
+            assert (code, err) == (0, ""), formula
+            assert "result: holds" in out
+        assert "(u1_q0, 2147483648)" in out
+        prop.write_text("EF(q0 >= 3000000000)\n")
+        dot = tmp_path / "graph.dot"
+        code, out, err = run(capsys, system, prop, "--acs", "--dot", dot)
+        assert (code, err) == (0, "")
+        assert "result: holds" in out
+        assert '"(2147483648,0)"' in dot.read_text()
+
 
 class TestNotUtf8:
     """A file that does not decode as UTF-8 is a parse error (exit 3) with a

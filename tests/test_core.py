@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bppcheck.core import (
-    MARKING_CAP,
     Bpp,
     Rule,
     enabled_rules,
@@ -14,12 +13,7 @@ from bppcheck.core import (
     rule_delta,
     successors,
 )
-from bppcheck.errors import (
-    DimensionMismatch,
-    MarkingCapExceeded,
-    RuleNotEnabled,
-    UnknownSymbol,
-)
+from bppcheck.errors import DimensionMismatch, RuleNotEnabled, UnknownSymbol
 
 
 class TestParikh:
@@ -78,11 +72,6 @@ class TestFire:
     def test_not_enabled(self, triangle):
         with pytest.raises(RuleNotEnabled):
             fire((0, 1, 1), 0, triangle)
-
-    def test_cap(self):
-        bpp = Bpp(("X",), (Rule(0, "X", "a", ("X", "X")),))
-        with pytest.raises(MarkingCapExceeded):
-            fire((MARKING_CAP,), 0, bpp)
 
 
 class TestSuccessors:

@@ -1,10 +1,13 @@
 """The oracle itself is validated on hand-computed cases no deeper than two
 steps before anything else trusts it."""
 
+import operator
 import random
 
+import pytest
+
 from bppcheck.core import Bpp, Rule, successors
-from bppcheck.ctl import And, Cmp, EG, ENext, Not
+from bppcheck.ctl import EF, And, Atom, Cmp, EG, ENext, Not
 from bppcheck.oracle import (
     ExplorationBudget,
     OracleAnswer,
@@ -150,6 +153,23 @@ class TestEvalBounded:
         got = eval_bounded(f, (1, 0, 0), 3, grower, ExplorationBudget(max_states=2))
         assert got == OracleAnswer.exhausted()
 
+    def test_ef_search_out_of_budget_is_an_unknown_node(self, grower):
+        # As in ctl.check: the unknown EF node decides nothing next to a
+        # false conjunct, and leaves the answer open where it counts.
+        far = EF(atom({"Y": 1}, Cmp.GE, 10**9))
+        no_s = atom({"S": 1}, Cmp.EQ, 0)
+
+        def answer(f, k=0):
+            return eval_bounded(f, (1, 0, 0), k, grower, ExplorationBudget(max_states=30))
+
+        assert answer(And(far, no_s)) == OracleAnswer.definitely(False)
+        assert answer(And(far, Not(no_s))) == OracleAnswer.exhausted()
+        assert answer(EG(Not(far)), 1) == OracleAnswer.exhausted()
+
+    def test_ef_body_must_be_propositional(self, triangle):
+        with pytest.raises(TypeError, match="EF bodies over atoms"):
+            eval_bounded(EF(ENext("a", atom({"X1": 1}, Cmp.GE, 1))), (1, 0, 0), 1, triangle)
+
     def test_unbounded_growth_still_terminates(self, grower):
         f = EG(atom({"Y": 1}, Cmp.GE, 0))
         got = eval_bounded(f, (1, 0, 0), 3, grower)
@@ -177,6 +197,50 @@ class TestAgainstBruteForcePaths:
 
                 expected = OracleAnswer.definitely(paths_ok(init, k))
                 assert eval_bounded(EG(body), init, k, bpp) == expected
+
+    def test_nested_formulas_match_a_recursion_of_their_own(self, triangle, labeled_cycle):
+        # The k-step semantics written out once more, with nothing from
+        # ctl.evaluate: E<a> needs k >= 1 and keeps k, EG needs a path of
+        # exactly k steps with its body (at the same k) at every position.
+        truth = {Cmp.GE: operator.ge, Cmp.LE: operator.le, Cmp.GT: operator.gt,
+                 Cmp.LT: operator.lt, Cmp.EQ: operator.eq, Cmp.NE: operator.ne}
+
+        def holds(f, m, k, bpp):
+            if isinstance(f, Atom):
+                total = sum(c * m[bpp.symbols.index(s)] for s, c in f.atom.terms)
+                return truth[f.atom.cmp](total, f.atom.bound)
+            if isinstance(f, Not):
+                return not holds(f.sub, m, k, bpp)
+            if isinstance(f, And):
+                return holds(f.left, m, k, bpp) and holds(f.right, m, k, bpp)
+            if isinstance(f, ENext):
+                return k >= 1 and any(holds(f.sub, t, k, bpp)
+                                      for a, t in successors(m, bpp) if a == f.action)
+
+            def path(u, rem):
+                return holds(f.sub, u, k, bpp) and (
+                    rem == 0 or any(path(t, rem - 1) for _, t in successors(u, bpp)))
+
+            return path(m, k)
+
+        def formula(rng, bpp, depth):
+            kind = rng.choice(("atom", "not", "and", "next", "eg")) if depth else "atom"
+            if kind == "atom":
+                coeffs = {s: c for s in bpp.symbols if (c := rng.randint(-1, 2))}
+                return atom(coeffs or {bpp.symbols[0]: 1}, rng.choice(list(Cmp)), rng.randint(0, 2))
+            if kind == "and":
+                return And(formula(rng, bpp, depth - 1), formula(rng, bpp, depth - 1))
+            sub = formula(rng, bpp, depth - 1)
+            return {"not": Not(sub), "next": ENext(rng.choice("ab"), sub), "eg": EG(sub)}[kind]
+
+        rng = random.Random(31)
+        for bpp in (triangle, labeled_cycle):
+            for _ in range(150):
+                f = formula(rng, bpp, rng.randint(0, 3))
+                k = rng.randint(0, 3)
+                init = tuple(rng.randint(0, 2) for _ in bpp.symbols)
+                expected = OracleAnswer.definitely(holds(f, init, k, bpp))
+                assert eval_bounded(f, init, k, bpp) == expected, (f, init, k)
 
 
 class TestDot:
